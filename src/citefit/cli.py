@@ -80,7 +80,7 @@ class CliConfig:
 
 
 def _detect_format(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with data_io.open_text(path) as fh:
         for line in fh:
             if line.strip():
                 return (data_io.FORMAT_LABELED if "," in line
@@ -94,7 +94,7 @@ def _load_datasets(cfg: CliConfig) -> list[CitationDataset]:
     if fmt == "auto":
         fmt = _detect_format(path)
     default_label = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8") as fh:
+    with data_io.open_text(path) as fh:
         return data_io.parse_counts(fh, fmt, label=default_label)
 
 

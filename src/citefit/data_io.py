@@ -14,9 +14,10 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -46,6 +47,26 @@ def _parse_count(text: str, line_no: int) -> int:
     if value < 0:
         raise ParseError(f"count must be non-negative, got {value}", line_no)
     return value
+
+
+@contextmanager
+def open_text(path) -> Iterator[TextIO]:
+    """``open(path, encoding="utf-8")`` for reading, except that bytes which
+    are not UTF-8 raise :class:`ParseError` naming the file and their line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the stream decodes in chunks, so its error holds no file offset
+            with open(path, "rb") as raw_fh:
+                raw = raw_fh.read()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}",
+                    raw.count(b"\n", 0, exc.start) + 1) from None
+            raise
 
 
 def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
@@ -275,7 +296,7 @@ def write_result(doc: ResultDocument, path) -> None:
 
 
 def read_result(path) -> ResultDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return loads_result(fh.read())
 
 

@@ -116,6 +116,8 @@ class FitConfig:
     def __post_init__(self):
         if not self.alpha_cap > 1:
             raise DomainError(f"alpha_cap must be > 1, got {self.alpha_cap!r}")
+        if self.truncation < 1:
+            raise DomainError(f"truncation must be >= 1, got {self.truncation!r}")
         if self.max_iterations < 100:
             raise DomainError(
                 f"max_iterations must be >= 100, got {self.max_iterations!r}"

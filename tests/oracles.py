@@ -1,9 +1,10 @@
 """Slow independent oracles used to pin expected values in tests.
 
-Everything here evaluates in mpmath arbitrary precision and stays deliberately
-independent of the fast library paths it validates: the lognormal masses come
-from direct quadrature of the continuous density, not from normal-CDF
-differences.
+Everything here stays deliberately independent of the fast library paths it
+validates.  The lognormal masses come from mpmath quadrature of the
+continuous density, not from normal-CDF differences; the hooked
+normalization reference sums every term in doubles, not through the
+library's Euler-Maclaurin remainder.
 
 Quadrature caveat: these integrands can decay by hundreds of orders of
 magnitude across one interval (a boundary layer at the edge nearest the
@@ -15,6 +16,7 @@ outward, before integrating piece by piece.
 import math
 
 import mpmath as mp
+import numpy as np
 
 
 def lognormal_density(x, mu, sigma):
@@ -84,3 +86,14 @@ def log_sum_exp_oracle(terms, dps=60):
     """ln(sum(exp(t))) in extended precision."""
     with mp.workdps(dps):
         return float(mp.ln(mp.fsum(mp.e ** mp.mpf(t) for t in terms)))
+
+
+def direct_log_norm(alpha, offset, N):
+    """ln sum_{n=1..N} (offset + n)**(-alpha), every term summed in doubles
+    relative to the leading one, which keeps the sum finite for any
+    admissible parameters.  O(N) time and memory."""
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    terms = -alpha * np.log(offset + ns)
+    top = terms[0]  # terms decrease strictly in n
+    with np.errstate(under="ignore"):
+        return float(top + math.log(float(np.exp(terms - top).sum())))

@@ -163,6 +163,24 @@ class TestErrorPaths:
         assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert "error: parse:" in capsys.readouterr().err
 
+    def test_undecodable_input_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,1\nb,\xff\xfe3\n")
+        assert main(["compare", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error: parse: line 2:" in err and "bad.csv" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_document_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "doc.json"
+        bad.write_bytes(b'{\n"label": "\xff"}\n')
+        assert main(["report", str(bad)]) == EXIT_PARSE
+        assert "error: parse: line 2:" in capsys.readouterr().err
+
+    def test_zero_truncation_is_config_error(self, labeled_input, capsys):
+        assert main(["compare", str(labeled_input), "--truncation", "0"]) == EXIT_USAGE
+        assert "error: config: truncation must be >= 1" in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citefit.distributions import (
@@ -24,7 +24,7 @@ from citefit.distributions import (
 from citefit.errors import DomainError, SupportRangeError
 from citefit.numerics import LOG_ZERO, extended_sum_oracle
 
-from oracles import dln_cdf_oracle, dln_pmf_oracle
+from oracles import direct_log_norm, dln_cdf_oracle, dln_pmf_oracle
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 
@@ -47,6 +47,19 @@ class TestParams:
         DiscretisedLognormalParams(-7.23, 1.34)
 
 
+@st.composite
+def _norm_cases(draw):
+    """(alpha, offset, N) over the fitting range, half of them with the exact
+    head's length 2 alpha - B within a few terms of N."""
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.5, 1e4)))
+    truncation = draw(st.integers(1, 200_000))
+    if draw(st.booleans()):
+        offset = draw(st.floats(0.0, 1e7))
+    else:
+        offset = min(1e7, max(0.0, 2.0 * alpha - truncation + draw(st.integers(-2, 2))))
+    return alpha, offset, truncation
+
+
 class TestHookedNorm:
     def test_tail_corrected_matches_zeta_closed_form(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000)
@@ -59,6 +72,28 @@ class TestHookedNorm:
             fast = hooked_log_norm(params)
             slow = extended_sum_oracle(alpha, offset, 10000)
             assert fast == pytest.approx(slow, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha,offset", [(1.01, 0.0), (2.5, 40.0)])
+    def test_agrees_with_oracle_at_its_size_limit(self, alpha, offset):
+        # N = 1e5: the Euler-Maclaurin remainder carries nearly all the terms
+        params = HookedPowerLawParams(alpha, offset, 100_000)
+        assert hooked_log_norm(params) == pytest.approx(
+            extended_sum_oracle(alpha, offset, 100_000), abs=1e-12)
+
+    @given(_norm_cases())
+    @example((1.0, 0.0, 200_000))     # alpha = 1: the integral is a logarithm
+    @example((1.0, 3.0, 64))
+    @example((0.5, 0.0, 65))          # exact head of 64 terms plus a remainder of one
+    @example((2.5, 0.0, 63))          # N <= 64: exact head only
+    @example((600.0, 200.0, 1000))    # head length 2 alpha - B = N
+    @example((600.0, 201.0, 1000))    # head length 2 alpha - B = N - 1
+    @example((1e4, 1e7, 200_000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_sum(self, case):
+        alpha, offset, truncation = case
+        params = HookedPowerLawParams(alpha, offset, truncation)
+        assert hooked_log_norm(params) == pytest.approx(
+            direct_log_norm(alpha, offset, truncation), abs=1e-10)
 
     def test_extreme_exponent_first_term_dominates(self):
         params = HookedPowerLawParams(10000.0, 0.0, 10000)
@@ -165,6 +200,12 @@ class TestDlnPmf:
         params = DiscretisedLognormalParams(mu, sigma)
         assert math.exp(dln_log_pmf(n, params)) == pytest.approx(
             dln_pmf_oracle(n, mu, sigma), rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize("mu,sigma,n", [(-10.0, 1.6, 1), (-9.5, 1.7, 2)])
+    def test_central_pair_right_of_centre_does_not_cancel(self, mu, sigma, n):
+        # zlo just below the tail switch at 6, where Phi(zlo) is within 3e-9 of 1
+        got = dln_log_pmf(n, DiscretisedLognormalParams(mu, sigma))
+        assert got == pytest.approx(math.log(dln_pmf_oracle(n, mu, sigma)), abs=1e-12)
 
     def test_far_tail_relative_accuracy(self):
         # a mass of ~1.4e-82 must come back to near-full relative precision,

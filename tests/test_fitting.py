@@ -235,6 +235,8 @@ class TestConfig:
             FitConfig(alpha_cap=1.0)
         with pytest.raises(DomainError):
             FitConfig(max_iterations=10)
+        with pytest.raises(DomainError):
+            FitConfig(truncation=0)
 
     def test_defaults_match_reference_setup(self):
         cfg = FitConfig()
