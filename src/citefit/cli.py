@@ -18,7 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import data_io, diagnostics, selection, synthesis
-from .distributions import DiscretisedLognormalParams, HookedPowerLawParams
+from .distributions import (
+    DEFAULT_ALPHA_CAP,
+    DEFAULT_TRUNCATION,
+    DiscretisedLognormalParams,
+    HookedPowerLawParams,
+)
 from .errors import (
     CitefitError,
     ConfigError,
@@ -73,6 +78,10 @@ class CliConfig:
     n_seeds: int = 10
     components: tuple[tuple[float, float, float], ...] = ()
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
+
 
 # ---------------------------------------------------------------------------
 # pipeline
@@ -111,8 +120,11 @@ def _provenance(cfg: CliConfig, extra: dict | None = None) -> dict:
         },
     }
     if cfg.input_path:
+        digest = hashlib.sha256()
         with open(cfg.input_path, "rb") as fh:
-            prov["input_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        prov["input_sha256"] = digest.hexdigest()
     if cfg.timestamp:
         import datetime
 
@@ -395,22 +407,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit_opts = argparse.ArgumentParser(add_help=False)
-    fit_opts.add_argument("--alpha-cap", type=float, default=10000.0,
+    fit_opts.add_argument("--alpha-cap", type=float, default=DEFAULT_ALPHA_CAP,
                           help="upper bound on the hooked exponent; fits that "
-                               "reach it are clamped and flagged (default: 10000)")
-    fit_opts.add_argument("--truncation", type=int, default=10000,
+                               "reach it are clamped and flagged "
+                               f"(default: {DEFAULT_ALPHA_CAP:g})")
+    fit_opts.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                           help="length of the hooked normalization sum "
-                               "(default: 10000; raised automatically to cover "
-                               "larger counts)")
+                               f"(default: {DEFAULT_TRUNCATION}; raised "
+                               "automatically to cover larger counts)")
     fit_opts.add_argument("--tail-correct", action="store_true",
                           help="add the integral tail bound to the hooked "
                                "normalization (default: off, truncated sum only)")
-    fit_opts.add_argument("--z-threshold", type=float, default=1.96,
+    fit_opts.add_argument("--z-threshold", type=float,
+                          default=selection.DEFAULT_Z_THRESHOLD,
                           help="two-sided significance threshold for the Vuong "
-                               "z statistic (default: 1.96)")
-    fit_opts.add_argument("--segments", type=int, default=4,
+                               f"z statistic (default: {selection.DEFAULT_Z_THRESHOLD:g})")
+    fit_opts.add_argument("--segments", type=int, default=diagnostics.DEFAULT_SEGMENTS,
                           help="number of log-spaced diagnostic intervals "
-                               "(default: 4)")
+                               f"(default: {diagnostics.DEFAULT_SEGMENTS})")
     fit_opts.add_argument("--jobs", type=int, default=1,
                           help="fit this many journals concurrently (default: 1)")
     fit_opts.add_argument("--timestamp", action="store_true",
@@ -490,8 +504,8 @@ def _parse_component(text: str) -> tuple[float, float, float]:
 
 def config_from_args(ns: argparse.Namespace) -> CliConfig:
     fit_cfg = FitConfig(
-        alpha_cap=getattr(ns, "alpha_cap", 10000.0),
-        truncation=getattr(ns, "truncation", 10000),
+        alpha_cap=getattr(ns, "alpha_cap", DEFAULT_ALPHA_CAP),
+        truncation=getattr(ns, "truncation", DEFAULT_TRUNCATION),
         tail_correction=getattr(ns, "tail_correct", False),
     )
     return CliConfig(

@@ -27,7 +27,11 @@ from .fitting import CitationDataset, FitResult, FitTrace, Model
 from .selection import ComparisonResult, Winner
 from .diagnostics import SegmentDiagnostics, SegmentSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# versions this build reads; version 1 documents predate the fit trace's
+# ``evaluations`` and ``exit_reason``, which load as None.  A document read
+# in is held, and written back, as the current version.
+READABLE_VERSIONS = (1, 2)
 
 FORMAT_ONE_PER_LINE = "one-per-line"
 FORMAT_LABELED = "labeled"
@@ -155,9 +159,8 @@ def _fit_to_dict(fit: FitResult) -> dict:
         "n_articles": fit.n_articles,
         "trace": {
             "init_log_likelihood": fit.trace.init_log_likelihood,
-            "final_ll_spread": fit.trace.final_ll_spread,
-            "final_simplex_diameter": fit.trace.final_simplex_diameter,
-            "restarts": fit.trace.restarts,
+            "evaluations": fit.trace.evaluations,
+            "exit_reason": fit.trace.exit_reason,
             "at_sigma_floor": fit.trace.at_sigma_floor,
             "truncation_raised": fit.trace.truncation_raised,
             "warnings": list(fit.trace.warnings),
@@ -177,9 +180,8 @@ def _fit_from_dict(d: dict) -> FitResult:
         n_articles=d["n_articles"],
         trace=FitTrace(
             init_log_likelihood=t["init_log_likelihood"],
-            final_ll_spread=t["final_ll_spread"],
-            final_simplex_diameter=t["final_simplex_diameter"],
-            restarts=t["restarts"],
+            evaluations=t.get("evaluations"),
+            exit_reason=t.get("exit_reason"),
             at_sigma_floor=t["at_sigma_floor"],
             truncation_raised=t["truncation_raised"],
             warnings=tuple(t["warnings"]),
@@ -250,8 +252,8 @@ def document_to_dict(doc: ResultDocument) -> dict:
 
 def document_from_dict(data: dict) -> ResultDocument:
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionError(version, SCHEMA_VERSION)
+    if version not in READABLE_VERSIONS:
+        raise SchemaVersionError(version, READABLE_VERSIONS)
     opt = lambda value, conv: None if value is None else conv(value)
     try:
         return ResultDocument(
@@ -263,7 +265,6 @@ def document_from_dict(data: dict) -> ResultDocument:
             lognormal_diagnostics=opt(data["lognormal_diagnostics"], _diag_from_dict),
             hooked_diagnostics=opt(data["hooked_diagnostics"], _diag_from_dict),
             provenance=data.get("provenance", {}),
-            schema_version=version,
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed result document: {exc!r}") from exc

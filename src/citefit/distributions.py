@@ -9,7 +9,9 @@ length ``N`` (optionally completed by an integral tail bound).  The
 normalization is an exact log-domain sum over at most the first 125 or so
 terms plus an Euler-Maclaurin remainder for the rest, so its cost does not
 grow with ``N`` and it agrees with the term-by-term sum to about 1e-15
-relative.
+relative.  Log masses are formed relative to the first term,
+``-alpha ln((B + n) / (B + 1))`` less the normalization over that term, so
+they keep their digits where ``alpha ln(B + 1)`` reaches 1e5.
 
 Discretised lognormal: the continuous lognormal density ``c(x)`` integrated
 over unit intervals and renormalized to the support above one half::
@@ -41,6 +43,7 @@ SIGMA_MIN = 1e-3
 _TAIL_Z = 6.0
 
 _LN_HALF = math.log(0.5)
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,27 @@ _HEAD_DROP = 45.0
 def _hooked_log_norm(alpha: float, offset: float, truncation: int,
                      tail_correction: bool) -> float:
     b1 = float(offset) + 1.0  # a Python float overflows to inf without a warning
+    return -alpha * math.log(b1) + _hooked_log_rel_norm(alpha, offset, truncation,
+                                                        tail_correction)
+
+
+def _hooked_log_rel_norm(alpha: float, offset: float, truncation: int,
+                         tail_correction: bool) -> float:
+    """Log of the normalization over its first term ``(B + 1)**-alpha``.
+
+    The values stay between 0 and about ln N, where the normalization itself
+    can reach 1.6e5 in size, so log masses formed from them keep their
+    digits when a fit multiplies them by thousands of articles.
+    """
+    total = _hooked_log_rel_sum(alpha, offset, truncation)
+    if tail_correction and alpha > 1:
+        total = float(np.logaddexp(total, _hooked_log_rel_tail(alpha, offset, truncation)))
+    return total
+
+
+def _hooked_log_rel_sum(alpha: float, offset: float, truncation: int) -> float:
+    """``ln sum_{n=1..N} ((B + n) / (B + 1))**-alpha``, without the tail bound."""
+    b1 = float(offset) + 1.0
     # once B + n >= 2 alpha and n > 64, each Euler-Maclaurin order is smaller
     # than the one before by (alpha + 2j)**2 / (2 pi (B + n))**2 < 1/50, so six
     # orders leave the remainder exact to double precision
@@ -111,15 +135,11 @@ def _hooked_log_norm(alpha: float, offset: float, truncation: int,
     rest = head < truncation and head < drop
     if not rest:
         head = int(min(head, drop))
-    # terms relative to the first, (B + n)**-alpha / (B + 1)**-alpha
     with np.errstate(under="ignore"):
         total = float(np.exp(-alpha * np.log1p(np.arange(head) / b1)).sum())
     if rest:
         total += _hooked_em_remainder(alpha, offset, head + 1, truncation)
-    total = -alpha * math.log(b1) + math.log(total)
-    if tail_correction and alpha > 1:
-        total = float(np.logaddexp(total, _hooked_log_tail(alpha, offset, truncation)))
-    return total
+    return math.log(total)
 
 
 def _hooked_em_remainder(alpha: float, offset: float, a: int, b: int) -> float:
@@ -151,6 +171,12 @@ def _hooked_em_remainder(alpha: float, offset: float, a: int, b: int) -> float:
 def _hooked_log_tail(alpha: float, offset: float, truncation: int) -> float:
     # integral bound on the dropped tail: (B + N + 0.5)**(1-alpha) / (alpha-1)
     return (1.0 - alpha) * math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
+
+
+def _hooked_log_rel_tail(alpha: float, offset: float, truncation: int) -> float:
+    # the same bound over the first term (B + 1)**-alpha
+    return (math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
+            - alpha * math.log1p((truncation - 0.5) / (offset + 1.0)))
 
 
 def hooked_log_norm(params: HookedPowerLawParams, tail_correction: bool = False) -> float:
@@ -187,9 +213,40 @@ def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
 
 def _hooked_log_pmf_array(ns: np.ndarray, params: HookedPowerLawParams,
                           tail_correction: bool) -> np.ndarray:
-    log_norm = _hooked_log_norm(params.alpha, params.offset, params.truncation,
-                                bool(tail_correction))
-    return -params.alpha * np.log(params.offset + ns) - log_norm
+    # -alpha ln((B + n) / (B + 1)) less the relative normalization: the same
+    # as -alpha ln(B + n) - ln Z without cancelling two numbers near 1e5
+    log_norm = _hooked_log_rel_norm(params.alpha, params.offset, params.truncation,
+                                    bool(tail_correction))
+    return -params.alpha * np.log1p((ns - 1.0) / (params.offset + 1.0)) - log_norm
+
+
+def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
+                         tail_correction: bool):
+    """Partial derivatives of each log mass in ``ln alpha`` and ``ln(B + 1)``.
+
+    In ``B`` the normalization's derivative is exact,
+    ``dlnZ/dB = -alpha Z(alpha + 1, B) / Z(alpha, B)``, which holds with the
+    tail bound as well.  In ``alpha`` it is a central difference of the
+    relative sum, which keeps about ten digits because that sum's logarithm
+    stays below about ln N; the tail bound enters in closed form, weighted
+    by its share of the normalization.
+    """
+    alpha, offset, truncation = params.alpha, params.offset, params.truncation
+    b1 = offset + 1.0
+    tail = bool(tail_correction) and alpha > 1
+    log_norm = _hooked_log_rel_norm(alpha, offset, truncation, tail)
+    h = 1e-5 * alpha
+    d_alpha = (_hooked_log_rel_sum(alpha + h, offset, truncation)
+               - _hooked_log_rel_sum(alpha - h, offset, truncation)) / (2.0 * h)
+    if tail:
+        share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
+        d_tail = -math.log1p((truncation - 0.5) / b1) - 1.0 / (alpha - 1.0)
+        d_alpha += share * (d_tail - d_alpha)
+    # (B + 1) Z(alpha + 1, B) / Z(alpha, B), from the relative normalizations
+    ratio = math.exp(_hooked_log_rel_norm(alpha + 1.0, offset, truncation, tail) - log_norm)
+    ns = np.asarray(ns, dtype=np.float64)
+    return (-alpha * (np.log1p((ns - 1.0) / b1) + d_alpha),
+            alpha * (ratio - b1 / (offset + ns)))
 
 
 def _check_hooked_support(n: int, params: HookedPowerLawParams) -> None:
@@ -303,6 +360,26 @@ def _dln_log_pmf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np
     z0 = (_LN_HALF - params.mu) / params.sigma
     log_den = float(log_ndtr(-z0))  # log(1 - Phi(z0))
     return _log_phi_diff(zlo, zhi) - log_den
+
+
+def _dln_log_pmf_grad(ns: np.ndarray, params: DiscretisedLognormalParams):
+    """Partial derivatives of each log mass in ``mu`` and in ``ln sigma``.
+
+    With ``D = Phi(zhi) - Phi(zlo)`` they are ``(phi(zlo) - phi(zhi)) / (sigma D)``
+    and ``(zlo phi(zlo) - zhi phi(zhi)) / D``, less the renormalization's
+    ``phi(z0) / Phi(-z0)`` times ``1 / sigma`` and ``z0``.  Each ratio
+    ``phi(z) / D`` is formed in the log domain from the log-differences, so
+    it stays finite wherever the mass itself is nonzero.
+    """
+    ns = np.asarray(ns, dtype=np.float64)
+    zlo = (np.log(ns - 0.5) - params.mu) / params.sigma
+    zhi = (np.log(ns + 0.5) - params.mu) / params.sigma
+    z0 = (_LN_HALF - params.mu) / params.sigma
+    log_den = _log_phi_diff(zlo, zhi) + _LN_SQRT_2PI
+    rlo = np.exp(-0.5 * zlo * zlo - log_den)
+    rhi = np.exp(-0.5 * zhi * zhi - log_den)
+    r0 = math.exp(-0.5 * z0 * z0 - _LN_SQRT_2PI - float(log_ndtr(-z0)))
+    return (rlo - rhi - r0) / params.sigma, zlo * rlo - zhi * rhi - z0 * r0
 
 
 def dln_log_pmf(n: int, params: DiscretisedLognormalParams) -> float:

@@ -1,11 +1,12 @@
 """Maximum-likelihood fitting of both models over a shifted count dataset.
 
-Both fits run a derivative-free simplex search in transformed coordinates
-(``(mu, ln sigma)`` for the lognormal, ``(ln alpha, ln(B + 1))`` for the
-hooked power law) so every evaluated point is admissible.  The hooked
-exponent is capped (default 10000) because its likelihood has a flat ridge
-as ``alpha`` and ``B`` grow together; a search that exits through the cap is
-clamped there, ``B`` is re-optimized alone, and the result is flagged.
+Both fits run one projected BFGS search on closed-form gradients, in
+coordinates where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)``
+with ``sigma >= sigma_min`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
+``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  The
+hooked exponent is capped (default 10000) because its likelihood has a flat
+ridge as ``alpha`` and ``B`` grow together; a search that follows the ridge
+onto the cap ends there with ``B`` optimized alone, and the result is flagged.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,13 +25,21 @@ from .distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
     ModelParams,
+    _dln_log_pmf_grad,
+    _hooked_log_pmf_grad,
     log_pmf_values,
 )
 from .errors import DomainError, DoubleShiftError
 
 _GRID_POINTS = 17
-_MAX_RESTARTS = 6
+# a search converges once the gain its next step predicts (the projected
+# gradient in the inverse-Hessian metric) is below _GAIN_TOL of |ll|, where
+# rounding in the log-likelihood hides any further gain
+_GAIN_TOL = 1e-15
+_STEP_TOL = 1e-12  # a line search gives up on steps below this
+_ARMIJO = 1e-4
 _MIN_WARN_SIZE = 30
+EXIT_REASONS = ("converged", "budget", "cap", "sigma_floor")
 
 
 class Model(str, Enum):
@@ -60,12 +69,9 @@ class CitationDataset:
         arr = np.asarray(counts)
         if arr.size == 0:
             raise DomainError("dataset must contain at least one count")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.floor(arr)):
-                raise DomainError("counts must be integers")
-            arr = arr.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64)
+        if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
+            raise DomainError("counts must be integers")
+        arr = arr.astype(np.int64)
         low = 1 if shifted else 0
         if arr.min() < low:
             raise DomainError(
@@ -109,8 +115,6 @@ class FitConfig:
     truncation: int = DEFAULT_TRUNCATION
     tail_correction: bool = False
     max_iterations: int = 10000
-    ll_tolerance: float = 1e-8
-    simplex_tolerance: float = 1e-6
     sigma_min: float = SIGMA_MIN
 
     def __post_init__(self):
@@ -126,12 +130,19 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitTrace:
-    """Summary of the optimizer run attached to every result."""
+    """Summary of the optimizer run attached to every result.
+
+    ``evaluations`` counts the log-likelihood evaluations of the search from
+    its start point on (the hooked fit's initial grid is not included).
+    ``exit_reason`` is one of :data:`EXIT_REASONS`: converged inside the
+    box, out of iterations (``budget``), or converged with the hooked
+    exponent on its cap or the lognormal scale on its floor.  Both are
+    ``None`` in documents written before they were recorded.
+    """
 
     init_log_likelihood: float
-    final_ll_spread: float
-    final_simplex_diameter: float
-    restarts: int
+    evaluations: int | None
+    exit_reason: str | None
     at_sigma_floor: bool = False
     truncation_raised: bool = False
     warnings: tuple[str, ...] = ()
@@ -150,102 +161,121 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# simplex search
+# bounded quasi-Newton search
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(
-    fn: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    step: float,
-    max_iter: int,
-    f_tol: float,
-    x_tol: float,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-):
-    """Minimize ``fn`` with a projected Nelder-Mead simplex.
+class _Search(NamedTuple):
+    x: list
+    ll: float
+    grad: tuple
+    ll_start: float   # at the start point, moved into the box
+    iterations: int
+    evaluations: int  # of ``loglik``, the start point included
+    converged: bool
 
-    Returns ``(x, f, iterations, converged, f_spread, diameter)`` where
-    ``converged`` means both the relative spread of function values and the
-    simplex diameter fell below their tolerances.
+
+def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int) -> _Search:
+    """Maximize ``loglik`` over the box ``lower <= x <= upper`` in two
+    coordinates by projected BFGS.
+
+    A coordinate is held at a bound that its gradient pushes against or that
+    a step lands on, and released, once the search over the other converges,
+    if its gradient points back into the box; the inverse Hessian restarts
+    whenever the held set changes.  Each line search runs along the straight
+    quasi-Newton step, cut at the first bound (landing on it exactly) and at
+    a move of 1, and backtracks on exact values (Armijo; non-finite ones
+    fail), so an error in ``gradient`` costs iterations, never the optimum.
+    The search converges once the full step stays in the box and its
+    predicted gain is negligible, so a rising ridge is followed onto its
+    bound, or once even steepest ascent finds no gain; ``converged`` is
+    false only if ``max_iter`` ran out first.
     """
-    proj = project if project is not None else (lambda x: x)
-    dim = x0.size
-    pts = [proj(x0.copy())]
-    for i in range(dim):
-        x = x0.copy()
-        x[i] += step
-        pts.append(proj(x))
-    simplex = [(p, fn(p)) for p in pts]
-    simplex.sort(key=lambda e: e[1])
+    x = [min(max(x[i], lower[i]), upper[i]) for i in (0, 1)]
+    ll, g = loglik(x), gradient(x)
+    ll_start, evals, iterations = ll, 1, 0
+    held, hess = [False, False], None  # hess: (h00, h01, h11), None the identity
 
-    def spread():
-        fb, fw = simplex[0][1], simplex[-1][1]
-        if math.isinf(fw):
-            return math.inf
-        return abs(fw - fb) / (abs(fb) + 1e-12)
+    def against(i):  # at a bound, with the gradient pushing out of the box
+        return (x[i] <= lower[i] and g[i] < 0.0) or (x[i] >= upper[i] and g[i] > 0.0)
 
-    def diameter():
-        best = simplex[0][0]
-        return max(float(np.max(np.abs(p - best))) for p, _ in simplex[1:])
-
-    iterations = 0
-    converged = False
     while iterations < max_iter:
-        if spread() <= f_tol and diameter() <= x_tol:
-            converged = True
-            break
-        iterations += 1
-        centroid = np.mean([p for p, _ in simplex[:-1]], axis=0)
-        worst, f_worst = simplex[-1]
+        if any(against(i) and not held[i] for i in (0, 1)):
+            held, hess = [held[i] or against(i) for i in (0, 1)], None
+        pg = [0.0 if held[i] else g[i] for i in (0, 1)]
+        h00, h01, h11 = hess or (1.0, 0.0, 1.0)
+        d = [0.0 if held[0] else h00 * pg[0] + h01 * pg[1],
+             0.0 if held[1] else h01 * pg[0] + h11 * pg[1]]
+        slope = pg[0] * d[0] + pg[1] * d[1]
+        if not slope > 0.0 and hess is not None:
+            hess = None
+            continue
+        # the step length at which each coordinate reaches its bound
+        room = [((upper[i] if d[i] > 0.0 else lower[i]) - x[i]) / d[i] if d[i] else math.inf
+                for i in (0, 1)]
+        edge = 0 if room[0] <= room[1] else 1
+        trial = None
+        if slope > 0.0 and not (room[edge] >= 1.0 and hess is not None
+                                and slope <= _GAIN_TOL * (1.0 + abs(ll))):
+            iterations += 1
+            reach = max(abs(d[0]), abs(d[1]))
+            step = min(1.0, room[edge], 1.0 / reach)
+            while trial is None and step * reach > _STEP_TOL:
+                trial = [x[0] + step * d[0], x[1] + step * d[1]]
+                if step == room[edge]:
+                    trial[edge] = upper[edge] if d[edge] > 0.0 else lower[edge]
+                ll_trial = loglik(trial)
+                evals += 1
+                if not ll_trial >= ll + _ARMIJO * step * slope:
+                    trial = None
+                    # maximizer of the quadratic through ll, the slope and ll_trial
+                    curve = ll_trial - ll - step * slope
+                    cut = -0.5 * step * slope / curve if -math.inf < curve < 0.0 else 0.1
+                    step *= min(max(cut, 0.1), 0.5)
+            if trial is None and hess is not None:
+                hess = None
+                continue
+        if trial is None:
+            # converged over the free coordinates: release any held one whose
+            # gradient points back into the box, or stop
+            freed = [i for i in (0, 1) if held[i] and g[i] != 0.0 and not against(i)]
+            if not freed:
+                return _Search(x, ll, g, ll_start, iterations, evals, True)
+            held, hess = [held[i] and i not in freed for i in (0, 1)], None
+            continue
+        g_trial = gradient(trial)
+        if step == room[edge]:
+            held[edge], hess = True, None
+        else:  # the negated log-likelihood's gradient change is g - g_trial
+            hess = _bfgs_update(hess or (1.0, 0.0, 1.0), hess is None,
+                                [trial[0] - x[0], trial[1] - x[1]],
+                                [0.0 if held[i] else g[i] - g_trial[i] for i in (0, 1)])
+        x, ll, g = trial, ll_trial, g_trial
+    return _Search(x, ll, g, ll_start, iterations, evals, False)
 
-        reflected = proj(centroid + (centroid - worst))
-        f_ref = fn(reflected)
-        if simplex[0][1] <= f_ref < simplex[-2][1]:
-            simplex[-1] = (reflected, f_ref)
-        elif f_ref < simplex[0][1]:
-            expanded = proj(centroid + 2.0 * (centroid - worst))
-            f_exp = fn(expanded)
-            simplex[-1] = (expanded, f_exp) if f_exp < f_ref else (reflected, f_ref)
-        else:
-            contracted = proj(centroid + 0.5 * (worst - centroid))
-            f_con = fn(contracted)
-            if f_con < f_worst:
-                simplex[-1] = (contracted, f_con)
-            else:
-                best = simplex[0][0]
-                simplex = [(best, simplex[0][1])] + [
-                    (proj(best + 0.5 * (p - best)), None) for p, _ in simplex[1:]
-                ]
-                simplex = [(p, fn(p) if f is None else f) for p, f in simplex]
-        simplex.sort(key=lambda e: e[1])
 
-    x_best, f_best = simplex[0]
-    return x_best, f_best, iterations, converged, spread(), diameter()
-
-
-def _search_with_restarts(fn, x0, step, cfg: FitConfig, project=None):
-    """Run the simplex search, restarting from the incumbent with a fresh
-    simplex until a restart stops improving the objective.  Guards against
-    premature collapse on ridge-shaped likelihoods."""
-    budget = cfg.max_iterations
-    x, f, used, converged, spr, diam = _nelder_mead(
-        fn, np.asarray(x0, dtype=np.float64), step, budget,
-        cfg.ll_tolerance, cfg.simplex_tolerance, project)
-    total = used
-    restarts = 0
-    while restarts < _MAX_RESTARTS and total < budget and converged:
-        x2, f2, used2, conv2, spr2, diam2 = _nelder_mead(
-            fn, x, step, budget - total,
-            cfg.ll_tolerance, cfg.simplex_tolerance, project)
-        total += used2
-        restarts += 1
-        improved = f2 < f - cfg.ll_tolerance * (abs(f) + 1e-12)
-        if f2 < f:
-            x, f, converged, spr, diam = x2, f2, conv2, spr2, diam2
-        if not improved:
-            break
-    return x, f, total, converged, spr, diam, restarts
+def _bfgs_update(hess, first: bool, s, y):
+    """Damped BFGS update of a 2x2 inverse Hessian ``(h00, h01, h11)``:
+    where the curvature along ``s`` is below a fifth of the model's, ``y``
+    moves towards ``B s`` (Powell); a ``first`` update is Shanno-scaled."""
+    h00, h01, h11 = hess
+    det = h00 * h11 - h01 * h01
+    bs = [(h11 * s[0] - h01 * s[1]) / det, (h00 * s[1] - h01 * s[0]) / det]
+    sbs = s[0] * bs[0] + s[1] * bs[1]
+    sy = s[0] * y[0] + s[1] * y[1]
+    if sy < 0.2 * sbs:
+        theta = 0.8 * sbs / (sbs - sy)
+        y = [theta * y[0] + (1.0 - theta) * bs[0], theta * y[1] + (1.0 - theta) * bs[1]]
+        sy = 0.2 * sbs
+    if first:
+        h00 = h11 = sy / (y[0] * y[0] + y[1] * y[1])
+        h01 = 0.0
+    hy = [h00 * y[0] + h01 * y[1], h01 * y[0] + h11 * y[1]]
+    rho = 1.0 / sy
+    c = rho * rho * (y[0] * hy[0] + y[1] * hy[1]) + rho
+    return (h00 - 2.0 * rho * hy[0] * s[0] + c * s[0] * s[0],
+            h01 - rho * (hy[0] * s[1] + s[0] * hy[1]) + c * s[0] * s[1],
+            h11 - 2.0 * rho * hy[1] * s[1] + c * s[1] * s[1])
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +301,31 @@ def _weighted_ll(values, mult, params, tail_correction=False) -> float:
     return float(mult @ logp)
 
 
+def _ll_gradient(values, mult, params, tail_correction=False) -> tuple[float, float]:
+    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``."""
+    if isinstance(params, HookedPowerLawParams):
+        d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction)
+    else:
+        d0, d1 = _dln_log_pmf_grad(values, params)
+    return float(mult @ d0), float(mult @ d1)
+
+
+def _fit_result(model: Model, ds: CitationDataset, params: ModelParams, search: _Search,
+                bound: str | None, warnings_: list[str], **flags) -> FitResult:
+    """Package a finished search; ``bound`` is the exit reason of a search that
+    converged with a parameter on its bound (``cap`` or ``sigma_floor``)."""
+    trace = FitTrace(
+        init_log_likelihood=search.ll_start,
+        evaluations=search.evaluations,
+        exit_reason="budget" if not search.converged else bound or "converged",
+        warnings=tuple(warnings_),
+        **flags,
+    )
+    return FitResult(model=model, params=params, log_likelihood=search.ll,
+                     converged=search.converged, alpha_capped=bound == "cap",
+                     iterations=search.iterations, n_articles=len(ds), trace=trace)
+
+
 # ---------------------------------------------------------------------------
 # discretised lognormal fit
 # ---------------------------------------------------------------------------
@@ -287,7 +342,10 @@ def init_lognormal(ds: CitationDataset, sigma_min: float = SIGMA_MIN) -> Discret
 
 
 def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Maximize the discretised-lognormal likelihood over ``(mu, ln sigma)``.
+    """Maximize the discretised-lognormal likelihood over
+    ``(mu / (1 + sigma**2), ln sigma)``.  There the ridge that data with
+    almost every count at 1 can rise along without bound (``mu -> -inf``,
+    ``mu / sigma**2`` nearly fixed, towards a power law) is straight.
 
     Never raises for non-convergence: the best point found is returned with
     ``converged=False`` when the iteration budget runs out.
@@ -301,41 +359,24 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
     init = init_lognormal(ds, cfg.sigma_min)
     ln_sigma_floor = math.log(cfg.sigma_min)
 
-    def project(x):
-        out = x.copy()
-        out[1] = max(out[1], ln_sigma_floor)
-        return out
+    def params_at(x) -> DiscretisedLognormalParams:
+        sigma = cfg.sigma_min if x[1] <= ln_sigma_floor else math.exp(x[1])
+        return DiscretisedLognormalParams(x[0] * (1.0 + sigma * sigma), sigma)
 
-    def objective(x):
-        params = DiscretisedLognormalParams(float(x[0]), math.exp(float(x[1])))
-        return -_weighted_ll(values, mult, params)
+    def gradient(x):  # from (mu, ln sigma), with d mu / d ln sigma = 2 x0 sigma**2
+        params = params_at(x)
+        s2 = params.sigma ** 2
+        d_mu, d_ln_sigma = _ll_gradient(values, mult, params)
+        return (1.0 + s2) * d_mu, d_ln_sigma + 2.0 * s2 * x[0] * d_mu
 
-    x0 = np.array([init.mu, math.log(init.sigma)])
-    init_ll = -objective(project(x0.copy()))
-    x, f, iters, converged, spr, diam, restarts = _search_with_restarts(
-        objective, x0, 0.25, cfg, project)
+    search = _maximize_box(
+        lambda x: _weighted_ll(values, mult, params_at(x)), gradient,
+        [init.mu / (1.0 + init.sigma ** 2), math.log(init.sigma)],
+        (-math.inf, ln_sigma_floor), (math.inf, math.inf), cfg.max_iterations)
 
-    at_floor = x[1] <= ln_sigma_floor + 1e-12
-    sigma = cfg.sigma_min if at_floor else math.exp(float(x[1]))
-    params = DiscretisedLognormalParams(float(x[0]), max(cfg.sigma_min, sigma))
-    trace = FitTrace(
-        init_log_likelihood=init_ll,
-        final_ll_spread=spr,
-        final_simplex_diameter=diam,
-        restarts=restarts,
-        at_sigma_floor=bool(at_floor),
-        warnings=tuple(warnings_),
-    )
-    return FitResult(
-        model=Model.LOGNORMAL,
-        params=params,
-        log_likelihood=-f,
-        converged=converged,
-        alpha_capped=False,
-        iterations=iters,
-        n_articles=len(ds),
-        trace=trace,
-    )
+    at_floor = search.x[1] <= ln_sigma_floor
+    return _fit_result(Model.LOGNORMAL, ds, params_at(search.x), search,
+                       "sigma_floor" if at_floor else None, warnings_, at_sigma_floor=at_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +415,11 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
 def fit_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Maximize the hooked likelihood over ``(ln alpha, ln(B + 1))``.
 
-    If the search exits through the exponent cap, alpha is clamped there,
-    the offset is re-optimized on its own, and ``alpha_capped`` is set: the
-    likelihood keeps improving along an ``alpha, B -> inf`` ridge for data
-    with sub-power-law tails, so the boundary optimum is the defined result.
+    The exponent is bounded by the cap: the likelihood keeps improving along
+    an ``alpha, B -> inf`` ridge for data with sub-power-law tails, so the
+    boundary optimum is the defined result.  ``alpha_capped`` is set exactly
+    when the search ends with ``alpha`` on the cap and the likelihood still
+    rising towards it; ``B`` is then optimized with ``alpha`` held there.
     """
     _require_shifted(ds)
     warnings_: list[str] = []
@@ -392,71 +434,18 @@ def fit_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
         )
 
     ln_cap = math.log(cfg.alpha_cap)
-    ln_b1_max = math.log(1e9 + 1.0)
-
-    def project(x):
-        out = x.copy()
-        out[0] = min(out[0], ln_cap)
-        out[1] = min(max(out[1], 0.0), ln_b1_max)
-        return out
 
     def params_at(x) -> HookedPowerLawParams:
-        return HookedPowerLawParams(
-            math.exp(float(x[0])), math.exp(float(x[1])) - 1.0, truncation)
-
-    def objective(x):
-        return -_weighted_ll(values, mult, params_at(x), cfg.tail_correction)
+        alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
+        return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation)
 
     init = init_hooked(ds, cfg)
-    x0 = np.array([math.log(init.alpha), math.log(init.offset + 1.0)])
-    init_ll = -objective(project(x0.copy()))
-    x, f, iters, converged, spr, diam, restarts = _search_with_restarts(
-        objective, x0, 0.5, cfg, project)
+    search = _maximize_box(
+        lambda x: _weighted_ll(values, mult, params_at(x), cfg.tail_correction),
+        lambda x: _ll_gradient(values, mult, params_at(x), cfg.tail_correction),
+        [math.log(init.alpha), math.log(init.offset + 1.0)],
+        (-math.inf, 0.0), (ln_cap, math.log(1e9 + 1.0)), cfg.max_iterations)
 
-    # exit-through-boundary at the optimizer's own spatial resolution: a
-    # converged simplex can settle within simplex_tolerance of the cap
-    # without a vertex landing exactly on it
-    capped = x[0] >= ln_cap - 10.0 * cfg.simplex_tolerance
-    if capped:
-        # clamp the exponent at the cap and re-optimize the offset alone
-        x = np.array([ln_cap, float(x[1])])
-        f = objective(x)
-
-        def objective_b(xb):
-            return objective(np.array([ln_cap, float(xb[0])]))
-
-        def project_b(xb):
-            out = xb.copy()
-            out[0] = min(max(out[0], 0.0), ln_b1_max)
-            return out
-
-        xb, fb, iters_b, conv_b, spr, diam, restarts_b = _search_with_restarts(
-            objective_b, np.array([x[1]]), 0.5, cfg, project_b)
-        if fb <= f:
-            f = fb
-            x = np.array([ln_cap, float(xb[0])])
-        converged = conv_b
-        iters += iters_b
-        restarts += restarts_b
-
-    params = params_at(x)
-    if capped:
-        params = HookedPowerLawParams(cfg.alpha_cap, params.offset, truncation)
-    trace = FitTrace(
-        init_log_likelihood=init_ll,
-        final_ll_spread=spr,
-        final_simplex_diameter=diam,
-        restarts=restarts,
-        truncation_raised=raised,
-        warnings=tuple(warnings_),
-    )
-    return FitResult(
-        model=Model.HOOKED,
-        params=params,
-        log_likelihood=-f,
-        converged=converged,
-        alpha_capped=bool(capped),
-        iterations=iters,
-        n_articles=len(ds),
-        trace=trace,
-    )
+    capped = search.x[0] >= ln_cap and search.grad[0] >= 0.0
+    return _fit_result(Model.HOOKED, ds, params_at(search.x), search,
+                       "cap" if capped else None, warnings_, truncation_raised=raised)

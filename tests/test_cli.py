@@ -19,7 +19,7 @@ from citefit.cli import (
 )
 from citefit.data_io import read_result
 from citefit.distributions import DiscretisedLognormalParams
-from citefit.fitting import CitationDataset
+from citefit.fitting import CitationDataset, FitConfig
 from citefit.synthesis import SeededGenerator, sample
 
 
@@ -77,7 +77,8 @@ class TestFitCommand:
         main(["fit", str(labeled_input), "--out", str(out), "--alpha-cap", "50"])
         doc = read_result(out / "Journal_A.json")
         assert doc.provenance["config"]["alpha_cap"] == 50.0
-        assert len(doc.provenance["input_sha256"]) == 64
+        assert doc.provenance["input_sha256"] == hashlib.sha256(
+            labeled_input.read_bytes()).hexdigest()
         assert "created" not in doc.provenance  # timestamps are opt-in
 
 
@@ -181,6 +182,11 @@ class TestErrorPaths:
         assert main(["compare", str(labeled_input), "--truncation", "0"]) == EXIT_USAGE
         assert "error: config: truncation must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, labeled_input, capsys, jobs):
+        assert main(["compare", str(labeled_input), "--jobs", jobs]) == EXIT_USAGE
+        assert "error: config: jobs must be >= 1" in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -196,6 +202,11 @@ class TestDefaults:
         assert cfg.fit.tail_correction is False
         assert cfg.segments == 4
         assert cfg.z_threshold == 1.96
+
+    def test_parser_defaults_are_the_fit_defaults(self):
+        cfg = config_from_args(build_parser().parse_args(["compare", "x"]))
+        assert cfg.fit == FitConfig()
+        assert cfg == CliConfig(command="compare", input_path="x")
 
     def test_analyze_dataset_accepts_raw_counts(self):
         raw = CitationDataset("tiny", list(range(40)))

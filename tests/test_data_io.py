@@ -18,7 +18,7 @@ from citefit.data_io import (
 from citefit.diagnostics import make_segments, segment_differences
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.errors import ParseError, SchemaVersionError
-from citefit.fitting import fit_hooked, fit_lognormal
+from citefit.fitting import EXIT_REASONS, fit_hooked, fit_lognormal
 from citefit.selection import vuong_test
 from citefit.synthesis import SeededGenerator, sample
 
@@ -111,6 +111,34 @@ class TestDocumentRoundTrip:
         with pytest.raises(SchemaVersionError, match=r"99.*1"):
             data_io.document_from_dict(data)
 
+    def test_v2_round_trip_keeps_fit_telemetry(self):
+        doc = _document()
+        data = json.loads(dumps_result(doc))
+        assert data["schema_version"] == data_io.SCHEMA_VERSION == 2
+        for model in ("lognormal", "hooked"):
+            trace = data[model]["trace"]
+            assert isinstance(trace["evaluations"], int) and trace["evaluations"] > 0
+            assert trace["exit_reason"] in EXIT_REASONS
+            assert "restarts" not in trace
+        assert data_io.document_from_dict(data) == doc
+
+    def test_v1_document_still_reads(self):
+        # version 1 traces described the simplex search; its fields are
+        # dropped and the telemetry it lacked loads as None
+        data = json.loads(dumps_result(_document()))
+        data["schema_version"] = 1
+        for model in ("lognormal", "hooked"):
+            trace = data[model]["trace"]
+            del trace["evaluations"], trace["exit_reason"]
+            trace.update(final_ll_spread=1e-12, final_simplex_diameter=5e-7, restarts=1)
+        doc = data_io.document_from_dict(data)
+        assert doc.hooked.trace.evaluations is None
+        assert doc.lognormal.trace.exit_reason is None
+        assert doc.schema_version == data_io.SCHEMA_VERSION
+        # it is written back as a version 2 document and reads the same
+        assert loads_result(dumps_result(doc)) == doc
+        assert json.loads(dumps_result(doc))["schema_version"] == 2
+
     def test_nan_z_round_trips_as_null(self):
         from citefit.selection import ComparisonResult, Winner
 
@@ -175,7 +203,7 @@ class TestRenderParameters:
 
         fit = FitResult(Model.HOOKED, HookedPowerLawParams(10000.0, 250153.2, 10000),
                         -5167.0, True, True, 100, 1240,
-                        FitTrace(-5200.0, 0.0, 0.0, 0))
+                        FitTrace(-5200.0, 120, "cap"))
         doc = ResultDocument(label="Capped", n_articles=1240, hooked=fit)
         table = render_table([doc])
         assert "250153" in table and "250153.2" not in table

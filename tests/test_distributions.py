@@ -127,6 +127,20 @@ class TestHookedPmf:
             logp = log_pmf_values(params, np.arange(1, 1001))
             assert np.all(np.diff(logp) < 0)
 
+    @pytest.mark.parametrize("alpha, offset", [(10000.0, 530000.0), (9655.2, 513161.2)])
+    def test_log_mass_exact_where_alpha_ln_offset_is_large(self, alpha, offset):
+        # on the capped alpha-B ridge alpha ln(B + 1) is about 1.3e5, whose
+        # ulp is 1.5e-11; each log mass must still be exact to 1e-12
+        import mpmath
+
+        params = HookedPowerLawParams(alpha, offset, 2000)
+        ns = np.array([1, 2, 50, 700, 2000])
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(offset)
+            log_norm = mpmath.ln(mpmath.fsum((b + k) ** -a for k in range(1, 2001)))
+            want = [float(-a * mpmath.ln(b + n) - log_norm) for n in ns]
+        assert np.max(np.abs(log_pmf_values(params, ns) - want)) <= 1e-12
+
     def test_extreme_exponent_concentrates_at_one(self):
         params = HookedPowerLawParams(10000.0, 0.0, 10000)
         assert hooked_log_pmf(1, params) == pytest.approx(0.0, abs=1e-15)

@@ -1,15 +1,24 @@
-"""Tests for dataset shifting, initialization and the simplex fits."""
+"""Tests for dataset shifting, initialization, the fits and their gradients."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
+from citefit.distributions import (
+    SIGMA_MIN,
+    DiscretisedLognormalParams,
+    HookedPowerLawParams,
+)
 from citefit.errors import DomainError, DoubleShiftError
 from citefit.fitting import (
+    EXIT_REASONS,
     CitationDataset,
     FitConfig,
+    _compressed,
+    _ll_gradient,
     fit_hooked,
     fit_lognormal,
     init_hooked,
@@ -137,6 +146,19 @@ class TestFitLognormal:
                                                        abs=abs(fit.log_likelihood)) or True
             assert fit.log_likelihood >= fit.trace.init_log_likelihood
 
+    def test_power_law_ridge_ends_well_inside_budget(self):
+        # nearly every count at 1: the likelihood rises without bound as
+        # mu -> -inf with mu / sigma**2 near -4 (a power law in the limit).
+        # A search in (mu, ln sigma) crawled along this ridge until the
+        # 10000-iteration budget ran out; the Nelder-Mead search before it
+        # ended at the pinned point
+        ds = _shifted([1] * 1953 + [2] * 17 + [3] * 5, "Jane's Defence Weekly")
+        fit = fit_lognormal(ds)
+        assert fit.converged and fit.trace.exit_reason == "converged"
+        assert fit.trace.evaluations < 1000 and fit.params.mu < -1000.0
+        simplex = DiscretisedLognormalParams(-59258.62568278327, 120.71482800680485)
+        assert fit.log_likelihood >= total_log_likelihood(ds, simplex) - 1e-4
+
     def test_small_dataset_warns_not_rejects(self):
         fit = fit_lognormal(_shifted([1, 2, 3, 5, 9]))
         assert any("articles" in w for w in fit.trace.warnings)
@@ -201,6 +223,38 @@ class TestFitHooked:
         assert fit.log_likelihood >= fit.trace.init_log_likelihood
 
 
+    @pytest.mark.parametrize("truth, size, seed, cap", [
+        (DiscretisedLognormalParams(2.93, 0.73), 20000, 3, 10000.0),  # thin tail
+        (DiscretisedLognormalParams(2.93, 0.73), 5000, 4, 10.0),      # configured cap
+        (HookedPowerLawParams(2.0, 1.0), 10000, 8, 10000.0),          # interior
+    ])
+    def test_capped_flag_is_alpha_on_cap(self, truth, size, seed, cap):
+        cfg = FitConfig(alpha_cap=cap)
+        fit = fit_hooked(sample(truth, size, SeededGenerator(seed)), cfg)
+        assert fit.alpha_capped == (fit.params.alpha == cfg.alpha_cap)
+        assert fit.trace.exit_reason == ("cap" if fit.alpha_capped else "converged")
+
+    @pytest.mark.parametrize("seed, simplex_alpha, simplex_offset", [
+        (1, 10000.0, 532184.1197480835),
+        (2, 9999.89752776662, 533528.1091747935),
+    ])
+    def test_ridge_is_followed_onto_the_cap(self, seed, simplex_alpha, simplex_offset):
+        # narrow lognormal data: the hooked likelihood climbs the alpha-B
+        # ridge all the way to the cap.  The Nelder-Mead search this fit
+        # replaced ended at the given points, the second just short of the cap
+        ds = sample(DiscretisedLognormalParams(3.65, 0.81), 1806, SeededGenerator(seed))
+        fit = fit_hooked(ds)
+        assert fit.alpha_capped and fit.params.alpha == 10000.0
+        simplex = HookedPowerLawParams(simplex_alpha, simplex_offset)
+        assert fit.log_likelihood >= total_log_likelihood(ds, simplex)
+
+    def test_trace_counts_evaluations(self):
+        ds = sample(HookedPowerLawParams(3.0, 10.0), 2000, SeededGenerator(10))
+        fit = fit_hooked(ds)
+        assert fit.converged and fit.trace.exit_reason in EXIT_REASONS
+        assert fit.iterations < fit.trace.evaluations < 100
+
+
 class TestLocalOptimality:
     def test_lognormal_fit_dominates_neighborhood(self):
         # certificate at the published-value reproduction scale: the returned
@@ -244,3 +298,101 @@ class TestConfig:
         assert cfg.truncation == 10000
         assert cfg.tail_correction is False
         assert cfg.sigma_min == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# analytic gradients against central differences
+# ---------------------------------------------------------------------------
+
+
+def _coords(params):
+    """The search coordinates of ``params`` and the map back from them."""
+    if isinstance(params, DiscretisedLognormalParams):
+        return ([params.mu, math.log(params.sigma)],
+                lambda x: DiscretisedLognormalParams(x[0], math.exp(x[1])))
+    return ([math.log(params.alpha), math.log(params.offset + 1.0)],
+            lambda x: HookedPowerLawParams(math.exp(x[0]), math.expm1(x[1]), params.truncation))
+
+
+def _numeric_gradient(ds, params, tail_correction=False, h=1e-3):
+    """Five-point differences of ``total_log_likelihood`` in the search
+    coordinates: central, or one-sided where a central stencil would cross
+    the sigma floor or B = 0.
+
+    The tail bound grows like 1 / (alpha - 1), so with it the step in
+    ``ln alpha`` shrinks to a hundredth of ``ln alpha``, the distance to that
+    pole; a fixed step would leave a stencil error of order (h / ln alpha)**4."""
+    x, make = _coords(params)
+    lognormal = isinstance(params, DiscretisedLognormalParams)
+    floor = [-math.inf, math.log(SIGMA_MIN) if lognormal else 0.0]
+    steps = [h, h]
+    if tail_correction and not lognormal and params.alpha > 1:
+        steps[0] = min(h, 0.01 * x[0])
+
+    def ll(i, k):
+        y = list(x)
+        y[i] += k * steps[i]
+        return total_log_likelihood(ds, make(y), tail_correction)
+
+    return [(-25 * ll(i, 0) + 48 * ll(i, 1) - 36 * ll(i, 2) + 16 * ll(i, 3)
+             - 3 * ll(i, 4)) / (12 * steps[i]) if x[i] - 2 * steps[i] < floor[i]
+            else (ll(i, -2) - 8 * ll(i, -1) + 8 * ll(i, 1) - ll(i, 2)) / (12 * steps[i])
+            for i in (0, 1)]
+
+
+def _assert_gradient_matches(ds, params, tail_correction=False):
+    # each component to 1e-6 of the gradient's size
+    values, mult = _compressed(ds)
+    analytic = _ll_gradient(values, mult, params, tail_correction)
+    numeric = _numeric_gradient(ds, params, tail_correction)
+    scale = max(abs(numeric[0]), abs(numeric[1]), 1.0)
+    for a, n in zip(analytic, numeric):
+        assert abs(a - n) <= 1e-6 * scale, (analytic, numeric)
+
+
+_GRADIENT_DATA = sample(DiscretisedLognormalParams(2.0, 1.2), 400, SeededGenerator(3))
+
+
+class TestGradients:
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(-4.0, 7.0), sigma=st.floats(0.05, 5.0))
+    def test_lognormal_matches_differences(self, mu, sigma):
+        _assert_gradient_matches(_GRADIENT_DATA, DiscretisedLognormalParams(mu, sigma))
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.3, 60.0), offset=st.floats(0.0, 3000.0),
+           tail=st.booleans())
+    def test_hooked_matches_differences(self, alpha, offset, tail):
+        if tail and alpha < 1.01:
+            alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
+        _assert_gradient_matches(_GRADIENT_DATA, HookedPowerLawParams(alpha, offset), tail)
+
+    def test_lognormal_far_left_tail(self):
+        # nearly every article uncited: the maximum sits deep in the left tail
+        ds = _shifted([1] * 1949 + [2] * 24 + [3] * 2)
+        _assert_gradient_matches(ds, DiscretisedLognormalParams(-10.0, 1.6))
+
+    def test_lognormal_at_sigma_floor(self):
+        ds = _shifted([1] * 50 + [2] * 10 + [3] * 2)
+        _assert_gradient_matches(ds, DiscretisedLognormalParams(0.2, SIGMA_MIN))
+
+    def test_hooked_at_cap_with_zero_offset_and_tail(self):
+        ds = sample(DiscretisedLognormalParams(2.93, 0.73), 2000, SeededGenerator(3))
+        _assert_gradient_matches(ds, HookedPowerLawParams(10000.0, 0.0), True)
+
+    def test_hooked_with_raised_truncation(self):
+        ds = _shifted(np.concatenate([np.arange(1, 300), np.array([25000])]))
+        _assert_gradient_matches(ds, HookedPowerLawParams(2.5, 10.0, 50000))
+
+    def test_finite_over_the_whole_box(self):
+        values, mult = _compressed(_GRADIENT_DATA)
+        for mu in (-20.0, -10.0, 0.0, 3.0, 8.0, 15.0):
+            for sigma in (SIGMA_MIN, 0.01, 0.3, 1.0, 10.0, 100.0, 1e4):
+                grad = _ll_gradient(values, mult, DiscretisedLognormalParams(mu, sigma))
+                assert all(map(math.isfinite, grad)), (mu, sigma, grad)
+        for alpha in (1e-3, 0.3, 1.0, 1.0 + 1e-9, 2.0, 100.0, 10000.0):
+            for offset in (0.0, 1.0, 1e3, 1e6, 1e9):
+                for tail in (False, True):
+                    params = HookedPowerLawParams(alpha, offset)
+                    grad = _ll_gradient(values, mult, params, tail)
+                    assert all(map(math.isfinite, grad)), (alpha, offset, tail, grad)
