@@ -33,16 +33,7 @@ from .fitting import (
     init_lognormal,
     shift_counts,
 )
-from .numerics import (
-    LOG_ZERO,
-    UnderflowReport,
-    UnderflowRisk,
-    extended_sum_oracle,
-    log_sum_exp,
-    predict_underflow,
-    std_normal_cdf,
-    std_normal_log_cdf,
-)
+from .numerics import LOG_ZERO, std_normal_cdf, std_normal_log_cdf
 from .selection import (
     DEFAULT_Z_THRESHOLD,
     ComparisonResult,

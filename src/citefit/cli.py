@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import os
 import re
 import sys
@@ -56,7 +56,7 @@ class CliConfig:
 
     command: str
     input_path: str | None = None
-    input_format: str = "auto"
+    input_format: str = data_io.FORMAT_AUTO
     out_dir: str | None = None
     plot_dir: str | None = None
     model: str = "both"
@@ -81,6 +81,11 @@ class CliConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
+        if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
+            raise ConfigError(
+                f"z_threshold must be finite and positive, got {self.z_threshold!r}")
+        if self.n_seeds < 1:
+            raise ConfigError(f"seeds must be >= 1, got {self.n_seeds!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +93,18 @@ class CliConfig:
 # ---------------------------------------------------------------------------
 
 
-def _detect_format(path: str) -> str:
-    with data_io.open_text(path) as fh:
-        for line in fh:
-            if line.strip():
-                return (data_io.FORMAT_LABELED if "," in line
-                        else data_io.FORMAT_ONE_PER_LINE)
-    return data_io.FORMAT_ONE_PER_LINE
+def _load_datasets(cfg: CliConfig) -> tuple[list[CitationDataset], dict]:
+    """Parse the input in one streamed pass that also hashes its bytes for
+    the provenance."""
+    digest = hashlib.sha256()
+    label = os.path.splitext(os.path.basename(cfg.input_path))[0]
+    with data_io.open_text(cfg.input_path, digest) as fh:
+        datasets = data_io.parse_counts(fh, cfg.input_format, label=label)
+    return datasets, _provenance(cfg, input_sha256=digest.hexdigest())
 
 
-def _load_datasets(cfg: CliConfig) -> list[CitationDataset]:
-    path = cfg.input_path
-    fmt = cfg.input_format
-    if fmt == "auto":
-        fmt = _detect_format(path)
-    default_label = os.path.splitext(os.path.basename(path))[0]
-    with data_io.open_text(path) as fh:
-        return data_io.parse_counts(fh, fmt, label=default_label)
-
-
-def _provenance(cfg: CliConfig, extra: dict | None = None) -> dict:
+def _provenance(cfg: CliConfig, extra: dict | None = None,
+                input_sha256: str | None = None) -> dict:
     prov = {
         "tool": "citefit",
         "config": {
@@ -119,12 +116,8 @@ def _provenance(cfg: CliConfig, extra: dict | None = None) -> dict:
             "z_threshold": cfg.z_threshold,
         },
     }
-    if cfg.input_path:
-        digest = hashlib.sha256()
-        with open(cfg.input_path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-        prov["input_sha256"] = digest.hexdigest()
+    if input_sha256:
+        prov["input_sha256"] = input_sha256
     if cfg.timestamp:
         import datetime
 
@@ -224,8 +217,8 @@ def _status_line(doc: data_io.ResultDocument) -> str:
         capped = " (capped)" if doc.hooked.alpha_capped else ""
         bits.append(f"hooked LL={doc.hooked.log_likelihood:.1f}{capped}")
     if doc.comparison:
-        bits.append(f"z={data_io._fmt_z(doc.comparison)}"
-                    f" best={data_io._fmt_winner(doc.comparison)}")
+        z, best = data_io.vuong_cells(doc.comparison)
+        bits.append(f"z={z} best={best}")
     return "  ".join(bits)
 
 
@@ -237,8 +230,8 @@ def _status_line(doc: data_io.ResultDocument) -> str:
 def _cmd_fit(cfg: CliConfig) -> int:
     if not cfg.out_dir:
         raise ConfigError("fit requires --out DIR for the result documents")
-    datasets = _load_datasets(cfg)
-    docs = _analyze_all(datasets, cfg, _provenance(cfg))
+    datasets, provenance = _load_datasets(cfg)
+    docs = _analyze_all(datasets, cfg, provenance)
     for doc, path in zip(docs, _write_documents(docs, cfg.out_dir)):
         print(f"{_status_line(doc)}  -> {path}")
     return EXIT_OK
@@ -246,8 +239,8 @@ def _cmd_fit(cfg: CliConfig) -> int:
 
 def _cmd_compare(cfg: CliConfig) -> int:
     cfg = replace(cfg, model="both")
-    datasets = _load_datasets(cfg)
-    docs = _analyze_all(datasets, cfg, _provenance(cfg))
+    datasets, provenance = _load_datasets(cfg)
+    docs = _analyze_all(datasets, cfg, provenance)
     if cfg.out_dir:
         _write_documents(docs, cfg.out_dir)
     sys.stdout.write(data_io.render_table(docs, data_io.STYLE_PARAMETERS))
@@ -256,8 +249,8 @@ def _cmd_compare(cfg: CliConfig) -> int:
 
 def _cmd_diagnose(cfg: CliConfig) -> int:
     cfg = replace(cfg, model="both")
-    datasets = _load_datasets(cfg)
-    docs = _analyze_all(datasets, cfg, _provenance(cfg))
+    datasets, provenance = _load_datasets(cfg)
+    docs = _analyze_all(datasets, cfg, provenance)
     if cfg.out_dir:
         _write_documents(docs, cfg.out_dir)
     if cfg.plot_dir:
@@ -291,7 +284,12 @@ def _cmd_simulate(cfg: CliConfig) -> int:
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
             path = os.path.join(cfg.out_dir, "recovery_report.json")
-            _write_json(path, _recovery_to_dict(report, cfg))
+            data_io.write_json({
+                "schema_version": data_io.SCHEMA_VERSION,
+                "kind": "recovery_report",
+                **data_io.to_json(report),
+                "provenance": _provenance(cfg, {"seed": cfg.seed}),
+            }, path)
             print(f"wrote {path}")
         return EXIT_OK
 
@@ -327,39 +325,6 @@ def _cmd_simulate(cfg: CliConfig) -> int:
         return EXIT_OK
 
     raise ConfigError(f"unknown simulate kind {cfg.simulate_kind!r}")
-
-
-def _recovery_to_dict(report, cfg: CliConfig) -> dict:
-    return {
-        "schema_version": data_io.SCHEMA_VERSION,
-        "kind": "recovery_report",
-        "model": report.model.value,
-        "truth": data_io._params_to_dict(report.truth),
-        "n": report.n,
-        "rows": [
-            {
-                "seed": r.seed,
-                "fitted": data_io._params_to_dict(r.fitted),
-                "errors": r.errors,
-                "ll_gap": r.ll_gap,
-                "converged": r.converged,
-            }
-            for r in report.rows
-        ],
-        "median_errors": report.median_errors,
-        "worst_errors": report.worst_errors,
-        "provenance": _provenance(cfg, {"seed": cfg.seed}),
-    }
-
-
-def _write_json(path: str, data: dict) -> None:
-    try:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OutputError(f"cannot write report {path!r}: {exc}") from exc
 
 
 def _cmd_report(cfg: CliConfig) -> int:
@@ -434,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     data_opts = argparse.ArgumentParser(add_help=False)
     data_opts.add_argument("input", help="counts file (one per line, or "
                                          "journal,citations rows)")
-    data_opts.add_argument("--format", dest="input_format", default="auto",
-                           choices=["auto", data_io.FORMAT_ONE_PER_LINE,
+    data_opts.add_argument("--format", dest="input_format", default=data_io.FORMAT_AUTO,
+                           choices=[data_io.FORMAT_AUTO, data_io.FORMAT_ONE_PER_LINE,
                                     data_io.FORMAT_LABELED],
                            help="input layout (default: auto-detect by comma)")
 
@@ -511,7 +476,7 @@ def config_from_args(ns: argparse.Namespace) -> CliConfig:
     return CliConfig(
         command=ns.command,
         input_path=getattr(ns, "input", None),
-        input_format=getattr(ns, "input_format", "auto"),
+        input_format=getattr(ns, "input_format", data_io.FORMAT_AUTO),
         out_dir=getattr(ns, "out_dir", None),
         plot_dir=getattr(ns, "plot_dir", None),
         model=getattr(ns, "model", "both"),

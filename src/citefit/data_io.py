@@ -11,21 +11,23 @@ capped exponents as ``10k``, whole-percent segment differences).
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum, EnumMeta
+from functools import lru_cache
 from statistics import median
-from typing import Iterator, Sequence, TextIO
+from types import NoneType, UnionType
+from typing import Iterator, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .distributions import DiscretisedLognormalParams, HookedPowerLawParams
+from .distributions import DiscretisedLognormalParams, HookedPowerLawParams, ModelParams
 from .errors import OutputError, ParseError, SchemaVersionError
-from .fitting import CitationDataset, FitResult, FitTrace, Model
+from .fitting import CitationDataset, FitResult, model_of
 from .selection import ComparisonResult, Winner
-from .diagnostics import SegmentDiagnostics, SegmentSpec
+from .diagnostics import SegmentDiagnostics
 
 SCHEMA_VERSION = 2
 # versions this build reads; version 1 documents predate the fit trace's
@@ -33,6 +35,7 @@ SCHEMA_VERSION = 2
 # in is held, and written back, as the current version.
 READABLE_VERSIONS = (1, 2)
 
+FORMAT_AUTO = "auto"
 FORMAT_ONE_PER_LINE = "one-per-line"
 FORMAT_LABELED = "labeled"
 
@@ -53,11 +56,27 @@ def _parse_count(text: str, line_no: int) -> int:
     return value
 
 
+class _DigestingFile(io.FileIO):
+    """A raw file reader that feeds every byte it reads to a hashlib digest."""
+
+    def __init__(self, path, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.digest.update(buffer[:n])
+        return n
+
+
 @contextmanager
-def open_text(path) -> Iterator[TextIO]:
+def open_text(path, digest=None) -> Iterator[TextIO]:
     """``open(path, encoding="utf-8")`` for reading, except that bytes which
-    are not UTF-8 raise :class:`ParseError` naming the file and their line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    are not UTF-8 raise :class:`ParseError` naming the file and their line.
+    A hashlib ``digest``, if given, is updated with every byte as it is read,
+    so one pass both decodes and hashes the file."""
+    binary = io.FileIO(path) if digest is None else _DigestingFile(path, digest)
+    with io.TextIOWrapper(io.BufferedReader(binary), encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -80,13 +99,20 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
     ``one-per-line`` yields a single dataset (named by ``label``);
     ``labeled`` groups ``journal,citations`` rows by journal in first-seen
     order, splitting on the last comma so labels may themselves contain
-    commas.  Raises :class:`ParseError` with the line number on bad input.
+    commas; ``auto`` reads ``labeled`` rows if the first non-blank line holds
+    a comma and one count per line otherwise.  The stream is read once.
+    Raises :class:`ParseError` with the line number on bad input.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
+    lines = enumerate(source, start=1)
+    if format == FORMAT_AUTO:
+        first = next(((n, line) for n, line in lines if line.strip()), (0, ""))
+        format = FORMAT_LABELED if "," in first[1] else FORMAT_ONE_PER_LINE
+        lines = itertools.chain([first], lines)
     if format == FORMAT_ONE_PER_LINE:
         counts = []
-        for line_no, line in enumerate(source, start=1):
+        for line_no, line in lines:
             if not line.strip():
                 continue
             counts.append(_parse_count(line, line_no))
@@ -96,7 +122,7 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
 
     if format == FORMAT_LABELED:
         groups: dict[str, list[int]] = {}
-        for line_no, line in enumerate(source, start=1):
+        for line_no, line in lines:
             row = line.rstrip("\r\n")
             if not row.strip():
                 continue
@@ -122,8 +148,10 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
 
 @dataclass(frozen=True)
 class ResultDocument:
-    """Everything computed for one dataset, ready to persist or render."""
+    """Everything computed for one dataset, ready to persist or render.  It
+    is always the current schema version, whatever version it was read from."""
 
+    schema_version: int = field(default=SCHEMA_VERSION, init=False)
     label: str
     n_articles: int
     lognormal: FitResult | None = None
@@ -132,146 +160,92 @@ class ResultDocument:
     lognormal_diagnostics: SegmentDiagnostics | None = None
     hooked_diagnostics: SegmentDiagnostics | None = None
     provenance: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
 
-def _params_to_dict(params) -> dict:
-    if isinstance(params, HookedPowerLawParams):
-        return {"kind": "hooked", "alpha": params.alpha, "offset": params.offset,
-                "truncation": params.truncation}
-    return {"kind": "lognormal", "mu": params.mu, "sigma": params.sigma}
+_PARAMS_BY_KIND = {"hooked": HookedPowerLawParams, "lognormal": DiscretisedLognormalParams}
+_type_hints = lru_cache(maxsize=None)(get_type_hints)
 
 
-def _params_from_dict(d: dict):
-    if d["kind"] == "hooked":
-        return HookedPowerLawParams(d["alpha"], d["offset"], d["truncation"])
-    return DiscretisedLognormalParams(d["mu"], d["sigma"])
+def to_json(value):
+    """The JSON form of a persisted dataclass: its fields in declaration
+    order, parameter objects led by a ``"kind"`` tag naming their class,
+    enums as their values and a NaN float as ``null``."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if is_dataclass(value):
+        data = {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+        return {"kind": model_of(value).value, **data} if isinstance(value, ModelParams) else data
+    return value
 
 
-def _fit_to_dict(fit: FitResult) -> dict:
-    return {
-        "model": fit.model.value,
-        "params": _params_to_dict(fit.params),
-        "log_likelihood": fit.log_likelihood,
-        "converged": fit.converged,
-        "alpha_capped": fit.alpha_capped,
-        "iterations": fit.iterations,
-        "n_articles": fit.n_articles,
-        "trace": {
-            "init_log_likelihood": fit.trace.init_log_likelihood,
-            "evaluations": fit.trace.evaluations,
-            "exit_reason": fit.trace.exit_reason,
-            "at_sigma_floor": fit.trace.at_sigma_floor,
-            "truncation_raised": fit.trace.truncation_raised,
-            "warnings": list(fit.trace.warnings),
-        },
-    }
+def _decode(hint, value):
+    if hint == ModelParams:
+        hint = _PARAMS_BY_KIND[value["kind"]]
+    if value is None:
+        return math.nan if hint is float else None
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # ``X | None``, and ``Model | str``
+        members = [a for a in args if a is not NoneType]
+        for member in members[:-1]:  # the first member that takes the value
+            with suppress(ValueError):
+                return _decode(member, value)
+        return _decode(members[-1], value)
+    if origin is tuple:
+        return tuple(_decode(args[0], v) for v in value)
+    if origin is dict:
+        return {k: _decode(args[1], v) for k, v in value.items()}
+    if is_dataclass(hint):
+        hints = _type_hints(hint)
+        return hint(**{f.name: _decode(hints[f.name], value.get(f.name))
+                       for f in fields(hint) if f.init and (
+                           f.name in value or NoneType in get_args(hints[f.name]))})
+    return hint(value) if isinstance(hint, EnumMeta) else value
 
 
-def _fit_from_dict(d: dict) -> FitResult:
-    t = d["trace"]
-    return FitResult(
-        model=Model(d["model"]),
-        params=_params_from_dict(d["params"]),
-        log_likelihood=d["log_likelihood"],
-        converged=d["converged"],
-        alpha_capped=d["alpha_capped"],
-        iterations=d["iterations"],
-        n_articles=d["n_articles"],
-        trace=FitTrace(
-            init_log_likelihood=t["init_log_likelihood"],
-            evaluations=t.get("evaluations"),
-            exit_reason=t.get("exit_reason"),
-            at_sigma_floor=t["at_sigma_floor"],
-            truncation_raised=t["truncation_raised"],
-            warnings=tuple(t["warnings"]),
-        ),
-    )
-
-
-def _comparison_to_dict(c: ComparisonResult) -> dict:
-    return {
-        "ll_lognormal": c.ll_lognormal,
-        "ll_hooked": c.ll_hooked,
-        "vuong_z": None if math.isnan(c.vuong_z) else c.vuong_z,
-        "p_two_sided": None if math.isnan(c.p_two_sided) else c.p_two_sided,
-        "winner": c.winner.value,
-        "n_articles": c.n_articles,
-    }
-
-
-def _comparison_from_dict(d: dict) -> ComparisonResult:
-    nan = float("nan")
-    return ComparisonResult(
-        ll_lognormal=d["ll_lognormal"],
-        ll_hooked=d["ll_hooked"],
-        vuong_z=nan if d["vuong_z"] is None else d["vuong_z"],
-        p_two_sided=nan if d["p_two_sided"] is None else d["p_two_sided"],
-        winner=Winner(d["winner"]),
-        n_articles=d["n_articles"],
-    )
-
-
-def _diag_to_dict(diag: SegmentDiagnostics) -> dict:
-    return {
-        "model": diag.model.value if isinstance(diag.model, Model) else str(diag.model),
-        "segments": [
-            {"index": s.index, "start": s.start, "end": s.end, "empty": s.empty}
-            for s in diag.segments
-        ],
-        "signed_max_diff": list(diag.signed_max_diff),
-    }
-
-
-def _diag_from_dict(d: dict) -> SegmentDiagnostics:
-    model = d["model"]
-    if model in (m.value for m in Model):
-        model = Model(model)
-    return SegmentDiagnostics(
-        model,
-        tuple(SegmentSpec(s["index"], s["start"], s["end"], s["empty"])
-              for s in d["segments"]),
-        tuple(d["signed_max_diff"]),
-    )
-
-
-def document_to_dict(doc: ResultDocument) -> dict:
-    opt = lambda value, conv: None if value is None else conv(value)
-    return {
-        "schema_version": doc.schema_version,
-        "label": doc.label,
-        "n_articles": doc.n_articles,
-        "lognormal": opt(doc.lognormal, _fit_to_dict),
-        "hooked": opt(doc.hooked, _fit_to_dict),
-        "comparison": opt(doc.comparison, _comparison_to_dict),
-        "lognormal_diagnostics": opt(doc.lognormal_diagnostics, _diag_to_dict),
-        "hooked_diagnostics": opt(doc.hooked_diagnostics, _diag_to_dict),
-        "provenance": doc.provenance,
-    }
+def from_json(cls, data):
+    """Rebuild a ``cls`` from its :func:`to_json` form.  A key missing from
+    ``data`` loads as ``None`` where the field admits it (the telemetry a
+    version 1 trace lacks) and as the field's default otherwise."""
+    try:
+        return _decode(cls, data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {cls.__name__}: {exc!r}") from exc
 
 
 def document_from_dict(data: dict) -> ResultDocument:
     version = data.get("schema_version")
     if version not in READABLE_VERSIONS:
         raise SchemaVersionError(version, READABLE_VERSIONS)
-    opt = lambda value, conv: None if value is None else conv(value)
+    return from_json(ResultDocument, data)
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_json(data, path) -> None:
+    """Persist ``data`` as JSON atomically: the file appears complete or not
+    at all."""
+    tmp = f"{path}.tmp"
     try:
-        return ResultDocument(
-            label=data["label"],
-            n_articles=data["n_articles"],
-            lognormal=opt(data["lognormal"], _fit_from_dict),
-            hooked=opt(data["hooked"], _fit_from_dict),
-            comparison=opt(data["comparison"], _comparison_from_dict),
-            lognormal_diagnostics=opt(data["lognormal_diagnostics"], _diag_from_dict),
-            hooked_diagnostics=opt(data["hooked_diagnostics"], _diag_from_dict),
-            provenance=data.get("provenance", {}),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed result document: {exc!r}") from exc
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_dumps(data))
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path!r}: {exc}") from exc
+
+
+document_to_dict = to_json
 
 
 def dumps_result(doc: ResultDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
+    return _dumps(to_json(doc))
 
 
 def loads_result(text: str) -> ResultDocument:
@@ -285,15 +259,7 @@ def loads_result(text: str) -> ResultDocument:
 
 
 def write_result(doc: ResultDocument, path) -> None:
-    """Persist atomically: the document appears complete or not at all."""
-    text = dumps_result(doc)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OutputError(f"cannot write result document {path!r}: {exc}") from exc
+    write_json(to_json(doc), path)
 
 
 def read_result(path) -> ResultDocument:
@@ -322,16 +288,12 @@ def _fmt_offset(value: float) -> str:
     return f"{value:.0f}" if value >= 1e5 else f"{value:.1f}"
 
 
-def _fmt_z(c: ComparisonResult | None) -> str:
-    if c is None or math.isnan(c.vuong_z):
-        return "-"
-    return f"{c.vuong_z:.2f}"
-
-
-def _fmt_winner(c: ComparisonResult | None) -> str:
+def vuong_cells(c: ComparisonResult | None) -> tuple[str, str]:
+    """The Vuong z and best-model cells of a row, ``-`` where undefined."""
     if c is None:
-        return "-"
-    return c.winner.value if c.winner is not Winner.UNDEFINED else "-"
+        return "-", "-"
+    z = "-" if math.isnan(c.vuong_z) else f"{c.vuong_z:.2f}"
+    return z, "-" if c.winner is Winner.UNDEFINED else c.winner.value
 
 
 def _layout(rows: list[list[str]]) -> str:
@@ -358,8 +320,7 @@ def _parameters_table(results: Sequence[ResultDocument]) -> str:
             _fmt_alpha(hk) if hk else "-",
             _fmt_offset(hk.params.offset) if hk else "-",
             f"{hk.log_likelihood:.1f}" if hk else "-",
-            _fmt_z(doc.comparison),
-            _fmt_winner(doc.comparison),
+            *vuong_cells(doc.comparison),
         ])
     return _layout(rows)
 

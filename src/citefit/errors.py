@@ -20,10 +20,6 @@ class DoubleShiftError(CitefitError, ValueError):
     """The +1 shift was applied to a dataset that is already shifted."""
 
 
-class OracleTimeoutError(CitefitError, RuntimeError):
-    """The slow arbitrary-precision oracle exceeded its resource limit."""
-
-
 class ParseError(CitefitError, ValueError):
     """Malformed input text; carries the offending line number when known."""
 

@@ -147,6 +147,8 @@ def recovery_experiment(
     """
     if n < 1000:
         raise DomainError(f"recovery experiments need n >= 1000, got {n!r}")
+    if not seeds:
+        raise DomainError("recovery experiments need at least one seed")
     model = model_of(truth)
     rows = []
     for seed in seeds:

@@ -4,7 +4,9 @@ Everything here stays deliberately independent of the fast library paths it
 validates.  The lognormal masses come from mpmath quadrature of the
 continuous density, not from normal-CDF differences; the hooked
 normalization reference sums every term in doubles, not through the
-library's Euler-Maclaurin remainder.
+library's Euler-Maclaurin remainder, and ``extended_sum_oracle`` sums it in
+mpmath arithmetic.  ``log_sum_exp`` and ``predict_underflow`` document, as
+tested code, why the library works in the log domain.
 
 Quadrature caveat: these integrands can decay by hundreds of orders of
 magnitude across one interval (a boundary layer at the edge nearest the
@@ -14,9 +16,15 @@ outward, before integrating piece by piece.
 """
 
 import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+
+from citefit.errors import CitefitError, DomainError
+from citefit.numerics import LOG_ZERO, LogValue
 
 
 def lognormal_density(x, mu, sigma):
@@ -97,3 +105,142 @@ def direct_log_norm(alpha, offset, N):
     top = terms[0]  # terms decrease strictly in n
     with np.errstate(under="ignore"):
         return float(top + math.log(float(np.exp(terms - top).sum())))
+
+
+class OracleTimeoutError(CitefitError, RuntimeError):
+    """The slow arbitrary-precision oracle exceeded its resource limit."""
+
+
+# IEEE 754 binary64 thresholds as base-10 exponents: below 1e-308 positive
+# values lose significant digits (subnormal range), below 1e-324 they round
+# to zero.
+LOG10_SMALLEST_NORMAL = -308
+LOG10_SMALLEST_SUBNORMAL = -324
+
+
+class UnderflowRisk(Enum):
+    """Outcome classes for naive direct summation in 64-bit floats."""
+
+    SAFE = "safe"
+    REDUCED_ACCURACY = "reduced_accuracy"
+    TOTAL_UNDERFLOW = "total_underflow"
+
+
+@dataclass(frozen=True)
+class UnderflowReport:
+    """Prediction of how a naive power-sum evaluation degrades in doubles.
+
+    ``smallest_term_log10`` is the base-10 log of the smallest term of
+    ``sum((offset + n) ** -alpha for n in 1..truncation)``, i.e. the last one.
+    """
+
+    alpha: float
+    offset: float
+    truncation: int
+    smallest_term_log10: float
+    risk: UnderflowRisk
+
+
+def log_sum_exp(terms: Sequence[LogValue]) -> LogValue:
+    """Return ``ln(sum(exp(t) for t in terms))`` without under/overflow.
+
+    The maximum term is factored out before exponentiation and the mantissa
+    sum is compensated (``math.fsum``), so the result is correct to a few
+    units in the last place even for sequences of 10**6 terms spanning
+    thousands of orders of magnitude.
+
+    Parameters
+    ----------
+    terms : sequence of float
+        Each entry must be finite or the ``LOG_ZERO`` sentinel.
+
+    Raises
+    ------
+    DomainError
+        If ``terms`` is empty, or contains NaN or +inf.
+    """
+    if len(terms) == 0:
+        raise DomainError("log_sum_exp requires at least one term")
+    m = LOG_ZERO
+    for t in terms:
+        if math.isnan(t) or t == math.inf:
+            raise DomainError(f"log_sum_exp term must be finite or LOG_ZERO, got {t!r}")
+        if t > m:
+            m = t
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    total = math.fsum(math.exp(t - m) for t in terms)
+    return m + math.log(total)
+
+
+def predict_underflow(alpha: float, offset: float, truncation: int) -> UnderflowReport:
+    """Classify whether the naive double-precision power sum degrades.
+
+    The smallest term of ``sum_{n=1..N} (B + n)**(-alpha)`` is the last one,
+    ``(B + N)**(-alpha)``; once its base-10 exponent drops below -308 the
+    term is stored at reduced accuracy, and below -324 it rounds to exactly
+    zero, which is what makes the naive route unusable for large ``alpha``.
+
+    Raises
+    ------
+    DomainError
+        If ``alpha <= 0``, ``offset < 0`` or ``truncation < 1``.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    if not (offset >= 0 and math.isfinite(offset)):
+        raise DomainError(f"offset must be non-negative and finite, got {offset!r}")
+    if truncation < 1:
+        raise DomainError(f"truncation must be >= 1, got {truncation!r}")
+    smallest = -alpha * math.log10(offset + truncation)
+    if smallest < LOG10_SMALLEST_SUBNORMAL:
+        risk = UnderflowRisk.TOTAL_UNDERFLOW
+    elif smallest < LOG10_SMALLEST_NORMAL:
+        risk = UnderflowRisk.REDUCED_ACCURACY
+    else:
+        risk = UnderflowRisk.SAFE
+    return UnderflowReport(alpha, offset, truncation, smallest, risk)
+
+
+_ORACLE_MAX_TRUNCATION = 10**5
+
+
+def extended_sum_oracle(
+    alpha: float,
+    offset: float,
+    truncation: int,
+    decimal_digits: int = 50,
+) -> LogValue:
+    """``ln sum_{n=1..truncation} (offset + n)**(-alpha)`` in software
+    arbitrary-precision arithmetic.
+
+    This is the slow reference route: every term is computed at
+    ``decimal_digits`` significant decimal digits (mpmath), summed exactly,
+    and only the final log is rounded back to a double.  It exists to
+    validate the fast log-domain path in tests; do not use it in fitting.
+
+    Raises
+    ------
+    DomainError
+        On invalid parameters or ``decimal_digits < 50``.
+    OracleTimeoutError
+        If ``truncation`` exceeds the oracle's deliberate size limit (1e5).
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    if not (offset >= 0 and math.isfinite(offset)):
+        raise DomainError(f"offset must be non-negative and finite, got {offset!r}")
+    if truncation < 1:
+        raise DomainError(f"truncation must be >= 1, got {truncation!r}")
+    if decimal_digits < 50:
+        raise DomainError(f"decimal_digits must be >= 50, got {decimal_digits!r}")
+    if truncation > _ORACLE_MAX_TRUNCATION:
+        raise OracleTimeoutError(
+            f"oracle resource limit: truncation {truncation} exceeds "
+            f"{_ORACLE_MAX_TRUNCATION}; use the fast log-domain path instead"
+        )
+    with mp.workdps(decimal_digits):
+        a = mp.mpf(alpha)
+        b = mp.mpf(offset)
+        total = mp.fsum((b + n) ** (-a) for n in range(1, truncation + 1))
+        return float(mp.ln(total))

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import citefit
 from citefit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -17,10 +20,10 @@ from citefit.cli import (
     build_parser,
     main,
 )
-from citefit.data_io import read_result
-from citefit.distributions import DiscretisedLognormalParams
+from citefit.data_io import from_json, read_result
+from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.fitting import CitationDataset, FitConfig
-from citefit.synthesis import SeededGenerator, sample
+from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
 
 
 @pytest.fixture()
@@ -81,6 +84,31 @@ class TestFitCommand:
             labeled_input.read_bytes()).hexdigest()
         assert "created" not in doc.provenance  # timestamps are opt-in
 
+    def test_input_is_read_in_one_pass(self, tmp_path):
+        # CRLF rows, multi-byte labels and a file far larger than one read
+        # buffer: the digest of the streamed bytes is that of the file, and
+        # the file is opened once (counted through the interpreter's audit
+        # events, in a child so the hook does not outlive the test)
+        path = tmp_path / "big.csv"
+        rows = [f"Zeitschrift für Physik {k % 3},{(k * 7) % 40}" for k in range(9000)]
+        path.write_bytes(("journal,citations\r\n" + "\r\n".join(rows)).encode("utf-8"))
+        out = tmp_path / "out"
+        argv = ["fit", str(path), "--out", str(out), "--model", "lognormal"]
+        script = (
+            "import sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda e, a: e == 'open' and opened.append(str(a[0])))\n"
+            "from citefit.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, opened.count({str(path)!r}))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, check=True)
+        assert child.stdout.split()[-2:] == [str(EXIT_OK), "1"]
+        doc = read_result(out / "Zeitschrift_f_r_Physik_0.json")
+        assert doc.provenance["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert doc.n_articles == 3000
+
 
 class TestCompareCommand:
     def test_prints_parameters_table(self, labeled_input, capsys):
@@ -116,6 +144,22 @@ class TestSimulateCommand:
                      "--seeds", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "median abs errors" in out
+
+    @pytest.mark.parametrize("truth, flags", [
+        (DiscretisedLognormalParams(2.0, 1.0),
+         ["--truth", "lognormal", "--mu", "2.0", "--sigma", "1.0"]),
+        (HookedPowerLawParams(6.0, 50.0),
+         ["--truth", "hooked", "--alpha", "6.0", "--offset", "50.0"]),
+    ])
+    def test_recovery_report_document(self, tmp_path, capsys, truth, flags):
+        out = tmp_path / "out"
+        assert main(["simulate", "recovery", *flags, "--n", "1000", "--seeds", "2",
+                     "--seed", "4", "--out", str(out)]) == EXIT_OK
+        data = json.loads((out / "recovery_report.json").read_text(encoding="utf-8"))
+        assert list(data) == ["schema_version", "kind", "model", "truth", "n", "rows",
+                              "median_errors", "worst_errors", "provenance"]
+        assert data["kind"] == "recovery_report" and data["provenance"]["seed"] == 4
+        assert from_json(RecoveryReport, data) == recovery_experiment(truth, 1000, [4, 5])
 
     def test_mixture_prints_table_and_components(self, capsys):
         assert main(["simulate", "mixture", "--component", "1,1,0.5",
@@ -186,6 +230,20 @@ class TestErrorPaths:
     def test_jobs_below_one_is_config_error(self, labeled_input, capsys, jobs):
         assert main(["compare", str(labeled_input), "--jobs", jobs]) == EXIT_USAGE
         assert "error: config: jobs must be >= 1" in capsys.readouterr().err
+
+    def test_zero_seeds_is_config_error(self, capsys):
+        assert main(["simulate", "recovery", "--seeds", "0", "--n", "2000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: config: seeds must be >= 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
+    def test_bad_z_threshold_is_config_error(self, labeled_input, tmp_path, capsys, z):
+        out = tmp_path / "out"
+        assert main(["fit", str(labeled_input), "--model", "lognormal",
+                     "--z-threshold", z, "--out", str(out)]) == EXIT_USAGE
+        assert "error: config: z_threshold must be finite and positive" in (
+            capsys.readouterr().err)
+        assert not out.exists()  # rejected before any fit ran
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"),

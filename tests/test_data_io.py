@@ -15,12 +15,17 @@ from citefit.data_io import (
     render_table,
     write_result,
 )
-from citefit.diagnostics import make_segments, segment_differences
+from citefit.diagnostics import (
+    SegmentDiagnostics,
+    SegmentSpec,
+    make_segments,
+    segment_differences,
+)
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.errors import ParseError, SchemaVersionError
-from citefit.fitting import EXIT_REASONS, fit_hooked, fit_lognormal
-from citefit.selection import vuong_test
-from citefit.synthesis import SeededGenerator, sample
+from citefit.fitting import EXIT_REASONS, FitResult, FitTrace, Model, fit_hooked, fit_lognormal
+from citefit.selection import ComparisonResult, Winner, vuong_test
+from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
 
 
 class TestParseCounts:
@@ -62,6 +67,14 @@ class TestParseCounts:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             parse_counts("1\n", format="rows")
+
+    def test_auto_format_follows_first_non_blank_line(self):
+        [ds] = parse_counts("\n\n3\n\n0\n", format="auto", label="single")
+        assert ds.label == "single" and ds.counts.tolist() == [3, 0]
+        datasets = parse_counts("journal,citations\nA,2\n\nB,1\n", format="auto")
+        assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [2]), ("B", [1])]
+        with pytest.raises(ParseError, match="no counts"):
+            parse_counts("\n \n", format="auto")
 
 
 def _document(seed=41, label="Journal X"):
@@ -154,6 +167,106 @@ class TestDocumentRoundTrip:
         label = "Ann. Phys. (Berl.), Sect. B/2 édition"
         doc = _document(label=label)
         assert loads_result(dumps_result(doc)).label == label
+
+
+def _tiny_document():
+    return ResultDocument(
+        label="tiny", n_articles=3,
+        comparison=ComparisonResult(-4.5, -4.0, float("nan"), float("nan"),
+                                    Winner.UNDEFINED, 3))
+
+
+def _capped_fit():
+    return FitResult(Model.HOOKED, HookedPowerLawParams(2.5, 1.0, 100), -4.0,
+                     False, True, 7, 3, FitTrace(-4.25, 9, "cap", warnings=("w",)))
+
+
+def _v1_document():
+    data = data_io.to_json(_document())
+    data["schema_version"] = 1
+    for model in ("lognormal", "hooked"):
+        del data[model]["trace"]["evaluations"], data[model]["trace"]["exit_reason"]
+    return data_io.document_from_dict(data)
+
+
+# every type the codec persists, in the shapes that need its explicit rules
+ROUND_TRIP_CASES = {
+    "full": lambda: (ResultDocument, _document()),
+    "all_optional_none": lambda: (ResultDocument, ResultDocument(label="bare", n_articles=1)),
+    "undefined_winner_nan_z": lambda: (ResultDocument, _tiny_document()),
+    "named_diagnostics_model": lambda: (SegmentDiagnostics, SegmentDiagnostics(
+        "custom", (SegmentSpec(1, 1, 3), SegmentSpec(2, 4, 9, empty=True)), (0.125, 0.0))),
+    "version_1": lambda: (ResultDocument, _v1_document()),
+    "recovery_lognormal": lambda: (RecoveryReport, recovery_experiment(
+        DiscretisedLognormalParams(2.0, 1.0), 1000, seeds=[3, 4])),
+    "recovery_hooked": lambda: (RecoveryReport, recovery_experiment(
+        HookedPowerLawParams(6.0, 50.0, 5000), 1000, seeds=[3, 4])),
+}
+
+# The layout of the documents, as the hand-written serializer that the codec
+# replaced wrote them: a change of key order, tags or null handling fails here.
+TINY_DOCUMENT_TEXT = """{
+  "schema_version": 2,
+  "label": "tiny",
+  "n_articles": 3,
+  "lognormal": null,
+  "hooked": null,
+  "comparison": {
+    "ll_lognormal": -4.5,
+    "ll_hooked": -4.0,
+    "vuong_z": null,
+    "p_two_sided": null,
+    "winner": "undefined",
+    "n_articles": 3
+  },
+  "lognormal_diagnostics": null,
+  "hooked_diagnostics": null,
+  "provenance": {}
+}
+"""
+CAPPED_FIT_JSON = (
+    '{"model": "hooked", "params": {"kind": "hooked", "alpha": 2.5, "offset": 1.0, '
+    '"truncation": 100}, "log_likelihood": -4.0, "converged": false, '
+    '"alpha_capped": true, "iterations": 7, "n_articles": 3, "trace": '
+    '{"init_log_likelihood": -4.25, "evaluations": 9, "exit_reason": "cap", '
+    '"at_sigma_floor": false, "truncation_raised": false, "warnings": ["w"]}}')
+
+
+class TestCodec:
+    @pytest.mark.parametrize("case", list(ROUND_TRIP_CASES))
+    def test_round_trip(self, case):
+        cls, value = ROUND_TRIP_CASES[case]()
+        text = json.dumps(data_io.to_json(value))
+        back = data_io.from_json(cls, json.loads(text))
+        assert json.dumps(data_io.to_json(back)) == text
+        if case != "undefined_winner_nan_z":  # NaN is not equal to itself
+            assert back == value
+
+    def test_pinned_layout(self):
+        assert dumps_result(_tiny_document()) == TINY_DOCUMENT_TEXT
+        assert json.dumps(data_io.to_json(_capped_fit())) == CAPPED_FIT_JSON
+        assert data_io.from_json(FitResult, json.loads(CAPPED_FIT_JSON)) == _capped_fit()
+
+    def test_diagnostics_model_name_reads_back_as_model_when_known(self):
+        for name, expected in (("custom", "custom"), ("lognormal", Model.LOGNORMAL)):
+            diag = data_io.from_json(SegmentDiagnostics, {
+                "model": name, "segments": [], "signed_max_diff": []})
+            assert diag.model == expected and type(diag.model) is type(expected)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("label"),
+        lambda d: d.update(lognormal=[1, 2]),
+        lambda d: d["hooked"]["params"].update(kind="pareto"),
+        lambda d: d["hooked"]["params"].update(alpha=-1.0),
+        lambda d: d["comparison"].update(winner="W"),
+        lambda d: d["hooked"]["trace"].pop("init_log_likelihood"),
+        lambda d: d["lognormal_diagnostics"].update(segments=3),
+    ])
+    def test_malformed_document_is_parse_error(self, mutate):
+        data = data_io.to_json(_document())
+        mutate(data)
+        with pytest.raises(ParseError, match="malformed"):
+            data_io.document_from_dict(data)
 
 
 class TestRenderParameters:

@@ -22,9 +22,9 @@ from citefit.distributions import (
     log_pmf_values,
 )
 from citefit.errors import DomainError, SupportRangeError
-from citefit.numerics import LOG_ZERO, extended_sum_oracle
+from citefit.numerics import LOG_ZERO
 
-from oracles import direct_log_norm, dln_cdf_oracle, dln_pmf_oracle
+from oracles import direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 

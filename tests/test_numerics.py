@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citefit.errors import DomainError, OracleTimeoutError
-from citefit.numerics import (
-    LOG_ZERO,
+from citefit.errors import DomainError
+from citefit.numerics import LOG_ZERO, std_normal_cdf, std_normal_log_cdf
+
+from oracles import (
+    OracleTimeoutError,
     UnderflowRisk,
     extended_sum_oracle,
     log_sum_exp,
+    log_sum_exp_oracle,
+    normal_cdf_oracle,
     predict_underflow,
-    std_normal_cdf,
-    std_normal_log_cdf,
 )
-
-from oracles import log_sum_exp_oracle, normal_cdf_oracle
 
 
 class TestLogSumExp:

@@ -119,6 +119,10 @@ class TestRecovery:
         with pytest.raises(DomainError):
             recovery_experiment(DiscretisedLognormalParams(0.0, 1.0), 10, [0])
 
+    def test_needs_a_seed(self):
+        with pytest.raises(DomainError, match="at least one seed"):
+            recovery_experiment(DiscretisedLognormalParams(0.0, 1.0), 2000, [])
+
 
 class TestMixture:
     def test_weights_normalized(self):
