@@ -1,7 +1,8 @@
 """Dataset ingestion, result persistence, and report table rendering.
 
 Input is plain UTF-8 text: either one count per line, or labeled two-column
-``journal,citations`` rows (header detected by a non-numeric second field).
+``journal,citations`` rows (an optional header is the first non-blank row,
+detected by a non-numeric second field).
 Results persist as versioned JSON documents that round-trip exactly; tables
 render with fixed, locale-independent formatting that mirrors the reference
 layout (two decimals for the lognormal parameters, one for log-likelihoods,
@@ -99,8 +100,10 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
     ``one-per-line`` yields a single dataset (named by ``label``);
     ``labeled`` groups ``journal,citations`` rows by journal in first-seen
     order, splitting on the last comma so labels may themselves contain
-    commas; ``auto`` reads ``labeled`` rows if the first non-blank line holds
-    a comma and one count per line otherwise.  The stream is read once.
+    commas, and skips the first non-blank row as a header if its count field
+    is not an integer; ``auto`` reads ``labeled`` rows if the first non-blank
+    line holds a comma and one count per line otherwise.  The stream is read
+    once.
     Raises :class:`ParseError` with the line number on bad input.
     """
     if isinstance(source, str):
@@ -122,14 +125,16 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
 
     if format == FORMAT_LABELED:
         groups: dict[str, list[int]] = {}
+        rows = 0
         for line_no, line in lines:
             row = line.rstrip("\r\n")
             if not row.strip():
                 continue
+            rows += 1
             if "," not in row:
                 raise ParseError("expected 'journal,citations'", line_no)
             name, count_text = row.rsplit(",", 1)
-            if line_no == 1 and not count_text.strip().lstrip("+-").isdigit():
+            if rows == 1 and not count_text.strip().lstrip("+-").isdigit():
                 continue  # header row
             value = _parse_count(count_text, line_no)
             groups.setdefault(name, []).append(value)

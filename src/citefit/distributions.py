@@ -441,10 +441,10 @@ def log_pmf_values(params: ModelParams, ns: np.ndarray,
                    tail_correction: bool = False) -> np.ndarray:
     """Vectorized log PMF for either model over integer support points."""
     ns = np.asarray(ns)
-    if np.any(ns < 1):
+    if ns.size and ns.min() < 1:
         raise DomainError("support starts at 1")
     if isinstance(params, HookedPowerLawParams):
-        if np.any(ns > params.truncation):
+        if ns.size and ns.max() > params.truncation:
             raise SupportRangeError(
                 f"support point exceeds truncation N={params.truncation}"
             )
@@ -458,10 +458,10 @@ def cdf_values(params: ModelParams, ns: np.ndarray,
                tail_correction: bool = False) -> np.ndarray:
     """Vectorized CDF for either model over integer support points."""
     ns = np.asarray(ns)
-    if np.any(ns < 1):
+    if ns.size and ns.min() < 1:
         raise DomainError("support starts at 1")
     if isinstance(params, HookedPowerLawParams):
-        if np.any(ns > params.truncation):
+        if ns.size and ns.max() > params.truncation:
             raise SupportRangeError(
                 f"support point exceeds truncation N={params.truncation}"
             )

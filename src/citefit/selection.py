@@ -55,20 +55,25 @@ def total_log_likelihood(ds: CitationDataset, params: ModelParams,
                          tail_correction: bool = False) -> float:
     """Sum of per-article log probabilities.
 
-    Returns ``-inf`` (with a warning naming the offending counts) when some
-    count has underflowed to the log-of-zero sentinel under the model.
+    The model is evaluated once per distinct count and each term weighted by
+    its multiplicity, so the cost follows the number of distinct counts, not
+    of articles.  Returns ``-inf`` (with a warning naming the offending
+    counts) when some count has underflowed to the log-of-zero sentinel under
+    the model.
     """
-    terms = pointwise_log_likelihood(ds, params, tail_correction)
-    if np.any(np.isneginf(terms)):
-        bad = np.unique(ds.counts[np.isneginf(terms)])
+    _require_shifted(ds)
+    values, mult = np.unique(ds.counts, return_counts=True)
+    terms = log_pmf_values(params, values, tail_correction)
+    zero = np.isneginf(terms)
+    if zero.any():
         _warnings.warn(
             f"dataset {ds.label!r}: zero model probability at counts "
-            f"{bad.tolist()}; total log-likelihood is -inf",
+            f"{values[zero].tolist()}; total log-likelihood is -inf",
             RuntimeWarning,
             stacklevel=2,
         )
         return float("-inf")
-    return float(math.fsum(terms))
+    return float(math.fsum(mult * terms))
 
 
 def aic(ll: float, k: int) -> float:

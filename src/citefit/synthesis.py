@@ -78,22 +78,27 @@ def _inversion_table(params: ModelParams) -> np.ndarray:
     return cdf_values(params, np.arange(1, top + 1, dtype=np.int64))
 
 
+def _draw(table: np.ndarray, n: int, stream: np.random.Generator,
+          label: str) -> CitationDataset:
+    u = stream.random(n)
+    idx = np.searchsorted(table, u, side="left")
+    counts = np.minimum(idx, len(table) - 1) + 1
+    return CitationDataset(label, counts, shifted=True)
+
+
 def sample(params: ModelParams, n: int, gen, label: str | None = None) -> CitationDataset:
     """Draw ``n`` counts by inversion against the model CDF prefix table.
 
     Returns a dataset already marked shifted (support starts at 1).
-    Identical seeds give identical datasets.
+    Identical seeds give identical datasets.  Each call builds the table
+    afresh; :func:`recovery_experiment` builds it once and draws every seed
+    against it through the same inversion step.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n!r}")
-    stream = _as_stream(gen)
-    table = _inversion_table(params)
-    u = stream.random(n)
-    idx = np.searchsorted(table, u, side="left")
-    counts = np.minimum(idx, len(table) - 1) + 1
     if label is None:
         label = f"sim:{model_of(params).value}"
-    return CitationDataset(label, counts, shifted=True)
+    return _draw(_inversion_table(params), n, _as_stream(gen), label)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +148,21 @@ def recovery_experiment(
     Each seed draws ``n`` counts from ``truth``, refits the same family and
     records absolute parameter errors plus the log-likelihood gap between the
     fitted and true parameters on that sample (non-negative for a working
-    maximizer, up to optimizer tolerance).
+    maximizer, up to optimizer tolerance).  The truth's inversion table is
+    built once for all seeds, so each seed's counts equal
+    ``sample(truth, n, SeededGenerator(seed))``; the truth is scored by
+    :func:`total_log_likelihood`, once per distinct count.
     """
     if n < 1000:
         raise DomainError(f"recovery experiments need n >= 1000, got {n!r}")
     if not seeds:
         raise DomainError("recovery experiments need at least one seed")
     model = model_of(truth)
+    table = _inversion_table(truth)
     rows = []
     for seed in seeds:
-        ds = sample(truth, n, SeededGenerator(int(seed)),
-                    label=f"sim:{model.value}:seed={seed}")
+        ds = _draw(table, n, SeededGenerator(int(seed)).stream(),
+                   f"sim:{model.value}:seed={seed}")
         fit = fit_lognormal(ds, cfg) if model is Model.LOGNORMAL else fit_hooked(ds, cfg)
         truth_eval = truth
         if isinstance(truth, HookedPowerLawParams) and isinstance(

@@ -208,6 +208,13 @@ class TestErrorPaths:
         assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert "error: parse:" in capsys.readouterr().err
 
+    def test_header_after_blank_line(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("\njournal,citations\nA,2\nA,3\n")
+        assert main(["compare", str(path)]) == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == ["A"]
+
     def test_undecodable_input_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"a,1\nb,\xff\xfe3\n")

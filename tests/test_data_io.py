@@ -60,6 +60,13 @@ class TestParseCounts:
         assert ds.label == "Title, With Comma"
         assert ds.counts.tolist() == [4]
 
+    @pytest.mark.parametrize("format", ["labeled", "auto"])
+    def test_header_after_blank_lines(self, format):
+        datasets = parse_counts("\n \njournal,citations\nA,2\nA,3\n", format=format)
+        assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [2, 3])]
+        with pytest.raises(ParseError, match="line 4: count is not an integer"):
+            parse_counts("\njournal,citations\nA,2\nB,x\n", format=format)
+
     def test_no_header_first_row_is_data(self):
         datasets = parse_counts("A,2\nA,3\n", format="labeled")
         assert datasets[0].counts.tolist() == [2, 3]

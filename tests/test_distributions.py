@@ -300,3 +300,27 @@ class TestDlnCdf:
         values = cdf_values(params, np.arange(1, 3000))
         assert np.all(np.diff(values) >= 0)
         assert np.all((values >= 0) & (values <= 1))
+
+
+class TestVectorizedSupport:
+    MODELS = [DiscretisedLognormalParams(0.0, 1.0), HookedPowerLawParams(2.0, 1.0, 100)]
+
+    @pytest.mark.parametrize("fn", [log_pmf_values, cdf_values])
+    @pytest.mark.parametrize("params", MODELS)
+    def test_empty_input_gives_empty_output(self, fn, params):
+        for ns in ([], np.array([], dtype=np.int64)):
+            got = fn(params, ns)
+            assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("fn", [log_pmf_values, cdf_values])
+    @pytest.mark.parametrize("params", MODELS)
+    def test_zero_is_outside_support(self, fn, params):
+        with pytest.raises(DomainError, match="support starts at 1"):
+            fn(params, np.array([3, 0, 5]))
+
+    @pytest.mark.parametrize("fn", [log_pmf_values, cdf_values])
+    def test_point_beyond_truncation(self, fn):
+        params = HookedPowerLawParams(2.0, 1.0, 100)
+        assert fn(params, np.array([1, 100])).shape == (2,)
+        with pytest.raises(SupportRangeError, match="truncation N=100"):
+            fn(params, np.array([1, 101, 2]))

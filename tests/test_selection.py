@@ -1,6 +1,7 @@
 """Tests for log-likelihood totals, AIC, the Vuong test and winner labels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from citefit.selection import (
     Winner,
     aic,
     classify_winner,
+    pointwise_log_likelihood,
     total_log_likelihood,
     vuong_test,
 )
@@ -45,9 +47,20 @@ class TestTotalLogLikelihood:
 
     def test_sentinel_count_flags_and_returns_neg_inf(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
-        ds = _shifted([2, 10**16])
-        with pytest.warns(RuntimeWarning, match="10000000000000000"):
+        ds = _shifted([10**17, 2, 10**16, 10**17])
+        with pytest.warns(RuntimeWarning, match=re.escape(
+                "at counts [10000000000000000, 100000000000000000];")):
             assert total_log_likelihood(ds, params) == -math.inf
+
+    @pytest.mark.parametrize("params", [
+        DiscretisedLognormalParams(2.94, 1.03),
+        HookedPowerLawParams(7.7, 175.4, 10000),
+    ])
+    def test_equals_sum_of_pointwise_terms(self, params):
+        ds = sample(params, 20000, SeededGenerator(5))
+        for tail in (False, True):
+            want = math.fsum(pointwise_log_likelihood(ds, params, tail))
+            assert total_log_likelihood(ds, params, tail) == pytest.approx(want, rel=1e-12)
 
     def test_requires_shifted(self):
         with pytest.raises(DomainError):

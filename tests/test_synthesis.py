@@ -8,8 +8,9 @@ from scipy import stats
 
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.errors import DomainError
-from citefit.fitting import Model
-from citefit.selection import Winner
+from citefit import synthesis
+from citefit.fitting import Model, fit_hooked, fit_lognormal
+from citefit.selection import Winner, pointwise_log_likelihood
 from citefit.synthesis import (
     MixtureSpec,
     SeededGenerator,
@@ -20,6 +21,7 @@ from citefit.synthesis import (
 )
 
 HOOKED_HEAD_MASS = 0.3876365241826076  # 0.25 / (zeta(2) - 1)
+RECOVERY_TRUTHS = [DiscretisedLognormalParams(2.94, 1.03), HookedPowerLawParams(7.7, 175.4)]
 
 
 class TestSeededGenerator:
@@ -114,6 +116,40 @@ class TestRecovery:
         large = recovery_experiment(truth, 4000, seeds=range(200, 210))
         assert large.median_errors["mu"] <= small.median_errors["mu"] + 1e-12
         assert large.median_errors["sigma"] <= small.median_errors["sigma"] + 1e-12
+
+    @pytest.mark.parametrize("truth", RECOVERY_TRUTHS)
+    def test_draws_equal_per_seed_samples(self, truth, monkeypatch):
+        drawn = []
+
+        def recording(fit):
+            def wrapper(ds, cfg):
+                drawn.append(ds.counts.copy())
+                return fit(ds, cfg)
+            return wrapper
+
+        monkeypatch.setattr(synthesis, "fit_lognormal", recording(fit_lognormal))
+        monkeypatch.setattr(synthesis, "fit_hooked", recording(fit_hooked))
+        recovery_experiment(truth, 2000, seeds=[3, 11, 4])
+        assert len(drawn) == 3
+        for counts, seed in zip(drawn, [3, 11, 4]):
+            assert np.array_equal(counts, sample(truth, 2000, SeededGenerator(seed)).counts)
+
+    @pytest.mark.parametrize("truth", RECOVERY_TRUTHS)
+    def test_rows_match_reference_loop(self, truth):
+        seeds = [21, 22, 23]
+        report = recovery_experiment(truth, 3000, seeds)
+        for row, seed in zip(report.rows, seeds):
+            ds = sample(truth, 3000, SeededGenerator(seed))
+            fit = fit_lognormal(ds) if report.model is Model.LOGNORMAL else fit_hooked(ds)
+            truth_eval = truth
+            if report.model is Model.HOOKED:
+                truth_eval = HookedPowerLawParams(truth.alpha, truth.offset,
+                                                  fit.params.truncation)
+            ll_truth = math.fsum(pointwise_log_likelihood(ds, truth_eval))
+            assert row.seed == seed
+            assert row.fitted == fit.params
+            assert row.converged == fit.converged
+            assert row.ll_gap == pytest.approx(fit.log_likelihood - ll_truth, abs=1e-9)
 
     def test_minimum_size(self):
         with pytest.raises(DomainError):
