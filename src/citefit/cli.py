@@ -14,7 +14,10 @@ import math
 import os
 import re
 import sys
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import data_io, diagnostics, selection, synthesis
@@ -36,12 +39,12 @@ from .synthesis import MixtureSpec, SeededGenerator
 
 EXIT_OK = 0
 EXIT_USAGE = 2      # bad flags or conflicting configuration
-EXIT_PARSE = 3      # malformed input data or documents
+EXIT_PARSE = 3      # malformed input data or documents, or input too large for memory
 EXIT_IO = 4         # unreadable/unwritable files
 
 _EXIT_DOC = (
     "exit codes: 0 success, 2 usage or configuration conflict, "
-    "3 input parse error, 4 I/O error"
+    "3 input parse error or input too large for memory, 4 I/O error"
 )
 
 MODEL_CHOICES = ("lognormal", "hooked", "both")
@@ -159,12 +162,35 @@ def analyze_dataset(raw: CitationDataset, cfg: CliConfig,
     )
 
 
+@contextmanager
+def _warning_lines():
+    """Print every warning raised inside as one stderr line,
+    ``warning: <label>: <message>``, where the label is the one the raising
+    thread last set on the yielded holder; without one the line is
+    ``warning: <message>``."""
+    holder = threading.local()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        label = getattr(holder, "label", None)
+        prefix = "warning: " if label is None else f"warning: {label}: "
+        print(prefix + str(message).replace("\n", " "), file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        yield holder
+
+
 def _analyze_all(datasets, cfg: CliConfig, provenance: dict) -> list[data_io.ResultDocument]:
-    if cfg.jobs > 1 and len(datasets) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(lambda ds: analyze_dataset(ds, cfg, provenance),
-                                 datasets))
-    return [analyze_dataset(ds, cfg, provenance) for ds in datasets]
+    with _warning_lines() as current:
+        def analyze(ds: CitationDataset) -> data_io.ResultDocument:
+            current.label = ds.label
+            return analyze_dataset(ds, cfg, provenance)
+
+        if cfg.jobs > 1 and len(datasets) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+                return list(pool.map(analyze, datasets))
+        return [analyze(ds) for ds in datasets]
 
 
 def _slug(label: str, taken: set[str]) -> str:
@@ -506,7 +532,8 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         cfg = config_from_args(ns)
-        return run(cfg)
+        with _warning_lines():
+            return run(cfg)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ConfigError as exc:
@@ -518,6 +545,9 @@ def main(argv=None) -> int:
     except (OutputError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy's allocation failures included
+        print(f"error: memory: input too large: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except CitefitError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE

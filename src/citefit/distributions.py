@@ -27,20 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, SupportRangeError
-from .numerics import LOG_ZERO
+from .numerics import LOG_ZERO, log_ndtr, std_normal_cdf, std_normal_log_cdf
 
 DEFAULT_TRUNCATION = 10000
 DEFAULT_ALPHA_CAP = 10000.0
 SIGMA_MIN = 1e-3
-
-# |z| beyond which a CDF difference is evaluated through the complementary
-# branch: both arguments in the same far tail would otherwise cancel.
-_TAIL_Z = 6.0
 
 _LN_HALF = math.log(0.5)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -310,47 +306,32 @@ def hooked_quantile(params: HookedPowerLawParams, q: float,
 def _log_phi_diff(zlo: np.ndarray, zhi: np.ndarray) -> np.ndarray:
     """log(Phi(zhi) - Phi(zlo)) for zhi > zlo, cancellation-safe.
 
-    Central pairs difference plain CDF values, reflected to the left of
-    centre first; pairs deep in one tail go through the log-CDF of that tail
-    so nothing cancels.  A difference that underflows entirely comes back as
-    LOG_ZERO, never a negative mass.
+    Pairs right of centre are reflected first, Phi(zhi) - Phi(zlo) =
+    Phi(-zlo) - Phi(-zhi), so that the larger CDF value never sits in the
+    upper tail where its log would lose the difference; the two log-CDFs,
+    from one :func:`log_ndtr` pass, are then differenced in the log domain.
+    A difference that underflows entirely comes back as LOG_ZERO, never a
+    negative mass.
     """
-    zlo = np.asarray(zlo, dtype=np.float64)
-    zhi = np.asarray(zhi, dtype=np.float64)
-    out = np.full(zlo.shape, LOG_ZERO)
-
-    right = zlo > _TAIL_Z
-    left = zhi < -_TAIL_Z
-    mid = ~(right | left)
-
-    if np.any(mid):
-        # reflect pairs right of centre, Phi(zhi) - Phi(zlo) = Phi(-zlo) - Phi(-zhi),
-        # so neither CDF value sits near 1 where their difference would cancel:
-        # lo = min(zlo, -zhi) and hi = -max(zlo, -zhi), the latter built in place
-        zl, hi = zlo[mid], -zhi[mid]
-        lo = np.minimum(zl, hi)
-        np.maximum(zl, hi, out=hi)
-        np.negative(hi, out=hi)
-        with np.errstate(divide="ignore"):
-            out[mid] = np.log(np.maximum(ndtr(hi) - ndtr(lo), 0.0))  # log(0) = LOG_ZERO
-    if np.any(right):
-        # Phi(zhi)-Phi(zlo) = Phic(zlo) - Phic(zhi), both tiny
-        a = log_ndtr(-zlo[right])
-        b = log_ndtr(-zhi[right])
-        out[right] = _log_diff_exp(a, b)
-    if np.any(left):
-        a = log_ndtr(zhi[left])
-        b = log_ndtr(zlo[left])
-        out[left] = _log_diff_exp(a, b)
-    return out
+    # lo = min(zlo, -zhi) and hi = -max(zlo, -zhi), the latter built in place
+    zlo = np.ravel(zlo)
+    hi = np.negative(np.ravel(zhi))
+    lo = np.minimum(zlo, hi)
+    np.maximum(zlo, hi, out=hi)
+    np.negative(hi, out=hi)
+    logs = log_ndtr(np.concatenate((hi, lo)))
+    return _log_diff_exp(logs[:hi.size], logs[hi.size:]).reshape(np.shape(zhi))
 
 
 def _log_diff_exp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log(exp(a) - exp(b)) for a >= b, LOG_ZERO when indistinguishable."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = b - a
-        res = a + np.log1p(-np.exp(d))
-    return np.where(d < 0.0, res, LOG_ZERO)
+        out = np.subtract(b, a)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        np.log(out, out=out)  # NaN where rounding put b above a
+    out += a
+    return np.fmax(out, LOG_ZERO, out=out)
 
 
 def _dln_log_pmf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np.ndarray:
@@ -358,27 +339,33 @@ def _dln_log_pmf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np
     zlo = (np.log(ns - 0.5) - params.mu) / params.sigma
     zhi = (np.log(ns + 0.5) - params.mu) / params.sigma
     z0 = (_LN_HALF - params.mu) / params.sigma
-    log_den = float(log_ndtr(-z0))  # log(1 - Phi(z0))
-    return _log_phi_diff(zlo, zhi) - log_den
+    return _log_phi_diff(zlo, zhi) - std_normal_log_cdf(-z0)  # less log(1 - Phi(z0))
 
 
-def _dln_log_pmf_grad(ns: np.ndarray, params: DiscretisedLognormalParams):
+def _dln_log_pmf_grad(ns: np.ndarray, params: DiscretisedLognormalParams,
+                      log_mass: np.ndarray | None = None):
     """Partial derivatives of each log mass in ``mu`` and in ``ln sigma``.
 
     With ``D = Phi(zhi) - Phi(zlo)`` they are ``(phi(zlo) - phi(zhi)) / (sigma D)``
     and ``(zlo phi(zlo) - zhi phi(zhi)) / D``, less the renormalization's
     ``phi(z0) / Phi(-z0)`` times ``1 / sigma`` and ``z0``.  Each ratio
     ``phi(z) / D`` is formed in the log domain from the log-differences, so
-    it stays finite wherever the mass itself is nonzero.
+    it stays finite wherever the mass itself is nonzero.  ``log_mass``, the
+    log masses at ``ns`` under ``params`` when the caller has them, saves
+    evaluating them again.
     """
     ns = np.asarray(ns, dtype=np.float64)
     zlo = (np.log(ns - 0.5) - params.mu) / params.sigma
     zhi = (np.log(ns + 0.5) - params.mu) / params.sigma
     z0 = (_LN_HALF - params.mu) / params.sigma
-    log_den = _log_phi_diff(zlo, zhi) + _LN_SQRT_2PI
+    log_sf0 = std_normal_log_cdf(-z0)
+    if log_mass is None:
+        log_den = _log_phi_diff(zlo, zhi) + _LN_SQRT_2PI
+    else:
+        log_den = log_mass + (log_sf0 + _LN_SQRT_2PI)
     rlo = np.exp(-0.5 * zlo * zlo - log_den)
     rhi = np.exp(-0.5 * zhi * zhi - log_den)
-    r0 = math.exp(-0.5 * z0 * z0 - _LN_SQRT_2PI - float(log_ndtr(-z0)))
+    r0 = math.exp(-0.5 * z0 * z0 - _LN_SQRT_2PI - log_sf0)
     return (rlo - rhi - r0) / params.sigma, zlo * rlo - zhi * rhi - z0 * r0
 
 
@@ -399,7 +386,7 @@ def _dln_cdf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np.nda
     ns = np.asarray(ns, dtype=np.float64)
     zhi = (np.log(ns + 0.5) - params.mu) / params.sigma
     z0 = (_LN_HALF - params.mu) / params.sigma
-    log_ratio = log_ndtr(-zhi) - float(log_ndtr(-z0))
+    log_ratio = log_ndtr(-zhi) - std_normal_log_cdf(-z0)
     cdf = -np.expm1(np.minimum(log_ratio, 0.0))
     return np.clip(cdf, 0.0, 1.0)
 
@@ -422,10 +409,12 @@ def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
     z0 = (_LN_HALF - params.mu) / params.sigma
-    sf_target = (1.0 - q) * float(ndtr(-z0))
+    sf_target = (1.0 - q) * std_normal_cdf(-z0)
     if sf_target <= 0.0:
         raise DomainError(f"quantile level {q!r} is beyond float resolution")
-    z = -float(ndtri(sf_target))
+    if sf_target >= 1.0:  # q below float resolution: all mass lies above
+        return 1
+    z = -NormalDist().inv_cdf(sf_target)
     x = math.exp(params.mu + params.sigma * z)
     return max(1, math.ceil(x - 0.5))
 

@@ -63,7 +63,7 @@ class CitationDataset:
     array is frozen so datasets can be shared freely across fits.
     """
 
-    __slots__ = ("label", "counts", "shifted")
+    __slots__ = ("label", "counts", "shifted", "_distinct")
 
     def __init__(self, label: str, counts, shifted: bool = False):
         arr = np.asarray(counts)
@@ -81,6 +81,19 @@ class CitationDataset:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "shifted", shifted)
+        object.__setattr__(self, "_distinct", None)
+
+    @property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct counts in increasing order and their multiplicities,
+        ``np.unique(counts, return_counts=True)``, computed on first use and
+        kept; both arrays are frozen."""
+        if self._distinct is None:
+            values, mult = np.unique(self.counts, return_counts=True)
+            values.setflags(write=False)
+            mult.setflags(write=False)
+            object.__setattr__(self, "_distinct", (values, mult))
+        return self._distinct
 
     def __setattr__(self, name, value):
         raise AttributeError("CitationDataset is immutable")
@@ -292,7 +305,7 @@ def _require_shifted(ds: CitationDataset) -> None:
 
 
 def _compressed(ds: CitationDataset):
-    values, mult = np.unique(ds.counts, return_counts=True)
+    values, mult = ds.distinct
     return values.astype(np.float64), mult.astype(np.float64)
 
 
@@ -301,12 +314,15 @@ def _weighted_ll(values, mult, params, tail_correction=False) -> float:
     return float(mult @ logp)
 
 
-def _ll_gradient(values, mult, params, tail_correction=False) -> tuple[float, float]:
-    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``."""
+def _ll_gradient(values, mult, params, tail_correction=False,
+                 log_mass=None) -> tuple[float, float]:
+    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``;
+    a lognormal gradient reuses ``log_mass``, the log masses at ``values``,
+    when given."""
     if isinstance(params, HookedPowerLawParams):
         d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction)
     else:
-        d0, d1 = _dln_log_pmf_grad(values, params)
+        d0, d1 = _dln_log_pmf_grad(values, params, log_mass)
     return float(mult @ d0), float(mult @ d1)
 
 
@@ -333,11 +349,15 @@ def _fit_result(model: Model, ds: CitationDataset, params: ModelParams, search: 
 
 def init_lognormal(ds: CitationDataset, sigma_min: float = SIGMA_MIN) -> DiscretisedLognormalParams:
     """Moment starting point: mean and sample standard deviation of the log
-    counts, with the scale floored at ``sigma_min``."""
+    counts, weighted over the distinct counts, with the scale floored at
+    ``sigma_min``."""
     _require_shifted(ds)
-    logs = np.log(ds.counts.astype(np.float64))
-    mu0 = float(np.mean(logs))
-    sd = float(np.std(logs, ddof=1)) if logs.size > 1 else 0.0
+    values, mult = _compressed(ds)
+    logs = np.log(values)
+    n = len(ds)
+    mu0 = float(mult @ logs) / n
+    logs -= mu0
+    sd = math.sqrt(float(mult @ (logs * logs)) / (n - 1)) if n > 1 else 0.0
     return DiscretisedLognormalParams(mu0, max(sigma_min, sd))
 
 
@@ -363,14 +383,24 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
         sigma = cfg.sigma_min if x[1] <= ln_sigma_floor else math.exp(x[1])
         return DiscretisedLognormalParams(x[0] * (1.0 + sigma * sigma), sigma)
 
+    # the search asks for the gradient at the point it has just scored, whose
+    # log masses the gradient then reuses
+    scored = [None, None]
+
+    def loglik(x):
+        logp = log_pmf_values(params_at(x), values)
+        scored[:] = list(x), logp
+        return float(mult @ logp)
+
     def gradient(x):  # from (mu, ln sigma), with d mu / d ln sigma = 2 x0 sigma**2
         params = params_at(x)
         s2 = params.sigma ** 2
-        d_mu, d_ln_sigma = _ll_gradient(values, mult, params)
+        log_mass = scored[1] if scored[0] == list(x) else None
+        d_mu, d_ln_sigma = _ll_gradient(values, mult, params, log_mass=log_mass)
         return (1.0 + s2) * d_mu, d_ln_sigma + 2.0 * s2 * x[0] * d_mu
 
     search = _maximize_box(
-        lambda x: _weighted_ll(values, mult, params_at(x)), gradient,
+        loglik, gradient,
         [init.mu / (1.0 + init.sigma ** 2), math.log(init.sigma)],
         (-math.inf, ln_sigma_floor), (math.inf, math.inf), cfg.max_iterations)
 

@@ -62,12 +62,12 @@ def total_log_likelihood(ds: CitationDataset, params: ModelParams,
     the model.
     """
     _require_shifted(ds)
-    values, mult = np.unique(ds.counts, return_counts=True)
+    values, mult = ds.distinct
     terms = log_pmf_values(params, values, tail_correction)
     zero = np.isneginf(terms)
     if zero.any():
         _warnings.warn(
-            f"dataset {ds.label!r}: zero model probability at counts "
+            f"{ds.label}: zero model probability at counts "
             f"{values[zero].tolist()}; total log-likelihood is -inf",
             RuntimeWarning,
             stacklevel=2,
@@ -122,19 +122,24 @@ def vuong_test(
 
     If the models are pointwise indistinguishable on the data (zero variance)
     the winner is ``UNDEFINED`` and no z is reported.
+
+    Each model is evaluated once per distinct count; the per-article terms
+    are those values repeated through the index of each article's count.
     """
     _require_shifted(ds)
     if len(ds) < 2:
         raise DomainError("Vuong test requires at least 2 articles")
-    lp_h = pointwise_log_likelihood(ds, hooked_params, tail_correction)
-    lp_l = pointwise_log_likelihood(ds, lognormal_params, tail_correction)
-    ll_h = float(math.fsum(lp_h))
-    ll_l = float(math.fsum(lp_l))
+    values, _ = ds.distinct
+    inverse = np.searchsorted(values, ds.counts)
+    lp_h = log_pmf_values(hooked_params, values, tail_correction)
+    lp_l = log_pmf_values(lognormal_params, values, tail_correction)
+    ll_h = float(math.fsum(lp_h[inverse]))
+    ll_l = float(math.fsum(lp_l[inverse]))
     m = lp_h - lp_l
     if not np.all(np.isfinite(m)):
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
                                 Winner.UNDEFINED, len(ds))
-    s_m = float(np.std(m, ddof=1))
+    s_m = float(np.std(m[inverse], ddof=1))
     if s_m == 0.0:
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
                                 Winner.UNDEFINED, len(ds))

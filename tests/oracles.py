@@ -90,6 +90,33 @@ def normal_cdf_oracle(x, dps=50):
         return float(half - mp.quad(lambda t: c * mp.e ** (-t * t / 2), [x, 0]))
 
 
+def erfcx_oracle(x, dps=40):
+    """Scaled complementary error function ``exp(x**2) erfc(x)`` for
+    ``x >= 0``, as an mpmath number.  Beyond x = 1000, where mpmath's own erfc
+    gives up on huge arguments, the asymptotic series
+    ``sum_n (-1)**n (2n - 1)!! / (2 x**2)**n / (x sqrt(pi))`` is summed until
+    its terms fall below 1e-45."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        if x < 1000:
+            return +(mp.erfc(x) * mp.exp(x * x))
+        total = term = mp.mpf(1)
+        n = 0
+        while abs(term) > mp.mpf(10) ** -45:
+            n += 1
+            term *= -(2 * n - 1) / (2 * x * x)
+            total += term
+        return total / (x * mp.sqrt(mp.pi))
+
+
+def log_ndtr_oracle(z, dps=40):
+    """``ln Phi(z)`` as an mpmath number, through erfc of the smaller tail."""
+    with mp.workdps(dps):
+        z = mp.mpf(z)
+        tail = mp.erfc(abs(z) / mp.sqrt(2)) / 2
+        return mp.log(tail) if z <= 0 else mp.log1p(-tail)
+
+
 def log_sum_exp_oracle(terms, dps=60):
     """ln(sum(exp(t))) in extended precision."""
     with mp.workdps(dps):

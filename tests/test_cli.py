@@ -20,7 +20,7 @@ from citefit.cli import (
     build_parser,
     main,
 )
-from citefit.data_io import from_json, read_result
+from citefit.data_io import STYLE_PARAMETERS, from_json, read_result, render_table
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.fitting import CitationDataset, FitConfig
 from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
@@ -251,6 +251,38 @@ class TestErrorPaths:
         assert "error: config: z_threshold must be finite and positive" in (
             capsys.readouterr().err)
         assert not out.exists()  # rejected before any fit ran
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_warnings_print_as_one_line_per_journal(self, tmp_path, capsys, jobs):
+        # all-zero journals get one degenerate diagnostic segment
+        path = tmp_path / "counts.csv"
+        path.write_text("journal,citations\nZ1,0\nZ1,0\nA,1\nA,5\nA,2\nA,0\nZ2,0\nZ2,0\n")
+        out = tmp_path / "out"
+        assert main(["compare", str(path), "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert sorted(captured.err.splitlines()) == [
+            f"warning: {label}: n_max = 0: single degenerate segment [1, 1]"
+            for label in ("Z1", "Z2")]
+        docs = [read_result(out / f"{label}.json") for label in ("Z1", "A", "Z2")]
+        assert captured.out == render_table(docs, STYLE_PARAMETERS)
+
+    def test_count_too_large_for_memory_is_parse_error(self, tmp_path):
+        # the diagnostics' per-count table would need 745 GiB; the child's
+        # address space is capped so that no allocation is made for real
+        pytest.importorskip("resource")
+        path = tmp_path / "huge.txt"
+        path.write_text("1\n2\n100000000000\n")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from citefit.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
+        child = subprocess.run([sys.executable, "-c", script, "compare", str(path)],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == EXIT_PARSE
+        assert child.stderr.startswith("error: memory: ")
+        assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -266,6 +267,36 @@ class TestDlnPmf:
     def test_support_starts_at_one(self):
         with pytest.raises(DomainError):
             dln_log_pmf(0, DiscretisedLognormalParams(0.0, 1.0))
+
+
+def _dln_survival_oracle(n, mu, sigma):
+    """``1 - CDF(n)``, the upper normal tail at ``ln(n + 1/2)`` over the one at
+    ``ln(1/2)``, in mpmath arithmetic."""
+    with mp.workdps(50):
+        def upper(x):
+            return mp.erfc((mp.log(x) - mu) / (sigma * mp.sqrt(2))) / 2
+        return upper(mp.mpf(n) + mp.mpf("0.5")) / upper(mp.mpf("0.5"))
+
+
+class TestDlnQuantile:
+    @pytest.mark.parametrize("mu, sigma, q", [
+        (0.0, 1.0, 1 - 1e-12),
+        (2.94, 1.03, 1 - 1e-12),
+        (2.94, 1.03, 0.5),
+        (-20.0, 1.5, 1 - 1e-12),   # z0 = 12.9: all mass deep in the upper tail
+        (8.0, 0.4, 1 - 1e-12),     # z0 = -21.7: 1 - Phi(z0) rounds to 1
+        (8.0, 0.4, 1e-12),
+    ])
+    def test_smallest_point_reaching_level(self, mu, sigma, q):
+        n = dln_quantile(DiscretisedLognormalParams(mu, sigma), q)
+        with mp.workdps(50):
+            level = 1 - mp.mpf(q)
+            assert _dln_survival_oracle(n, mu, sigma) <= level
+            if n > 1:
+                assert _dln_survival_oracle(n - 1, mu, sigma) > level
+
+    def test_level_below_resolution_is_first_point(self):
+        assert dln_quantile(DiscretisedLognormalParams(30.0, 2.0), 1e-300) == 1
 
 
 class TestDlnCdf:

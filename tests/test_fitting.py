@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citefit.fitting
 from citefit.distributions import (
     SIGMA_MIN,
     DiscretisedLognormalParams,
     HookedPowerLawParams,
+    log_pmf_values,
 )
 from citefit.errors import DomainError, DoubleShiftError
 from citefit.fitting import (
@@ -54,6 +56,15 @@ class TestDataset:
             ds.label = "y"
 
 
+    def test_distinct_counts_are_kept_and_frozen(self):
+        ds = _shifted([5, 1, 5, 2, 1, 5])
+        values, mult = ds.distinct
+        assert values.tolist() == [1, 2, 5] and mult.tolist() == [2, 1, 3]
+        assert ds.distinct is ds.distinct
+        with pytest.raises(ValueError):
+            values[0] = 7
+
+
 class TestShift:
     def test_shift_adds_one_preserving_order(self):
         ds = shift_counts(CitationDataset("x", [0, 3, 12]))
@@ -85,6 +96,13 @@ class TestInitLognormal:
         params = init_lognormal(_shifted([17] * 50))
         assert params.sigma == 1e-3
         assert params.mu == pytest.approx(math.log(17.0))
+
+    def test_weighted_moments_equal_per_article_moments(self):
+        ds = sample(DiscretisedLognormalParams(2.94, 1.03), 20000, SeededGenerator(8))
+        logs = np.log(ds.counts.astype(np.float64))
+        params = init_lognormal(ds)
+        assert params.mu == pytest.approx(float(np.mean(logs)), rel=1e-13)
+        assert params.sigma == pytest.approx(float(np.std(logs, ddof=1)), rel=1e-13)
 
 
 class TestInitHooked:
@@ -158,6 +176,21 @@ class TestFitLognormal:
         assert fit.trace.evaluations < 1000 and fit.params.mu < -1000.0
         simplex = DiscretisedLognormalParams(-59258.62568278327, 120.71482800680485)
         assert fit.log_likelihood >= total_log_likelihood(ds, simplex) - 1e-4
+
+    def test_one_mass_evaluation_per_search_evaluation(self, monkeypatch):
+        # the gradient reuses the masses of the point just scored
+        ds = sample(DiscretisedLognormalParams(2.0, 1.0), 2000, SeededGenerator(9))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return log_pmf_values(*args, **kwargs)
+
+        plain = fit_lognormal(ds)
+        monkeypatch.setattr(citefit.fitting, "log_pmf_values", counted)
+        fit = fit_lognormal(ds)
+        assert fit == plain
+        assert len(calls) == fit.trace.evaluations
 
     def test_small_dataset_warns_not_rejects(self):
         fit = fit_lognormal(_shifted([1, 2, 3, 5, 9]))
@@ -366,6 +399,20 @@ class TestGradients:
         if tail and alpha < 1.01:
             alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
         _assert_gradient_matches(_GRADIENT_DATA, HookedPowerLawParams(alpha, offset), tail)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(-20.0, 15.0), sigma=st.floats(SIGMA_MIN, 100.0))
+    def test_lognormal_reuses_log_masses(self, mu, sigma):
+        # to the standard above: at sigma = 1e-3 the exponents reach 1e8, whose
+        # rounding moves either gradient by up to 1e-7 of its size
+        values, mult = _compressed(_GRADIENT_DATA)
+        params = DiscretisedLognormalParams(mu, sigma)
+        fresh = _ll_gradient(values, mult, params)
+        reused = _ll_gradient(values, mult, params,
+                              log_mass=log_pmf_values(params, values))
+        scale = max(abs(fresh[0]), abs(fresh[1]), 1.0)
+        for a, b in zip(fresh, reused):
+            assert abs(a - b) <= 1e-6 * scale, (fresh, reused)
 
     def test_lognormal_far_left_tail(self):
         # nearly every article uncited: the maximum sits deep in the left tail

@@ -1,24 +1,39 @@
 """Tests for the log-domain primitives and the underflow policy."""
 
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citefit.errors import DomainError
-from citefit.numerics import LOG_ZERO, std_normal_cdf, std_normal_log_cdf
+from citefit.numerics import (
+    LOG_ZERO,
+    erfcx,
+    log_ndtr,
+    std_normal_cdf,
+    std_normal_log_cdf,
+)
 
+import gen_erfcx_table
 from oracles import (
     OracleTimeoutError,
     UnderflowRisk,
+    erfcx_oracle,
     extended_sum_oracle,
+    log_ndtr_oracle,
     log_sum_exp,
     log_sum_exp_oracle,
     normal_cdf_oracle,
     predict_underflow,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestLogSumExp:
@@ -115,6 +130,83 @@ class TestStdNormalCdf:
     def test_log_cdf_non_finite_raises(self):
         with pytest.raises(DomainError):
             std_normal_log_cdf(math.nan)
+
+
+def _erfcx_rel_error(x: float) -> float:
+    with mp.workdps(40):
+        want = erfcx_oracle(x)
+        return float(abs(mp.mpf(float(erfcx(np.array([x]))[0])) - want) / want)
+
+
+def _log_ndtr_error(got: float, z: float) -> float:
+    """Error of a log-CDF value in units of ``max(1, |ln Phi(z)|)``."""
+    with mp.workdps(40):
+        want = log_ndtr_oracle(z)
+        return float(abs(mp.mpf(got) - want) / max(1, abs(want)))
+
+
+class TestErfcx:
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    @example(0.0)
+    @example(1e10)
+    @example(1e300)
+    @example(5e-324)
+    @settings(max_examples=300, deadline=None)
+    def test_against_mpmath(self, x):
+        assert _erfcx_rel_error(x) <= 2e-15
+
+    def test_dense_grid_near_zero(self):
+        # where 4 / (4 + x) carries the most rounding into the argument
+        worst = max(_erfcx_rel_error(x) for x in np.linspace(0.0, 4.0, 401))
+        assert worst <= 2e-15
+
+    def test_limits(self):
+        with np.errstate(invalid="ignore"):  # NaN has no table index
+            got = erfcx(np.array([0.0, math.inf, math.nan]))
+        assert abs(got[0] - 1.0) <= 2.3e-16
+        assert got[1] == 0.0
+        assert math.isnan(got[2])
+
+    def test_table_is_generated(self):
+        with open(gen_erfcx_table.TARGET, encoding="utf-8") as fh:
+            assert fh.read() == gen_erfcx_table.render()
+
+
+class TestLogNdtr:
+    # relative to max(1, |ln Phi|): at z = -40 the rounding of z**2 / 2 alone
+    # is 1e-13 absolute, in scipy's log_ndtr as much as here
+    @given(st.floats(min_value=-40.0, max_value=40.0))
+    @example(0.0)
+    @example(-40.0)
+    @example(40.0)
+    @example(-37.0)
+    @example(1e-300)
+    @settings(max_examples=300, deadline=None)
+    def test_vector_against_mpmath(self, z):
+        assert _log_ndtr_error(float(log_ndtr(np.array([z]))[0]), z) <= 2e-15
+
+    @given(st.floats(min_value=-40.0, max_value=40.0))
+    @example(-36.999999)
+    @example(-37.000001)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_against_mpmath(self, z):
+        assert _log_ndtr_error(std_normal_log_cdf(z), z) <= 2e-15
+
+    def test_vector_keeps_shape_and_order(self):
+        z = np.linspace(-30.0, 30.0, 61)
+        got = log_ndtr(z)
+        assert got.shape == z.shape
+        assert np.all(np.diff(got) > 0)
+        assert np.array_equal(got, np.array([log_ndtr(np.array([v]))[0] for v in z]))
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, citefit, citefit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestPredictUnderflow:

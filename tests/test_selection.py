@@ -172,6 +172,21 @@ class TestVuongTest:
         z2 = vuong_test(doubled, hk, ln).vuong_z
         assert z2 == pytest.approx(math.sqrt(2.0) * z1, rel=1e-3)
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_equals_per_article_statistic(self, seed):
+        # the per-distinct-count evaluation repeats the same terms, so every
+        # field matches the per-article computation to the last bit
+        ds = sample(DiscretisedLognormalParams(2.5, 1.1), 3000, SeededGenerator(seed))
+        hk = HookedPowerLawParams(4.0, 20.0, 10000)
+        ln = DiscretisedLognormalParams(2.4, 1.0)
+        lp_h = pointwise_log_likelihood(ds, hk)
+        lp_l = pointwise_log_likelihood(ds, ln)
+        ll_h, ll_l = math.fsum(lp_h), math.fsum(lp_l)
+        z = (ll_h - ll_l) / (math.sqrt(len(ds)) * float(np.std(lp_h - lp_l, ddof=1)))
+        result = vuong_test(ds, hk, ln)
+        assert (result.ll_hooked, result.ll_lognormal, result.vuong_z) == (ll_h, ll_l, z)
+        assert result.p_two_sided == math.erfc(abs(z) / math.sqrt(2.0))
+
     def test_requires_two_articles(self):
         with pytest.raises(DomainError):
             vuong_test(_shifted([1]), HookedPowerLawParams(2.0, 1.0),
