@@ -246,9 +246,6 @@ def write_json(data, path) -> None:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
 
 
-document_to_dict = to_json
-
-
 def dumps_result(doc: ResultDocument) -> str:
     return _dumps(to_json(doc))
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import citefit
+from citefit import synthesis
 from citefit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -242,6 +243,21 @@ class TestErrorPaths:
         assert main(["simulate", "recovery", "--seeds", "0", "--n", "2000"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "error: config: seeds must be >= 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--mu", "6", "--sigma", "3"],
+        ["--mu", "800", "--sigma", "3"],
+        ["--truth", "hooked", "--truncation", "200000000"],
+    ])
+    def test_huge_truth_is_config_error(self, capsys, monkeypatch, flags):
+        def no_table(params, xs):
+            raise AssertionError("the inversion table must not be built")
+
+        monkeypatch.setattr(synthesis, "cdf_values", no_table)
+        assert main(["simulate", "recovery", *flags, "--n", "2000"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: cannot sample ")
+        assert "entries (limit 100000000)" in err[0]
 
     @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
     def test_bad_z_threshold_is_config_error(self, labeled_input, tmp_path, capsys, z):

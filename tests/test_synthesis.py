@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
@@ -91,6 +93,101 @@ class TestSample:
     def test_size_validated(self):
         with pytest.raises(DomainError):
             sample(DiscretisedLognormalParams(0.0, 1.0), 0, SeededGenerator(0))
+
+
+GUIDE = synthesis._GUIDE
+EDGES = np.arange(GUIDE) / GUIDE  # u = 0 and u exactly on each bucket's lower edge
+SWEEP_TRUTHS = [
+    *(DiscretisedLognormalParams(mu, sigma)
+      for mu in (-3.0, 0.0, 2.94, 4.0) for sigma in (0.2, 1.03, 1.6)),
+    *(HookedPowerLawParams(alpha, offset)
+      for alpha in (1.0, 2.0, 7.7, 8000.0) for offset in (0.0, 175.4, 2e4)),
+]
+
+
+class _FixedStream:
+    """Stands in for a generator: hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+def _binary_search_counts(table, u):
+    return np.minimum(np.searchsorted(table, u, side="left"), len(table) - 1) + 1
+
+
+def _guided_counts(inv, u):
+    return synthesis._draw(inv, len(u), _FixedStream(u), "x").counts
+
+
+def _edge_uniforms(rng):
+    below = np.nextafter(EDGES[1:], 0.0)  # last double of each bucket
+    return np.concatenate([EDGES, below, [np.nextafter(1.0, 0.0)], rng.random(4000)])
+
+
+class TestGuidedInversion:
+    @pytest.mark.parametrize("truth", SWEEP_TRUTHS, ids=str)
+    def test_equals_binary_search_on_truths(self, truth):
+        inv = synthesis._inversion_table(truth)
+        for seed in (0, 1):
+            u = np.random.default_rng(seed).random(20000)
+            assert np.array_equal(_guided_counts(inv, u), _binary_search_counts(inv.table, u))
+        u = _edge_uniforms(np.random.default_rng(2))
+        assert np.array_equal(_guided_counts(inv, u), _binary_search_counts(inv.table, u))
+
+    @pytest.mark.parametrize("table", [
+        [0.5],
+        [1.0],
+        [0.2, 0.7, 1.0, 1.0, 1.0, 1.0],  # plateau of ones
+        [0.1, 0.1, 0.1, 0.4, 0.4, 0.9, 0.9, 1.0],  # repeated values
+        [*EDGES[1::64], 1.0],  # every entry exactly on a bucket edge
+        [*np.sort(np.random.default_rng(3).random(50)), 0.999],  # ends below 1
+        [0.0, 0.0, 1e-300, 0.5, 0.5 + 2.0**-40, 1.0 - 2.0**-53],
+        [*np.linspace(0.0, 1.0, 20001)],  # several entries in every bucket
+    ], ids=["one-half", "one-one", "plateau", "repeats", "edges", "below-one",
+            "tiny-steps", "dense"])
+    def test_equals_binary_search_on_hand_tables(self, table):
+        table = np.asarray(table, dtype=float)
+        inv = synthesis._with_guide(table)
+        u = _edge_uniforms(np.random.default_rng(4))
+        assert np.array_equal(_guided_counts(inv, u), _binary_search_counts(table, u))
+
+    def test_counts_golden(self):
+        # first draws of the binary-search inversion this replaces
+        ln = sample(DiscretisedLognormalParams(2.94, 1.03), 12, SeededGenerator(1))
+        hk = sample(HookedPowerLawParams(7.7, 175.4), 12, SeededGenerator(1))
+        assert ln.counts.tolist() == [20, 103, 6, 102, 11, 16, 50, 15, 22, 3, 38, 21]
+        assert hk.counts.tolist() == [20, 100, 5, 99, 11, 16, 53, 15, 23, 1, 41, 22]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        st.builds(DiscretisedLognormalParams,
+                  st.floats(-3.0, 4.0), st.floats(0.2, 1.6)),
+        st.builds(HookedPowerLawParams, st.floats(1.0, 8000.0),
+                  st.floats(0.0, 2e4), st.integers(1, 20000)),
+    ))
+    def test_table_non_decreasing(self, truth):
+        inv = synthesis._inversion_table(truth)
+        assert np.all(np.diff(inv.table) >= 0)
+        assert inv.guide[0] == 0 and np.all(np.diff(inv.guide) >= 0)
+
+    @pytest.mark.parametrize("truth, length", [
+        (DiscretisedLognormalParams(6.0, 3.0), "593240505665"),
+        (DiscretisedLognormalParams(800.0, 3.0), "inf"),
+        (HookedPowerLawParams(2.0, 1.0, 10**8 + 1), "100000001"),
+    ])
+    def test_huge_truth_refused_before_allocating(self, truth, length, monkeypatch):
+        def no_table(params, xs):
+            raise AssertionError("the inversion table must not be built")
+
+        monkeypatch.setattr(synthesis, "cdf_values", no_table)
+        with pytest.raises(DomainError, match=f"would hold {length} entries") as err:
+            sample(truth, 10, SeededGenerator(0))
+        assert str(truth) in str(err.value)
 
 
 class TestRecovery:
