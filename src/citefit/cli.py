@@ -1,9 +1,8 @@
 """Command-line surface: fit, compare, diagnose, simulate, report.
 
 Runs are deterministic: identical inputs, flags and seed produce
-byte-identical result documents, tables and plot files.  Documents are
-written atomically, one per journal, so concurrent fitting (``--jobs``)
-never interleaves file contents.
+byte-identical result documents, tables and plot files.  Journals are
+analysed one after another, and each document is written atomically.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ import math
 import os
 import re
 import sys
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 from . import data_io, diagnostics, selection, synthesis
 from .distributions import (
@@ -67,7 +65,6 @@ class CliConfig:
     segments: int = diagnostics.DEFAULT_SEGMENTS
     z_threshold: float = selection.DEFAULT_Z_THRESHOLD
     seed: int = 0
-    jobs: int = 1
     timestamp: bool = False
     style: str = data_io.STYLE_PARAMETERS
     doc_paths: tuple[str, ...] = ()
@@ -82,8 +79,6 @@ class CliConfig:
     components: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
         if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
             raise ConfigError(
                 f"z_threshold must be finite and positive, got {self.z_threshold!r}")
@@ -165,14 +160,12 @@ def analyze_dataset(raw: CitationDataset, cfg: CliConfig,
 @contextmanager
 def _warning_lines():
     """Print every warning raised inside as one stderr line,
-    ``warning: <label>: <message>``, where the label is the one the raising
-    thread last set on the yielded holder; without one the line is
-    ``warning: <message>``."""
-    holder = threading.local()
+    ``warning: <label>: <message>``, where the label is the one last set on
+    the yielded holder; without one the line is ``warning: <message>``."""
+    holder = SimpleNamespace(label=None)
 
     def show(message, category, filename, lineno, file=None, line=None):
-        label = getattr(holder, "label", None)
-        prefix = "warning: " if label is None else f"warning: {label}: "
+        prefix = "warning: " if holder.label is None else f"warning: {holder.label}: "
         print(prefix + str(message).replace("\n", " "), file=sys.stderr)
 
     with warnings.catch_warnings():
@@ -182,15 +175,12 @@ def _warning_lines():
 
 
 def _analyze_all(datasets, cfg: CliConfig, provenance: dict) -> list[data_io.ResultDocument]:
+    docs = []
     with _warning_lines() as current:
-        def analyze(ds: CitationDataset) -> data_io.ResultDocument:
+        for ds in datasets:
             current.label = ds.label
-            return analyze_dataset(ds, cfg, provenance)
-
-        if cfg.jobs > 1 and len(datasets) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                return list(pool.map(analyze, datasets))
-        return [analyze(ds) for ds in datasets]
+            docs.append(analyze_dataset(ds, cfg, provenance))
+    return docs
 
 
 def _slug(label: str, taken: set[str]) -> str:
@@ -416,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_opts.add_argument("--segments", type=int, default=diagnostics.DEFAULT_SEGMENTS,
                           help="number of log-spaced diagnostic intervals "
                                f"(default: {diagnostics.DEFAULT_SEGMENTS})")
-    fit_opts.add_argument("--jobs", type=int, default=1,
-                          help="fit this many journals concurrently (default: 1)")
     fit_opts.add_argument("--timestamp", action="store_true",
                           help="record a wall-clock timestamp in provenance "
                                "(default: off, keeping runs byte-reproducible)")
@@ -510,7 +498,6 @@ def config_from_args(ns: argparse.Namespace) -> CliConfig:
         segments=getattr(ns, "segments", diagnostics.DEFAULT_SEGMENTS),
         z_threshold=getattr(ns, "z_threshold", selection.DEFAULT_Z_THRESHOLD),
         seed=getattr(ns, "seed", 0),
-        jobs=getattr(ns, "jobs", 1),
         timestamp=getattr(ns, "timestamp", False),
         style=getattr(ns, "style", data_io.STYLE_PARAMETERS),
         doc_paths=tuple(getattr(ns, "docs", ())),

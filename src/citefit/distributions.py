@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -97,13 +96,6 @@ _HEAD_MIN = 64
 # ... unless a term falls below exp(-_HEAD_DROP) / N of the first before that:
 # the at most N terms still to come then cannot reach the last bit of the sum
 _HEAD_DROP = 45.0
-
-
-def _hooked_log_norm(alpha: float, offset: float, truncation: int,
-                     tail_correction: bool) -> float:
-    b1 = float(offset) + 1.0  # a Python float overflows to inf without a warning
-    return -alpha * math.log(b1) + _hooked_log_rel_norm(alpha, offset, truncation,
-                                                        tail_correction)
 
 
 def _hooked_log_rel_norm(alpha: float, offset: float, truncation: int,
@@ -190,8 +182,9 @@ def hooked_log_norm(params: HookedPowerLawParams, tail_correction: bool = False)
     ``tail_correction`` and ``alpha > 1`` the integral bound on the dropped
     tail is added, making the normalization effectively untruncated.
     """
-    return _hooked_log_norm(params.alpha, params.offset, params.truncation,
-                            bool(tail_correction))
+    b1 = float(params.offset) + 1.0  # a Python float overflows to inf without a warning
+    return -params.alpha * math.log(b1) + _hooked_log_rel_norm(
+        params.alpha, params.offset, params.truncation, bool(tail_correction))
 
 
 def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
@@ -243,59 +236,6 @@ def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
     ns = np.asarray(ns, dtype=np.float64)
     return (-alpha * (np.log1p((ns - 1.0) / b1) + d_alpha),
             alpha * (ratio - b1 / (offset + ns)))
-
-
-def _check_hooked_support(n: int, params: HookedPowerLawParams) -> None:
-    if n < 1:
-        raise DomainError(f"support starts at 1, got n={n!r}")
-    if n > params.truncation:
-        raise SupportRangeError(
-            f"n={n} exceeds truncation N={params.truncation}; "
-            "re-evaluate with a larger truncation"
-        )
-
-
-def hooked_log_pmf(n: int, params: HookedPowerLawParams,
-                   tail_correction: bool = False) -> float:
-    """Log probability mass ``-alpha*ln(B + n) - ln(normalization)``."""
-    _check_hooked_support(n, params)
-    return float(_hooked_log_pmf_array(np.float64(n), params, tail_correction))
-
-
-@lru_cache(maxsize=64)
-def _hooked_prefix(alpha: float, offset: float, truncation: int,
-                   tail_correction: bool) -> np.ndarray:
-    ns = np.arange(1, truncation + 1, dtype=np.float64)
-    log_norm = _hooked_log_norm(alpha, offset, truncation, tail_correction)
-    with np.errstate(under="ignore"):
-        table = np.cumsum(np.exp(-alpha * np.log(offset + ns) - log_norm))
-    np.minimum(table, 1.0, out=table)  # cumsum dust may poke above 1
-    table.setflags(write=False)
-    return table
-
-
-def hooked_cdf(n: int, params: HookedPowerLawParams,
-               tail_correction: bool = False) -> float:
-    """Cumulative mass ``sum_{k=1..n} h(k)``, from a cached prefix table.
-
-    With the default truncated normalization the table reaches 1 at ``n = N``;
-    with ``tail_correction`` the analytic tail mass remains above ``N``.
-    """
-    _check_hooked_support(n, params)
-    table = _hooked_prefix(params.alpha, params.offset, params.truncation,
-                           bool(tail_correction))
-    return float(table[n - 1])
-
-
-def hooked_quantile(params: HookedPowerLawParams, q: float,
-                    tail_correction: bool = False) -> int:
-    """Smallest support point with cumulative mass >= q (capped at N)."""
-    if not 0.0 < q < 1.0 + 1e-15:
-        raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
-    table = _hooked_prefix(params.alpha, params.offset, params.truncation,
-                           bool(tail_correction))
-    idx = int(np.searchsorted(table, q, side="left"))
-    return min(idx, params.truncation - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +309,6 @@ def _dln_log_pmf_grad(ns: np.ndarray, params: DiscretisedLognormalParams,
     return (rlo - rhi - r0) / params.sigma, zlo * rlo - zhi * rhi - z0 * r0
 
 
-def dln_log_pmf(n: int, params: DiscretisedLognormalParams) -> float:
-    """Log mass of the discretised lognormal at n.
-
-    Returns ``LOG_ZERO`` when both interval endpoints are so deep in the same
-    tail that the renormalized mass underflows; never NaN or a positive log.
-    """
-    if n < 1:
-        raise DomainError(f"support starts at 1, got n={n!r}")
-    return float(_dln_log_pmf_array(np.asarray([n]), params)[0])
-
-
 def _dln_cdf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np.ndarray:
     # [Phi(zhi) - Phi(z0)] / [1 - Phi(z0)] = 1 - Phic(zhi)/Phic(z0), evaluated
     # through log survival values so neither far tail cancels
@@ -389,15 +318,6 @@ def _dln_cdf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np.nda
     log_ratio = log_ndtr(-zhi) - std_normal_log_cdf(-z0)
     cdf = -np.expm1(np.minimum(log_ratio, 0.0))
     return np.clip(cdf, 0.0, 1.0)
-
-
-def dln_cdf(n: int, params: DiscretisedLognormalParams) -> float:
-    """Cumulative mass of the discretised lognormal, telescoped closed form:
-    ``[Phi(z(n + 0.5)) - Phi(z(0.5))] / [1 - Phi(z(0.5))]``.
-    """
-    if n < 1:
-        raise DomainError(f"support starts at 1, got n={n!r}")
-    return float(_dln_cdf_array(np.asarray([n]), params)[0])
 
 
 def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
@@ -454,9 +374,61 @@ def cdf_values(params: ModelParams, ns: np.ndarray,
             raise SupportRangeError(
                 f"support point exceeds truncation N={params.truncation}"
             )
-        table = _hooked_prefix(params.alpha, params.offset, params.truncation,
-                               bool(tail_correction))
+        # the running sum of the fits' own log masses, up to the largest point
+        # asked for; np.cumsum adds in order, so each entry is the same
+        # however far the sum runs
+        top = int(ns.max()) if ns.size else 0
+        with np.errstate(under="ignore"):
+            table = np.cumsum(np.exp(_hooked_log_pmf_array(
+                np.arange(1, top + 1, dtype=np.float64), params, tail_correction)))
+        np.minimum(table, 1.0, out=table)  # cumsum dust may poke above 1
         return table[ns.astype(np.int64) - 1]
     if isinstance(params, DiscretisedLognormalParams):
         return _dln_cdf_array(ns, params)
     raise TypeError(f"unknown parameter type {type(params)!r}")
+
+
+# ---------------------------------------------------------------------------
+# scalar API, one point at a time through the vectorized functions
+# ---------------------------------------------------------------------------
+
+
+def hooked_log_pmf(n: int, params: HookedPowerLawParams,
+                   tail_correction: bool = False) -> float:
+    """Log probability mass ``-alpha*ln(B + n) - ln(normalization)``."""
+    return float(log_pmf_values(params, np.asarray([n]), tail_correction)[0])
+
+
+def hooked_cdf(n: int, params: HookedPowerLawParams,
+               tail_correction: bool = False) -> float:
+    """Cumulative mass ``sum_{k=1..n} h(k)``.
+
+    With the default truncated normalization it reaches 1 at ``n = N``;
+    with ``tail_correction`` the analytic tail mass remains above ``N``.
+    """
+    return float(cdf_values(params, np.asarray([n]), tail_correction)[0])
+
+
+def hooked_quantile(params: HookedPowerLawParams, q: float,
+                    tail_correction: bool = False) -> int:
+    """Smallest support point with cumulative mass >= q (capped at N)."""
+    if not 0.0 < q < 1.0 + 1e-15:
+        raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
+    table = cdf_values(params, np.arange(1, params.truncation + 1), tail_correction)
+    return min(int(np.searchsorted(table, q, side="left")), params.truncation - 1) + 1
+
+
+def dln_log_pmf(n: int, params: DiscretisedLognormalParams) -> float:
+    """Log mass of the discretised lognormal at n.
+
+    Returns ``LOG_ZERO`` when both interval endpoints are so deep in the same
+    tail that the renormalized mass underflows; never NaN or a positive log.
+    """
+    return float(log_pmf_values(params, np.asarray([n]))[0])
+
+
+def dln_cdf(n: int, params: DiscretisedLognormalParams) -> float:
+    """Cumulative mass of the discretised lognormal, telescoped closed form:
+    ``[Phi(z(n + 0.5)) - Phi(z(0.5))] / [1 - Phi(z(0.5))]``.
+    """
+    return float(cdf_values(params, np.asarray([n]))[0])

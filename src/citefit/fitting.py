@@ -2,7 +2,7 @@
 
 Both fits run one projected BFGS search on closed-form gradients, in
 coordinates where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)``
-with ``sigma >= sigma_min`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
+with ``sigma >= SIGMA_MIN`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
 ``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  The
 hooked exponent is capped (default 10000) because its likelihood has a flat
 ridge as ``alpha`` and ``B`` grow together; a search that follows the ridge
@@ -128,7 +128,6 @@ class FitConfig:
     truncation: int = DEFAULT_TRUNCATION
     tail_correction: bool = False
     max_iterations: int = 10000
-    sigma_min: float = SIGMA_MIN
 
     def __post_init__(self):
         if not self.alpha_cap > 1:
@@ -347,10 +346,10 @@ def _fit_result(model: Model, ds: CitationDataset, params: ModelParams, search: 
 # ---------------------------------------------------------------------------
 
 
-def init_lognormal(ds: CitationDataset, sigma_min: float = SIGMA_MIN) -> DiscretisedLognormalParams:
+def init_lognormal(ds: CitationDataset) -> DiscretisedLognormalParams:
     """Moment starting point: mean and sample standard deviation of the log
     counts, weighted over the distinct counts, with the scale floored at
-    ``sigma_min``."""
+    ``SIGMA_MIN``."""
     _require_shifted(ds)
     values, mult = _compressed(ds)
     logs = np.log(values)
@@ -358,7 +357,7 @@ def init_lognormal(ds: CitationDataset, sigma_min: float = SIGMA_MIN) -> Discret
     mu0 = float(mult @ logs) / n
     logs -= mu0
     sd = math.sqrt(float(mult @ (logs * logs)) / (n - 1)) if n > 1 else 0.0
-    return DiscretisedLognormalParams(mu0, max(sigma_min, sd))
+    return DiscretisedLognormalParams(mu0, max(SIGMA_MIN, sd))
 
 
 def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -376,11 +375,11 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
         warnings_.append(f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})")
 
     values, mult = _compressed(ds)
-    init = init_lognormal(ds, cfg.sigma_min)
-    ln_sigma_floor = math.log(cfg.sigma_min)
+    init = init_lognormal(ds)
+    ln_sigma_floor = math.log(SIGMA_MIN)
 
     def params_at(x) -> DiscretisedLognormalParams:
-        sigma = cfg.sigma_min if x[1] <= ln_sigma_floor else math.exp(x[1])
+        sigma = SIGMA_MIN if x[1] <= ln_sigma_floor else math.exp(x[1])
         return DiscretisedLognormalParams(x[0] * (1.0 + sigma * sigma), sigma)
 
     # the search asks for the gradient at the point it has just scored, whose

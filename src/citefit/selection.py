@@ -123,26 +123,30 @@ def vuong_test(
     If the models are pointwise indistinguishable on the data (zero variance)
     the winner is ``UNDEFINED`` and no z is reported.
 
-    Each model is evaluated once per distinct count; the per-article terms
-    are those values repeated through the index of each article's count.
+    Each model is evaluated once per distinct count, and the totals and the
+    variance weight each distinct count by its multiplicity.
     """
     _require_shifted(ds)
-    if len(ds) < 2:
+    n = len(ds)
+    if n < 2:
         raise DomainError("Vuong test requires at least 2 articles")
-    values, _ = ds.distinct
-    inverse = np.searchsorted(values, ds.counts)
+    values, mult = ds.distinct
     lp_h = log_pmf_values(hooked_params, values, tail_correction)
     lp_l = log_pmf_values(lognormal_params, values, tail_correction)
-    ll_h = float(math.fsum(lp_h[inverse]))
-    ll_l = float(math.fsum(lp_l[inverse]))
+    ll_h = math.fsum(mult * lp_h)
+    ll_l = math.fsum(mult * lp_l)
     m = lp_h - lp_l
     if not np.all(np.isfinite(m)):
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
-                                Winner.UNDEFINED, len(ds))
-    s_m = float(np.std(m[inverse], ddof=1))
+                                Winner.UNDEFINED, n)
+    # measured from the first difference, so equal differences (one distinct
+    # count, or models that agree pointwise) give exactly zero variance
+    dev = m - m[0]
+    dev -= float(mult @ dev) / n
+    s_m = math.sqrt(float(mult @ (dev * dev)) / (n - 1))
     if s_m == 0.0:
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
-                                Winner.UNDEFINED, len(ds))
-    z = (ll_h - ll_l) / (math.sqrt(len(ds)) * s_m)
+                                Winner.UNDEFINED, n)
+    z = (ll_h - ll_l) / (math.sqrt(n) * s_m)
     p = 2.0 * std_normal_cdf(-abs(z))
-    return ComparisonResult(ll_l, ll_h, z, p, classify_winner(z, z_threshold), len(ds))
+    return ComparisonResult(ll_l, ll_h, z, p, classify_winner(z, z_threshold), n)

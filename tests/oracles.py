@@ -134,6 +134,21 @@ def direct_log_norm(alpha, offset, N):
         return float(top + math.log(float(np.exp(terms - top).sum())))
 
 
+def hooked_cdf_oracle(alpha, offset, N, dps=40):
+    """Every prefix sum ``sum_{k=1..n} (offset + k)**(-alpha)`` over the
+    normalization, n = 1..N, in mpmath arithmetic; only the ratios are
+    rounded to doubles.  O(N) mpmath powers."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(alpha), mp.mpf(offset)
+        terms = [(b + k) ** -a for k in range(1, N + 1)]
+        norm = mp.fsum(terms)
+        prefix, out = mp.mpf(0), []
+        for t in terms:
+            prefix += t
+            out.append(float(prefix / norm))
+    return np.array(out)
+
+
 class OracleTimeoutError(CitefitError, RuntimeError):
     """The slow arbitrary-precision oracle exceeded its resource limit."""
 

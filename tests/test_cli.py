@@ -38,16 +38,6 @@ def labeled_input(tmp_path):
     return path
 
 
-def _tree_digest(root):
-    digests = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            p = os.path.join(dirpath, name)
-            with open(p, "rb") as fh:
-                digests[os.path.relpath(p, root)] = hashlib.sha256(fh.read()).hexdigest()
-    return digests
-
-
 class TestFitCommand:
     def test_writes_one_document_per_journal(self, labeled_input, tmp_path, capsys):
         out = tmp_path / "out"
@@ -69,12 +59,6 @@ class TestFitCommand:
 
     def test_requires_out(self, labeled_input, capsys):
         assert main(["fit", str(labeled_input)]) == EXIT_USAGE
-
-    def test_jobs_flag_matches_serial(self, labeled_input, tmp_path):
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        main(["fit", str(labeled_input), "--out", str(out1)])
-        main(["fit", str(labeled_input), "--out", str(out2), "--jobs", "4"])
-        assert _tree_digest(out1) == _tree_digest(out2)
 
     def test_provenance_records_config_and_digest(self, labeled_input, tmp_path):
         out = tmp_path / "out"
@@ -234,11 +218,6 @@ class TestErrorPaths:
         assert main(["compare", str(labeled_input), "--truncation", "0"]) == EXIT_USAGE
         assert "error: config: truncation must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_config_error(self, labeled_input, capsys, jobs):
-        assert main(["compare", str(labeled_input), "--jobs", jobs]) == EXIT_USAGE
-        assert "error: config: jobs must be >= 1" in capsys.readouterr().err
-
     def test_zero_seeds_is_config_error(self, capsys):
         assert main(["simulate", "recovery", "--seeds", "0", "--n", "2000"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -268,13 +247,12 @@ class TestErrorPaths:
             capsys.readouterr().err)
         assert not out.exists()  # rejected before any fit ran
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_warnings_print_as_one_line_per_journal(self, tmp_path, capsys, jobs):
+    def test_warnings_print_as_one_line_per_journal(self, tmp_path, capsys):
         # all-zero journals get one degenerate diagnostic segment
         path = tmp_path / "counts.csv"
         path.write_text("journal,citations\nZ1,0\nZ1,0\nA,1\nA,5\nA,2\nA,0\nZ2,0\nZ2,0\n")
         out = tmp_path / "out"
-        assert main(["compare", str(path), "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        assert main(["compare", str(path), "--out", str(out)]) == EXIT_OK
         captured = capsys.readouterr()
         assert sorted(captured.err.splitlines()) == [
             f"warning: {label}: n_max = 0: single degenerate segment [1, 1]"

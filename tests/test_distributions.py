@@ -25,7 +25,8 @@ from citefit.distributions import (
 from citefit.errors import DomainError, SupportRangeError
 from citefit.numerics import LOG_ZERO
 
-from oracles import direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle
+from oracles import (direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle,
+                     hooked_cdf_oracle)
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 
@@ -190,6 +191,33 @@ class TestHookedCdf:
         table = cdf_values(params, np.arange(1, 10001))
         assert np.all(np.diff(table) >= 0)
         assert table[-1] <= 1.0
+
+    @pytest.mark.parametrize("alpha, offset", [(10000.0, 730808.14), (7.7, 175.4)])
+    def test_matches_extended_precision(self, alpha, offset):
+        # the first is a fit on the exponent cap (Cancer Research in the
+        # seed-21 reference corpus), where alpha ln(B + n) is about 1.35e5:
+        # masses formed as -alpha ln(B + n) - ln Z lose 1.5e-11 there
+        params = HookedPowerLawParams(alpha, offset, 10000)
+        got = cdf_values(params, np.arange(1, 10001))
+        assert np.max(np.abs(got - hooked_cdf_oracle(alpha, offset, 10000))) <= 1e-14
+
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("alpha, offset", [(1.2, 3.0), (10000.0, 730808.14)])
+    def test_points_equal_full_table_entries(self, alpha, offset, tail):
+        # the running sum stops at the largest point asked for, and each of
+        # its entries is bit for bit the entry of the full-support table
+        params = HookedPowerLawParams(alpha, offset, 10000)
+        full = cdf_values(params, np.arange(1, 10001), tail)
+        for ns in ([1], [7, 7, 2], [350, 1, 4096], [9999, 3], [10000]):
+            ns = np.array(ns)
+            assert cdf_values(params, ns, tail).tobytes() == full[ns - 1].tobytes()
+
+    def test_no_process_wide_cache(self):
+        import citefit.distributions as module
+
+        cached = [name for name, value in vars(module).items()
+                  if hasattr(value, "cache_info")]
+        assert cached == []
 
     def test_quantile_inverts_cdf(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000)

@@ -330,7 +330,7 @@ class TestConfig:
         assert cfg.alpha_cap == 10000.0
         assert cfg.truncation == 10000
         assert cfg.tail_correction is False
-        assert cfg.sigma_min == 1e-3
+        assert SIGMA_MIN == 1e-3
 
 
 # ---------------------------------------------------------------------------

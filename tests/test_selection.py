@@ -134,6 +134,16 @@ class TestVuongTest:
         assert result.winner is Winner.UNDEFINED
         assert math.isnan(result.vuong_z)
 
+    @pytest.mark.parametrize("count, size", [(1, 7), (2, 37), (8, 1000)])
+    def test_one_distinct_count_zero_variance(self, count, size):
+        # every article has the same log-likelihood ratio; a mean that
+        # rounds away from it must not leave a variance of rounding dust
+        ds = _shifted([count] * size)
+        result = vuong_test(ds, HookedPowerLawParams(2.0, 1.0),
+                            DiscretisedLognormalParams(1.0, 1.0))
+        assert result.winner is Winner.UNDEFINED
+        assert math.isnan(result.vuong_z)
+
     def test_sign_matches_ll_difference_exactly(self):
         gen = SeededGenerator(21)
         ds = sample(DiscretisedLognormalParams(2.0, 1.0), 4000, gen)
