@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta
 from functools import lru_cache
@@ -195,12 +195,9 @@ def _decode(hint, value):
     if value is None:
         return math.nan if hint is float else None
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):  # ``X | None``, and ``Model | str``
-        members = [a for a in args if a is not NoneType]
-        for member in members[:-1]:  # the first member that takes the value
-            with suppress(ValueError):
-                return _decode(member, value)
-        return _decode(members[-1], value)
+    if origin in (Union, UnionType):  # ``X | None``
+        [member] = [a for a in args if a is not NoneType]
+        return _decode(member, value)
     if origin is tuple:
         return tuple(_decode(args[0], v) for v in value)
     if origin is dict:

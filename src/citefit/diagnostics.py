@@ -15,7 +15,7 @@ import io
 import math
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,18 +39,17 @@ class SegmentSpec:
 
 @dataclass(frozen=True)
 class SegmentDiagnostics:
-    model: Model | str
+    model: Model
     segments: tuple[SegmentSpec, ...]
     signed_max_diff: tuple[float, ...]
 
 
-def empirical_cdf(ds: CitationDataset) -> np.ndarray:
-    """Step-function table ``F[x - 1] = #(counts <= x) / n`` for integer x
-    from 1 to the maximum shifted count."""
+def empirical_cdf(ds: CitationDataset, xs: np.ndarray) -> np.ndarray:
+    """``#(counts <= x) / n`` at each of the integer points ``xs``."""
     _require_shifted(ds)
-    n_top = int(ds.counts.max())
-    freq = np.bincount(ds.counts, minlength=n_top + 1)[1:]
-    return np.cumsum(freq) / len(ds)
+    values, mult = ds.distinct
+    below = np.concatenate(([0], np.cumsum(mult)))
+    return below[np.searchsorted(values, xs, "right")] / len(ds)
 
 
 def make_segments(n_max: int, k: int = DEFAULT_SEGMENTS) -> list[SegmentSpec]:
@@ -96,41 +95,44 @@ def make_segments(n_max: int, k: int = DEFAULT_SEGMENTS) -> list[SegmentSpec]:
     return segments
 
 
-ModelLike = ModelParams | Callable[[np.ndarray], np.ndarray]
-
-
-def _model_cdf(model: ModelLike, xs: np.ndarray, tail_correction: bool) -> np.ndarray:
-    if callable(model):
-        return np.asarray(model(xs), dtype=np.float64)
-    return cdf_values(model, xs, tail_correction)
+def _knots(ds: CitationDataset, segments: Sequence[SegmentSpec] = ()) -> np.ndarray:
+    """Every distinct count v, v - 1 where that is >= 1, and the ends of each
+    non-empty segment, sorted and without repeats.  The empirical CDF is flat
+    from one distinct count to the point before the next, and a model CDF
+    does not decrease there, so their difference peaks at one of these."""
+    values, _ = ds.distinct
+    ends = np.array([p for seg in segments if not seg.empty
+                     for p in (seg.start, seg.end)], dtype=np.int64)
+    pts = np.sort(np.concatenate((values, values - 1, ends)))
+    pts = pts[pts >= 1]
+    # a mask, not np.unique, which would import numpy.ma
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 def segment_differences(
     ds: CitationDataset,
-    model: ModelLike,
+    params: ModelParams,
     segments: Sequence[SegmentSpec],
     tail_correction: bool = False,
-    label: str | None = None,
 ) -> SegmentDiagnostics:
     """Signed maximum CDF difference (empirical minus model) per segment.
 
-    ``model`` is a parameter record or any callable mapping integer support
-    points to CDF values.  Differences are evaluated at every integer in the
-    segment; empty segments report 0.
+    The differences are those at every integer of the segment, evaluated
+    only at the segment's knots (see :func:`_knots`), which give the same
+    value; empty segments report 0.
     """
     _require_shifted(ds)
-    emp = empirical_cdf(ds)
+    xs = _knots(ds, segments)
+    d = empirical_cdf(ds, xs) - cdf_values(params, xs, tail_correction)
     diffs: list[float] = []
     for seg in segments:
         if seg.empty:
             diffs.append(0.0)
             continue
-        xs = np.arange(seg.start, seg.end + 1, dtype=np.int64)
-        d = emp[xs - 1] - _model_cdf(model, xs, tail_correction)
-        diffs.append(float(d[np.argmax(np.abs(d))]))
-    name = label if label is not None else (
-        model_of(model) if not callable(model) else "model")
-    return SegmentDiagnostics(name, tuple(segments), tuple(diffs))
+        lo, hi = np.searchsorted(xs, (seg.start, seg.end + 1))
+        part = d[lo:hi]
+        diffs.append(float(part[np.argmax(np.abs(part))]))
+    return SegmentDiagnostics(model_of(params), tuple(segments), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +147,8 @@ _COLORS = ("#000000", "#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 @dataclass(frozen=True)
 class PlotSeries:
     """Cumulative-distribution curves for one dataset: the empirical CDF plus
-    one column per model, tabulated at every integer support point."""
+    one column per model, tabulated at the empirical CDF's knots: each
+    distinct count and the point before it."""
 
     label: str
     xs: np.ndarray
@@ -250,7 +253,7 @@ def _xml_escape(text: str) -> str:
 
 def plot_series(
     ds: CitationDataset,
-    models: Sequence[tuple[str, ModelLike]],
+    models: Sequence[tuple[str, ModelParams]],
     tail_correction: bool = False,
 ) -> PlotSeries:
     """Build the empirical-vs-model cumulative curves for one dataset.
@@ -261,8 +264,7 @@ def plot_series(
     _require_shifted(ds)
     if len(models) < 1:
         raise DomainError("plot_series needs at least one model")
-    xs = np.arange(1, int(ds.counts.max()) + 1, dtype=np.int64)
-    columns: list[tuple[str, np.ndarray]] = [("empirical", empirical_cdf(ds))]
-    for name, model in models:
-        columns.append((name, _model_cdf(model, xs, tail_correction)))
+    xs = _knots(ds)
+    columns = [("empirical", empirical_cdf(ds, xs))]
+    columns += [(name, cdf_values(params, xs, tail_correction)) for name, params in models]
     return PlotSeries(ds.label, xs, tuple(columns))

@@ -34,7 +34,7 @@ class Winner(Enum):
 @dataclass(frozen=True)
 class ComparisonResult:
     """Paired fit comparison; ``vuong_z`` and ``p_two_sided`` are NaN when the
-    pointwise variance of the log-likelihood ratios is zero."""
+    pointwise variance of the log-likelihood ratios is zero or undefined."""
 
     ll_lognormal: float
     ll_hooked: float
@@ -120,23 +120,22 @@ def vuong_test(
     of the two total log-likelihoods, which makes ``sign(z)`` agree with the
     reported totals exactly.
 
-    If the models are pointwise indistinguishable on the data (zero variance)
-    the winner is ``UNDEFINED`` and no z is reported.
+    If the models are pointwise indistinguishable on the data (zero variance),
+    or there are fewer than 2 articles, the winner is ``UNDEFINED`` and no z
+    is reported.
 
     Each model is evaluated once per distinct count, and the totals and the
     variance weight each distinct count by its multiplicity.
     """
     _require_shifted(ds)
     n = len(ds)
-    if n < 2:
-        raise DomainError("Vuong test requires at least 2 articles")
     values, mult = ds.distinct
     lp_h = log_pmf_values(hooked_params, values, tail_correction)
     lp_l = log_pmf_values(lognormal_params, values, tail_correction)
     ll_h = math.fsum(mult * lp_h)
     ll_l = math.fsum(mult * lp_l)
     m = lp_h - lp_l
-    if not np.all(np.isfinite(m)):
+    if n < 2 or not np.all(np.isfinite(m)):
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
                                 Winner.UNDEFINED, n)
     # measured from the first difference, so equal differences (one distinct

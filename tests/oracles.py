@@ -6,7 +6,9 @@ continuous density, not from normal-CDF differences; the hooked
 normalization reference sums every term in doubles, not through the
 library's Euler-Maclaurin remainder, and ``extended_sum_oracle`` sums it in
 mpmath arithmetic.  ``log_sum_exp`` and ``predict_underflow`` document, as
-tested code, why the library works in the log domain.
+tested code, why the library works in the log domain.  The dense diagnostics
+evaluate the library's model CDFs at every integer: what they check is the
+choice of evaluation points, not the CDFs themselves.
 
 Quadrature caveat: these integrands can decay by hundreds of orders of
 magnitude across one interval (a boundary layer at the edge nearest the
@@ -23,6 +25,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
+from citefit.distributions import cdf_values
 from citefit.errors import CitefitError, DomainError
 from citefit.numerics import LOG_ZERO, LogValue
 
@@ -147,6 +150,39 @@ def hooked_cdf_oracle(alpha, offset, N, dps=40):
             prefix += t
             out.append(float(prefix / norm))
     return np.array(out)
+
+
+def dense_empirical_cdf(counts):
+    """``#(counts <= x) / n`` at every integer x from 1 to the largest of the
+    shifted ``counts``, from a per-integer frequency table.  O(max) memory."""
+    counts = np.asarray(counts)
+    freq = np.bincount(counts, minlength=int(counts.max()) + 1)[1:]
+    return np.cumsum(freq) / len(counts)
+
+
+def dense_segment_differences(ds, params, segments, tail_correction=False):
+    """The signed maximum empirical-minus-model CDF difference of each
+    segment, evaluated at every integer of the segment (the per-integer
+    algorithm that the knot evaluation replaced); empty segments give 0."""
+    emp = dense_empirical_cdf(ds.counts)
+    diffs = []
+    for seg in segments:
+        if seg.empty:
+            diffs.append(0.0)
+            continue
+        xs = np.arange(seg.start, seg.end + 1, dtype=np.int64)
+        d = emp[xs - 1] - cdf_values(params, xs, tail_correction)
+        diffs.append(float(d[np.argmax(np.abs(d))]))
+    return tuple(diffs)
+
+
+def dense_plot_table(ds, models, tail_correction=False):
+    """Plot rows at every integer x from 1 to the largest count: row
+    ``x - 1`` holds the empirical CDF and then each model's CDF at x."""
+    xs = np.arange(1, int(ds.counts.max()) + 1, dtype=np.int64)
+    columns = [dense_empirical_cdf(ds.counts)]
+    columns += [cdf_values(params, xs, tail_correction) for params in models]
+    return np.column_stack(columns)
 
 
 class OracleTimeoutError(CitefitError, RuntimeError):

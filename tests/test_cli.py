@@ -112,6 +112,17 @@ class TestCompareCommand:
         assert row.endswith("L*")
 
 
+    def test_one_article_journal_is_compared_without_a_winner(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("journal,citations\nA,3\nA,0\nA,7\nA,2\nSolo,4\nB,1\nB,9\nB,0\n")
+        assert main(["compare", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        rows = {line.split()[0]: line.split() for line in captured.out.splitlines()[1:]}
+        assert list(rows) == ["A", "Solo", "B"]
+        assert rows["Solo"][1] == "1" and rows["Solo"][-2:] == ["-", "-"]
+        assert "error" not in captured.err
+
+
 class TestDiagnoseCommand:
     def test_prints_segments_and_writes_plots(self, labeled_input, tmp_path, capsys):
         plots = tmp_path / "plots"
@@ -120,6 +131,26 @@ class TestDiagnoseCommand:
             "Journal_A.csv", "Journal_A.svg", "Journal_B.csv", "Journal_B.svg"]
         out = capsys.readouterr().out
         assert "S1 Ln" in out and "Mean" in out
+
+    def test_extreme_count_plots_in_bounded_memory(self, tmp_path):
+        # diagnostics and plots follow the distinct counts, not the largest
+        # one; the child's address space is capped at 768 MiB
+        pytest.importorskip("resource")
+        ds = sample(DiscretisedLognormalParams(2.94, 1.03), 3000, SeededGenerator(5))
+        path = tmp_path / "extreme.txt"
+        path.write_text("".join(f"{c - 1}\n" for c in ds.counts) + "10000000\n")
+        plots = tmp_path / "plots"
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+                  "from citefit.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-c", script, "diagnose", str(path), "--plot", str(plots)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == EXIT_OK, child.stderr
+        assert sorted(os.listdir(plots)) == ["extreme.csv", "extreme.svg"]
 
 
 class TestSimulateCommand:

@@ -202,7 +202,7 @@ ROUND_TRIP_CASES = {
     "all_optional_none": lambda: (ResultDocument, ResultDocument(label="bare", n_articles=1)),
     "undefined_winner_nan_z": lambda: (ResultDocument, _tiny_document()),
     "named_diagnostics_model": lambda: (SegmentDiagnostics, SegmentDiagnostics(
-        "custom", (SegmentSpec(1, 1, 3), SegmentSpec(2, 4, 9, empty=True)), (0.125, 0.0))),
+        Model.HOOKED, (SegmentSpec(1, 1, 3), SegmentSpec(2, 4, 9, empty=True)), (0.125, 0.0))),
     "version_1": lambda: (ResultDocument, _v1_document()),
     "recovery_lognormal": lambda: (RecoveryReport, recovery_experiment(
         DiscretisedLognormalParams(2.0, 1.0), 1000, seeds=[3, 4])),
@@ -255,10 +255,10 @@ class TestCodec:
         assert data_io.from_json(FitResult, json.loads(CAPPED_FIT_JSON)) == _capped_fit()
 
     def test_diagnostics_model_name_reads_back_as_model_when_known(self):
-        for name, expected in (("custom", "custom"), ("lognormal", Model.LOGNORMAL)):
+        for model in Model:
             diag = data_io.from_json(SegmentDiagnostics, {
-                "model": name, "segments": [], "signed_max_diff": []})
-            assert diag.model == expected and type(diag.model) is type(expected)
+                "model": model.value, "segments": [], "signed_max_diff": []})
+            assert diag.model is model
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("label"),
@@ -268,6 +268,7 @@ class TestCodec:
         lambda d: d["comparison"].update(winner="W"),
         lambda d: d["hooked"]["trace"].pop("init_log_likelihood"),
         lambda d: d["lognormal_diagnostics"].update(segments=3),
+        lambda d: d["hooked_diagnostics"].update(model="custom"),
     ])
     def test_malformed_document_is_parse_error(self, mutate):
         data = data_io.to_json(_document())

@@ -14,28 +14,47 @@ from citefit.diagnostics import (
 )
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.errors import DomainError, OutputError
-from citefit.fitting import CitationDataset, fit_lognormal
+from citefit.fitting import CitationDataset, fit_lognormal, model_of
 from citefit.synthesis import SeededGenerator, sample
+from oracles import dense_empirical_cdf, dense_plot_table, dense_segment_differences
 
 
 def _shifted(counts, label="test"):
     return CitationDataset(label, counts, shifted=True)
 
 
+# a bulk of small shifted counts with a few stragglers of up to 2e5
+_counts = st.lists(st.one_of(st.integers(min_value=1, max_value=40),
+                             st.integers(min_value=1, max_value=200_000)),
+                   min_size=1, max_size=80)
+_lognormals = st.builds(DiscretisedLognormalParams,
+                        st.floats(min_value=-3.0, max_value=12.0),
+                        st.floats(min_value=0.05, max_value=4.0))
+
+
+def _hooked_for(ds):
+    top = int(ds.counts.max())
+    return st.builds(HookedPowerLawParams,
+                     st.floats(min_value=0.3, max_value=10000.0),
+                     st.floats(min_value=0.0, max_value=1e5),
+                     st.integers(min_value=top, max_value=2 * top + 10))
+
+
 class TestEmpiricalCdf:
     def test_direct_count(self):
-        table = empirical_cdf(_shifted([1, 1, 2]))
-        assert table.tolist() == pytest.approx([2 / 3, 1.0])
+        values = empirical_cdf(_shifted([1, 1, 2]), [1, 2, 3])
+        assert values.tolist() == pytest.approx([2 / 3, 1.0, 1.0])
 
     def test_point_mass(self):
-        table = empirical_cdf(_shifted([5]))
-        assert table.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        values = empirical_cdf(_shifted([5]), np.arange(1, 7))
+        assert values.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_monotone_ending_at_one(self):
         ds = sample(DiscretisedLognormalParams(1.0, 1.0), 2000, SeededGenerator(1))
-        table = empirical_cdf(ds)
-        assert np.all(np.diff(table) >= 0)
-        assert table[-1] == 1.0
+        values = empirical_cdf(ds, np.arange(1, int(ds.counts.max()) + 1))
+        assert np.all(np.diff(values) >= 0)
+        assert values[-1] == 1.0
+        assert np.array_equal(values, dense_empirical_cdf(ds.counts))
 
 
 class TestMakeSegments:
@@ -91,20 +110,22 @@ class TestMakeSegments:
 
 class TestSegmentDifferences:
     def test_saturated_model_gives_zero_everywhere(self):
-        ds = _shifted([1, 1, 2, 3, 3, 3, 8, 20, 54])
-        table = empirical_cdf(ds)
+        # every article and all of the model's mass sit at the first point,
+        # so both CDFs are 1 throughout
+        ds = _shifted([1] * 9)
         segs = make_segments(53, 4)
-        diag = segment_differences(ds, lambda xs: table[xs - 1], segs,
-                                   label="saturated")
-        assert diag.signed_max_diff == (0.0, 0.0, 0.0, 0.0)
+        for params in (HookedPowerLawParams(10000.0, 1.0, 100),
+                       DiscretisedLognormalParams(-20.0, 0.5)):
+            diag = segment_differences(ds, params, segs)
+            assert diag.signed_max_diff == (0.0, 0.0, 0.0, 0.0)
+            assert diag.model is model_of(params)
 
     def test_sign_convention_model_above_empirical(self):
         # a model whose CDF exceeds the empirical everywhere reports negative
         ds = _shifted([4, 5, 6, 8])
         segs = make_segments(7, 2)
-        diag = segment_differences(ds, lambda xs: np.ones(len(xs)), segs,
-                                   label="upper")
-        assert all(d <= 0 for d in diag.signed_max_diff if d != 0)
+        diag = segment_differences(ds, DiscretisedLognormalParams(-20.0, 0.5), segs)
+        assert all(d < 0 for d in diag.signed_max_diff)
 
     def test_self_sampled_diffs_shrink(self):
         # median worst-segment deviation over 10 fixed seeds must drop as the
@@ -131,6 +152,19 @@ class TestSegmentDifferences:
         assert diag.signed_max_diff[1] == 0.0
         assert diag.signed_max_diff[2] == 0.0
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(data=st.data(), counts=_counts, k=st.integers(min_value=1, max_value=6),
+           tail_correction=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dense_evaluation(self, data, counts, k, tail_correction):
+        # the knots give, bit for bit, the per-integer algorithm's extremes
+        ds = _shifted(counts)
+        segs = make_segments(int(ds.counts.max()) - 1, k)
+        for params in (data.draw(_lognormals), data.draw(_hooked_for(ds))):
+            diag = segment_differences(ds, params, segs, tail_correction)
+            assert diag.signed_max_diff == dense_segment_differences(
+                ds, params, segs, tail_correction)
+
     def test_diffs_bounded(self):
         ds = sample(HookedPowerLawParams(3.0, 10.0), 3000, SeededGenerator(6))
         segs = make_segments(int(ds.counts.max()) - 1, 4)
@@ -139,6 +173,19 @@ class TestSegmentDifferences:
 
 
 class TestPlotSeries:
+    @given(data=st.data(), counts=_counts, tail_correction=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_dense_rows(self, data, counts, tail_correction):
+        ds = _shifted(counts)
+        models = [data.draw(_lognormals), data.draw(_hooked_for(ds))]
+        series = plot_series(ds, [("lognormal", models[0]), ("hooked", models[1])],
+                             tail_correction)
+        rows = np.column_stack([col for _, col in series.columns])
+        dense = dense_plot_table(ds, models, tail_correction)
+        assert series.xs[-1] == ds.counts.max() and np.all(np.diff(series.xs) > 0)
+        assert np.array_equal(rows, dense[series.xs - 1])
+
+
     def _series(self):
         ds = sample(DiscretisedLognormalParams(1.5, 1.0), 800,
                     SeededGenerator(31), label="Sample <Journal>")

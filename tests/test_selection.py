@@ -197,10 +197,14 @@ class TestVuongTest:
         assert (result.ll_hooked, result.ll_lognormal, result.vuong_z) == (ll_h, ll_l, z)
         assert result.p_two_sided == math.erfc(abs(z) / math.sqrt(2.0))
 
-    def test_requires_two_articles(self):
-        with pytest.raises(DomainError):
-            vuong_test(_shifted([1]), HookedPowerLawParams(2.0, 1.0),
-                       DiscretisedLognormalParams(0.0, 1.0))
+    def test_one_article_is_undefined(self):
+        ds = _shifted([3])
+        hk, ln = HookedPowerLawParams(2.0, 1.0), DiscretisedLognormalParams(0.0, 1.0)
+        result = vuong_test(ds, hk, ln)
+        assert result.winner is Winner.UNDEFINED and result.n_articles == 1
+        assert math.isnan(result.vuong_z) and math.isnan(result.p_two_sided)
+        assert result.ll_hooked == total_log_likelihood(ds, hk)
+        assert result.ll_lognormal == total_log_likelihood(ds, ln)
 
     def test_custom_threshold_changes_starring(self):
         ds = sample(DiscretisedLognormalParams(3.0, 1.0), 5000, SeededGenerator(2))
