@@ -116,28 +116,45 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
     if format == FORMAT_ONE_PER_LINE:
         counts = []
         for line_no, line in lines:
-            if not line.strip():
-                continue
-            counts.append(_parse_count(line, line_no))
+            try:
+                value = int(line)
+            except ValueError:
+                if not line.strip():
+                    continue
+                value = -1
+            if value < 0:  # negative, malformed, or padded beyond what int() strips
+                value = _parse_count(line, line_no)
+            counts.append(value)
         if not counts:
             raise ParseError("no counts found in input")
         return [CitationDataset(label, counts, shifted=False)]
 
     if format == FORMAT_LABELED:
         groups: dict[str, list[int]] = {}
-        rows = 0
+        name = counts = None  # the label of the previous row and its list
+        first = True
         for line_no, line in lines:
-            row = line.rstrip("\r\n")
-            if not row.strip():
-                continue
-            rows += 1
-            if "," not in row:
+            row_name, comma, count_text = line.rpartition(",")
+            if not comma:
+                if not line.strip():
+                    continue
                 raise ParseError("expected 'journal,citations'", line_no)
-            name, count_text = row.rsplit(",", 1)
-            if rows == 1 and not count_text.strip().lstrip("+-").isdigit():
-                continue  # header row
-            value = _parse_count(count_text, line_no)
-            groups.setdefault(name, []).append(value)
+            if first:
+                first = False
+                if not count_text.strip().lstrip("+-").isdigit():
+                    continue  # header row
+            try:
+                value = int(count_text)
+            except ValueError:
+                value = -1
+            if value < 0:  # negative, malformed, or padded beyond what int() strips
+                value = _parse_count(count_text, line_no)
+            if row_name != name:
+                name = row_name
+                counts = groups.get(name)
+                if counts is None:
+                    counts = groups[name] = []
+            counts.append(value)
         if not groups:
             raise ParseError("no data rows found in input")
         return [CitationDataset(name, counts, shifted=False)

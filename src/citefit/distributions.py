@@ -96,6 +96,8 @@ _HEAD_MIN = 64
 # ... unless a term falls below exp(-_HEAD_DROP) / N of the first before that:
 # the at most N terms still to come then cannot reach the last bit of the sum
 _HEAD_DROP = 45.0
+# exp stays in the normal double range (about 1e-304) at and above this
+_EXP_FLOOR = -700.0
 
 
 def _hooked_log_rel_norm(alpha: float, offset: float, truncation: int,
@@ -123,17 +125,16 @@ def _hooked_log_rel_sum(alpha: float, offset: float, truncation: int) -> float:
     rest = head < truncation and head < drop
     if not rest:
         head = int(min(head, drop))
-    with np.errstate(under="ignore"):
-        total = float(np.exp(-alpha * np.log1p(np.arange(head) / b1)).sum())
-    if rest:
-        total += _hooked_em_remainder(alpha, offset, head + 1, truncation)
-    return math.log(total)
-
-
-def _hooked_em_remainder(alpha: float, offset: float, a: int, b: int) -> float:
-    """Euler-Maclaurin value of ``sum_{n=a..b} f(n)`` for the relative terms
-    ``f(x) = ((B + x) / (B + 1))**-alpha``, requiring ``a <= b``."""
-    b1 = offset + 1.0
+    if b1 < 1e300 and alpha > 1e-300 * b1:
+        total = _hooked_head_sum(alpha, b1, head)
+    else:  # k / (B + 1), or alpha times its logarithm, could underflow
+        with np.errstate(under="ignore"):
+            total = _hooked_head_sum(alpha, b1, head)
+    if not rest:
+        return math.log(total)
+    # Euler-Maclaurin value of the terms f(x) = ((B + x) / (B + 1))**-alpha
+    # for x = a..N, a = head + 1
+    a, b = head + 1, truncation
     xa, xb = offset + a, offset + b
     fa = math.exp(-alpha * math.log1p((a - 1) / b1))
     fb = math.exp(-alpha * math.log1p((b - 1) / b1))
@@ -141,7 +142,7 @@ def _hooked_em_remainder(alpha: float, offset: float, a: int, b: int) -> float:
     # through expm1 so alpha -> 1 tends to the logarithm without cancelling
     u = math.log1p((b - a) / xa)
     s = (1.0 - alpha) * u
-    total = xa * fa * u * (math.expm1(s) / s if s else 1.0) + 0.5 * (fa + fb)
+    rem = xa * fa * u * (math.expm1(s) / s if s else 1.0) + 0.5 * (fa + fb)
     # f^(m)(x) = (-1)**m (alpha)_m f(x) / (B + x)**m; da, db carry the magnitudes
     da, db = fa, fb
     rise = alpha
@@ -149,11 +150,31 @@ def _hooked_em_remainder(alpha: float, offset: float, a: int, b: int) -> float:
         da *= rise / xa
         db *= rise / xb
         rise += 1.0
-        total += coeff * (da - db)
+        rem += coeff * (da - db)
         da *= rise / xa
         db *= rise / xb
         rise += 1.0
-    return total
+    return math.log(total + rem)
+
+
+def _hooked_head_sum(alpha: float, b1: float, head: int) -> float:
+    """``sum_{k=0..head-1} exp(-alpha ln(1 + k / b1))``, in one buffer.
+
+    The terms fall with k, and the head ends at most one term past
+    ``exp(-_HEAD_DROP) / N`` of the first, so only the last can drop below
+    ``exp(_EXP_FLOOR)``.  Raising it there keeps ``exp`` from underflowing
+    (which would trip a caller's ``np.seterr(under="raise")``) and leaves the
+    sum as it was: the term is first added to a partial sum that holds an
+    earlier term, so it stays below half of that sum's last bit either way.
+    """
+    terms = np.arange(head, dtype=np.float64)
+    terms /= b1
+    np.log1p(terms, out=terms)
+    terms *= -alpha
+    if terms[-1] < _EXP_FLOOR:
+        np.maximum(terms, _EXP_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    return float(np.add.reduce(terms))
 
 
 def _hooked_log_tail(alpha: float, offset: float, truncation: int) -> float:
@@ -206,7 +227,12 @@ def _hooked_log_pmf_array(ns: np.ndarray, params: HookedPowerLawParams,
     # as -alpha ln(B + n) - ln Z without cancelling two numbers near 1e5
     log_norm = _hooked_log_rel_norm(params.alpha, params.offset, params.truncation,
                                     bool(tail_correction))
-    return -params.alpha * np.log1p((ns - 1.0) / (params.offset + 1.0)) - log_norm
+    out = ns - 1.0
+    out /= params.offset + 1.0
+    np.log1p(out, out=out)
+    out *= -params.alpha
+    out -= log_norm
+    return out
 
 
 def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
@@ -324,19 +350,50 @@ def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
     """Smallest support point with cumulative mass >= q.
 
     Inverts the closed form through the complementary normal quantile so
-    levels like 1 - 1e-12 keep full precision.
+    levels like 1 - 1e-12 keep full precision.  Where ``1 - Phi(z0)``, the
+    mass above one half, underflows, the point is found by bisection on the
+    log survival ratio instead.
+
+    Raises
+    ------
+    DomainError
+        If ``q`` is outside (0, 1) or the point lies beyond float range.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
     z0 = (_LN_HALF - params.mu) / params.sigma
     sf_target = (1.0 - q) * std_normal_cdf(-z0)
     if sf_target <= 0.0:
-        raise DomainError(f"quantile level {q!r} is beyond float resolution")
+        return _dln_quantile_log(params, q, z0)
     if sf_target >= 1.0:  # q below float resolution: all mass lies above
         return 1
     z = -NormalDist().inv_cdf(sf_target)
-    x = math.exp(params.mu + params.sigma * z)
+    try:
+        x = math.exp(params.mu + params.sigma * z)
+    except OverflowError:
+        raise DomainError(f"quantile level {q!r} of {params} is beyond float range") from None
     return max(1, math.ceil(x - 0.5))
+
+
+def _dln_quantile_log(params: DiscretisedLognormalParams, q: float, z0: float) -> int:
+    """:func:`dln_quantile` by bisection on ``n``: the smallest ``n`` with
+    ``ln Phi(-z(n + 1/2)) - ln Phi(-z0) <= ln(1 - q)``, each side finite in
+    the log domain however far the mass sits in the upper tail."""
+    log_level = math.log1p(-q) + std_normal_log_cdf(-z0)
+
+    def reached(n: int) -> bool:
+        z = (math.log(n + 0.5) - params.mu) / params.sigma
+        return float(log_ndtr(-z)) <= log_level
+
+    lo, hi = 0, 1  # reached(hi) once the bracket closes; never reached(lo)
+    while not reached(hi):
+        lo, hi = hi, 2 * hi
+        if hi > 2**1020:
+            raise DomainError(f"quantile level {q!r} of {params} is beyond float range")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +403,35 @@ def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
 ModelParams = HookedPowerLawParams | DiscretisedLognormalParams
 
 
+def _support(params: ModelParams, ns) -> np.ndarray:
+    """``ns`` as an array, once its points are checked to lie on the support
+    of ``params``: from 1, and up to N for the hooked model.
+
+    The extremes are found by position: ``argmin`` and ``argmax`` skip the
+    reduction machinery that dominates ``min()`` and ``max()`` on arrays of
+    a few hundred points, and pick the same values, NaN included.
+    """
+    ns = np.asarray(ns)
+    if ns.size:
+        if ns.item(ns.argmin()) < 1:
+            raise DomainError("support starts at 1")
+        if (isinstance(params, HookedPowerLawParams)
+                and ns.item(ns.argmax()) > params.truncation):
+            raise SupportRangeError(f"support point exceeds truncation N={params.truncation}")
+    return ns
+
+
 def log_pmf_values(params: ModelParams, ns: np.ndarray,
                    tail_correction: bool = False) -> np.ndarray:
-    """Vectorized log PMF for either model over integer support points."""
-    ns = np.asarray(ns)
-    if ns.size and ns.min() < 1:
-        raise DomainError("support starts at 1")
+    """Vectorized log PMF for either model over integer support points.
+
+    ``ns`` is only read: the result is always a new array."""
+    ns = _support(params, ns)
     if isinstance(params, HookedPowerLawParams):
-        if ns.size and ns.max() > params.truncation:
-            raise SupportRangeError(
-                f"support point exceeds truncation N={params.truncation}"
-            )
-        return _hooked_log_pmf_array(ns.astype(np.float64), params, tail_correction)
+        ns = ns.astype(np.float64, copy=False)
+        if not ns.ndim:  # the steps work in place, on arrays
+            return _hooked_log_pmf_array(ns.reshape(1), params, tail_correction)[0]
+        return _hooked_log_pmf_array(ns, params, tail_correction)
     if isinstance(params, DiscretisedLognormalParams):
         return _dln_log_pmf_array(ns, params)
     raise TypeError(f"unknown parameter type {type(params)!r}")
@@ -366,14 +440,8 @@ def log_pmf_values(params: ModelParams, ns: np.ndarray,
 def cdf_values(params: ModelParams, ns: np.ndarray,
                tail_correction: bool = False) -> np.ndarray:
     """Vectorized CDF for either model over integer support points."""
-    ns = np.asarray(ns)
-    if ns.size and ns.min() < 1:
-        raise DomainError("support starts at 1")
+    ns = _support(params, ns)
     if isinstance(params, HookedPowerLawParams):
-        if ns.size and ns.max() > params.truncation:
-            raise SupportRangeError(
-                f"support point exceeds truncation N={params.truncation}"
-            )
         # the running sum of the fits' own log masses, up to the largest point
         # asked for; np.cumsum adds in order, so each entry is the same
         # however far the sum runs

@@ -429,13 +429,15 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
     truncation, _ = _effective_truncation(ds, cfg)
     ln_alphas = np.linspace(math.log(1.01), math.log(cfg.alpha_cap), _GRID_POINTS)
     ln_b1s = np.linspace(0.0, math.log(10.0 * float(ds.counts.max())), _GRID_POINTS)
+    offsets = [math.exp(lb) - 1.0 for lb in ln_b1s.tolist()]
     best = None
     # descending alpha so exact ties (mass fully concentrated at 1) resolve
     # to the largest-exponent grid edge
-    for la in ln_alphas[::-1]:
-        for lb in ln_b1s:
-            params = HookedPowerLawParams(math.exp(la), math.exp(lb) - 1.0, truncation)
-            ll = _weighted_ll(values, mult, params, cfg.tail_correction)
+    for la in ln_alphas[::-1].tolist():
+        alpha = math.exp(la)
+        for offset in offsets:
+            params = HookedPowerLawParams(alpha, offset, truncation)
+            ll = float(mult @ log_pmf_values(params, values, cfg.tail_correction))
             if best is None or ll > best[0]:
                 best = (ll, params)
     return best[1]

@@ -91,10 +91,7 @@ class _Inversion(NamedTuple):
 
 def _inversion_table(params: ModelParams) -> _Inversion:
     if isinstance(params, DiscretisedLognormalParams):
-        try:
-            top = dln_quantile(params, TAIL_QUANTILE)
-        except OverflowError:  # the quantile itself is beyond float range
-            top = math.inf
+        top = dln_quantile(params, TAIL_QUANTILE)
     else:
         top = params.truncation  # truncated support; CDF reaches 1 at N
     if top > MAX_TABLE_ENTRIES:

@@ -10,6 +10,11 @@ tested code, why the library works in the log domain.  The dense diagnostics
 evaluate the library's model CDFs at every integer: what they check is the
 choice of evaluation points, not the CDFs themselves.
 
+The ``reference_*`` functions are the plainer forms that the hooked log
+masses, the hooked normalization and the count parser once had: one numpy
+expression per quantity and one split per row.  The library's faster forms
+must agree with them exactly, bit for bit and error for error.
+
 Quadrature caveat: these integrands can decay by hundreds of orders of
 magnitude across one interval (a boundary layer at the edge nearest the
 density mode).  A single tanh-sinh pass silently loses several digits there,
@@ -17,6 +22,8 @@ so intervals are subdivided with points clustered around the mode, doubling
 outward, before integrating piece by piece.
 """
 
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +33,8 @@ import mpmath as mp
 import numpy as np
 
 from citefit.distributions import cdf_values
-from citefit.errors import CitefitError, DomainError
+from citefit.errors import CitefitError, DomainError, ParseError
+from citefit.fitting import CitationDataset
 from citefit.numerics import LOG_ZERO, LogValue
 
 
@@ -322,3 +330,122 @@ def extended_sum_oracle(
         b = mp.mpf(offset)
         total = mp.fsum((b + n) ** (-a) for n in range(1, truncation + 1))
         return float(mp.ln(total))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references for the hooked evaluation and the parser
+# ---------------------------------------------------------------------------
+
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000)
+
+
+def _reference_em_remainder(alpha, offset, a, b):
+    b1 = offset + 1.0
+    xa, xb = offset + a, offset + b
+    fa = math.exp(-alpha * math.log1p((a - 1) / b1))
+    fb = math.exp(-alpha * math.log1p((b - 1) / b1))
+    u = math.log1p((b - a) / xa)
+    s = (1.0 - alpha) * u
+    total = xa * fa * u * (math.expm1(s) / s if s else 1.0) + 0.5 * (fa + fb)
+    da, db = fa, fb
+    rise = alpha
+    for coeff in _EM_COEFFS:
+        da *= rise / xa
+        db *= rise / xb
+        rise += 1.0
+        total += coeff * (da - db)
+        da *= rise / xa
+        db *= rise / xb
+        rise += 1.0
+    return total
+
+
+def reference_hooked_log_rel_sum(alpha, offset, truncation):
+    """``ln sum_{n=1..N} ((B + n) / (B + 1))**-alpha``: an exact head of at
+    least 64 terms in one numpy expression, then the Euler-Maclaurin rest."""
+    b1 = float(offset) + 1.0
+    head = min(truncation, max(64, math.ceil(2.0 * alpha - offset)))
+    drop = b1 * math.expm1(min((45.0 + math.log(truncation)) / alpha, 700.0)) + 2.0
+    rest = head < truncation and head < drop
+    if not rest:
+        head = int(min(head, drop))
+    with np.errstate(under="ignore"):
+        total = float(np.exp(-alpha * np.log1p(np.arange(head) / b1)).sum())
+    if rest:
+        total += _reference_em_remainder(alpha, offset, head + 1, truncation)
+    return math.log(total)
+
+
+def _reference_log_rel_norm(alpha, offset, truncation, tail_correction):
+    total = reference_hooked_log_rel_sum(alpha, offset, truncation)
+    if tail_correction and alpha > 1:
+        tail = (math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
+                - alpha * math.log1p((truncation - 0.5) / (offset + 1.0)))
+        total = float(np.logaddexp(total, tail))
+    return total
+
+
+def reference_hooked_log_norm(alpha, offset, truncation, tail_correction=False):
+    """``ln sum_{n=1..N} (B + n)**-alpha``, optionally with the tail bound."""
+    return -alpha * math.log(float(offset) + 1.0) + _reference_log_rel_norm(
+        alpha, offset, truncation, bool(tail_correction))
+
+
+def reference_hooked_log_pmf(ns, alpha, offset, truncation, tail_correction=False):
+    """Hooked log masses at the support points ``ns`` in one expression."""
+    log_norm = _reference_log_rel_norm(alpha, offset, truncation, bool(tail_correction))
+    ns = np.asarray(ns).astype(np.float64)
+    return -alpha * np.log1p((ns - 1.0) / (offset + 1.0)) - log_norm
+
+
+def _reference_parse_count(text, line_no):
+    token = text.strip()
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"count is not an integer: {token!r}", line_no) from None
+    if value < 0:
+        raise ParseError(f"count must be non-negative, got {value}", line_no)
+    return value
+
+
+def reference_parse_counts(source, format="one-per-line", label=""):
+    """``data_io.parse_counts`` with every row stripped, split and looked up
+    on its own."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    lines = enumerate(source, start=1)
+    if format == "auto":
+        first = next(((n, line) for n, line in lines if line.strip()), (0, ""))
+        format = "labeled" if "," in first[1] else "one-per-line"
+        lines = itertools.chain([first], lines)
+    if format == "one-per-line":
+        counts = []
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            counts.append(_reference_parse_count(line, line_no))
+        if not counts:
+            raise ParseError("no counts found in input")
+        return [CitationDataset(label, counts, shifted=False)]
+    if format == "labeled":
+        groups = {}
+        rows = 0
+        for line_no, line in lines:
+            row = line.rstrip("\r\n")
+            if not row.strip():
+                continue
+            rows += 1
+            if "," not in row:
+                raise ParseError("expected 'journal,citations'", line_no)
+            name, count_text = row.rsplit(",", 1)
+            if rows == 1 and not count_text.strip().lstrip("+-").isdigit():
+                continue  # header row
+            value = _reference_parse_count(count_text, line_no)
+            groups.setdefault(name, []).append(value)
+        if not groups:
+            raise ParseError("no data rows found in input")
+        return [CitationDataset(name, counts, shifted=False)
+                for name, counts in groups.items()]
+    raise ParseError(f"unknown input format {format!r}")

@@ -256,7 +256,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("flags", [
         ["--mu", "6", "--sigma", "3"],
-        ["--mu", "800", "--sigma", "3"],
+        ["--mu", "800", "--sigma", "3"],   # the tail quantile is beyond float range
         ["--truth", "hooked", "--truncation", "200000000"],
     ])
     def test_huge_truth_is_config_error(self, capsys, monkeypatch, flags):
@@ -266,8 +266,19 @@ class TestErrorPaths:
         monkeypatch.setattr(synthesis, "cdf_values", no_table)
         assert main(["simulate", "recovery", *flags, "--n", "2000"]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: config: cannot sample ")
-        assert "entries (limit 100000000)" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        if "800" in flags:
+            assert "is beyond float range" in err[0]
+        else:
+            assert err[0].startswith("error: config: cannot sample ")
+            assert "entries (limit 100000000)" in err[0]
+
+    def test_truth_with_all_mass_at_one_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "recovery", "--truth", "lognormal", "--mu", "-100",
+                     "--sigma", "1", "--n", "1000", "--seeds", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert "ll_gap=0.0000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
     def test_bad_z_threshold_is_config_error(self, labeled_input, tmp_path, capsys, z):

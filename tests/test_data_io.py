@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citefit import data_io
 from citefit.data_io import (
@@ -26,6 +28,28 @@ from citefit.errors import ParseError, SchemaVersionError
 from citefit.fitting import EXIT_REASONS, FitResult, FitTrace, Model, fit_hooked, fit_lognormal
 from citefit.selection import ComparisonResult, Winner, vuong_test
 from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
+
+from oracles import reference_parse_counts
+
+
+_TOKENS = st.sampled_from(["0", "5", "12", "+5", " 7 ", "-0", "1_000", "x", "-1", "",
+                           " ", "+", "3.0", "\u0663", "\x0c4\x1c", "99999999999999999999"])
+_LABELED_ROWS = st.builds("{},{}".format,
+                          st.sampled_from(["A", "B", "C", "With, Comma", " spaced ", "x,"]),
+                          _TOKENS)
+_COUNT_ROWS = _TOKENS
+_BLANK_ROWS = st.sampled_from(["", " ", "\t", " \r"])
+_HEADER_ROWS = st.sampled_from(["journal,citations", "name, count", "journal"])
+
+
+def _parse_outcome(parse, source, format):
+    """The datasets that ``parse`` returns, or the error, message and line it
+    raises."""
+    try:
+        datasets = parse(source, format, label="single")
+    except Exception as exc:  # noqa: BLE001 - any error must be the same one
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return "ok", [(d.label, d.counts.tolist(), d.shifted) for d in datasets]
 
 
 class TestParseCounts:
@@ -82,6 +106,33 @@ class TestParseCounts:
         assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [2]), ("B", [1])]
         with pytest.raises(ParseError, match="no counts"):
             parse_counts("\n \n", format="auto")
+
+    @pytest.mark.parametrize("format", ["auto", "labeled", "one-per-line"])
+    def test_line_endings_parse_alike(self, tmp_path, format):
+        labeled = ["journal,citations", "A,2", "", "B, 7 ", "A,+0", "B,3"]
+        single = ["", "4", " 9 ", "", "0"]
+        rows = single if format == "one-per-line" else labeled
+        outcomes = []
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            for tail in (["x"], []):  # with a bad last row, and without
+                path = tmp_path / f"{name}{len(tail)}.csv"
+                bad = ["C,x"] if tail and format != "one-per-line" else tail
+                path.write_bytes((ending.join(rows + bad) + ending).encode())
+                with data_io.open_text(path) as fh:
+                    outcomes.append((len(tail), _parse_outcome(parse_counts, fh, format)))
+        assert outcomes[0::2] == [outcomes[0]] * 3
+        assert outcomes[1::2] == [outcomes[1]] * 3
+        assert outcomes[0][1][0] == "ParseError" and outcomes[1][1][0] == "ok"
+
+    @given(st.lists(st.one_of(_LABELED_ROWS, _COUNT_ROWS, _BLANK_ROWS, _HEADER_ROWS),
+                    max_size=25),
+           st.sampled_from(["", "\n"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_row_reference(self, rows, end):
+        text = "\n".join(rows) + end
+        for format in ("auto", "labeled", "one-per-line"):
+            assert (_parse_outcome(parse_counts, text, format)
+                    == _parse_outcome(reference_parse_counts, text, format))
 
 
 def _document(seed=41, label="Journal X"):

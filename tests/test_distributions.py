@@ -26,7 +26,7 @@ from citefit.errors import DomainError, SupportRangeError
 from citefit.numerics import LOG_ZERO
 
 from oracles import (direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle,
-                     hooked_cdf_oracle)
+                     hooked_cdf_oracle, reference_hooked_log_norm, reference_hooked_log_pmf)
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 
@@ -167,6 +167,64 @@ class TestHookedPmf:
         ns = np.arange(2, 1500)
         deltas = log_pmf_values(a, ns) - log_pmf_values(b, ns - 1)
         assert np.allclose(deltas, deltas[0], atol=1e-12)
+
+
+# exponents and offsets spread over their whole ranges, small values included
+_ALPHAS = st.one_of(st.floats(1.01, 20.0), st.floats(1.01, 1e4),
+                    st.sampled_from([1.01, 1.5, 1000.0, 9999.5, 1e4]))
+_OFFSETS = st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e4), st.floats(0.0, 1e9),
+                     st.sampled_from([0.0, 1.0, 1e9]))
+_TRUNCATIONS = st.one_of(st.integers(64, 1000), st.integers(64, 100_000))
+
+
+class TestHookedBitIdentity:
+    """The in-place hooked evaluation equals the one-expression form in
+    ``oracles`` exactly."""
+
+    @given(_ALPHAS, _OFFSETS, _TRUNCATIONS, st.booleans(), st.data())
+    @example(1e4, 0.0, 10000, False, None)      # the grid corner: terms underflow
+    @example(1e4, 0.0, 10000, True, None)
+    @example(1.01, 0.0, 100_000, True, None)    # the longest head
+    @example(1e4, 1e9, 64, False, None)
+    @example(1010.0, 0.0, 10000, False, None)   # the last head term just below exp(-700)
+    @example(1009.0, 0.0, 10000, False, None)   # ... and just above
+    @settings(max_examples=300, deadline=None)
+    def test_log_pmf_values_and_norm(self, alpha, offset, truncation, tail, data):
+        params = HookedPowerLawParams(alpha, offset, truncation)
+        if data is None:
+            ns = np.unique(np.geomspace(1, truncation, 200).astype(np.int64))
+        else:
+            ns = np.array(data.draw(st.lists(st.integers(1, truncation), min_size=1,
+                                             max_size=300)))
+        for support in (ns, ns.astype(np.float64), np.asarray(ns[-1])):
+            got = log_pmf_values(params, support, tail)
+            assert np.array_equal(
+                got, reference_hooked_log_pmf(support, alpha, offset, truncation, tail))
+        assert hooked_log_norm(params, tail) == reference_hooked_log_norm(
+            alpha, offset, truncation, tail)
+
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_input_neither_mutated_nor_aliased(self, writable):
+        ns = np.arange(1.0, 300.0)
+        ns.setflags(write=writable)
+        got = log_pmf_values(HookedPowerLawParams(2.5, 3.0, 1000), ns)
+        assert np.array_equal(ns, np.arange(1.0, 300.0))
+        assert not np.shares_memory(got, ns)
+
+    def test_underflow_stays_silent_when_errors_raise(self):
+        params = HookedPowerLawParams(10000.0, 0.0, 10000)
+        with np.errstate(all="raise"):
+            logp = log_pmf_values(params, np.arange(1, 200))
+            log_norm = hooked_log_norm(params)
+        assert np.all(np.isfinite(logp)) and math.isfinite(log_norm)
+        assert logp[0] == 0.0 and log_norm == 0.0
+
+    @pytest.mark.parametrize("alpha, offset", [(2.0, 1e306), (1e-310, 5.0), (1e-290, 1e9)])
+    def test_normalization_quiet_where_its_terms_underflow(self, alpha, offset):
+        # k / (B + 1), or alpha times its logarithm, leaves the normal range
+        with np.errstate(all="raise"):
+            log_norm = hooked_log_norm(HookedPowerLawParams(alpha, offset, 100))
+        assert log_norm == reference_hooked_log_norm(alpha, offset, 100)
 
 
 class TestHookedCdf:
@@ -314,6 +372,13 @@ class TestDlnQuantile:
         (-20.0, 1.5, 1 - 1e-12),   # z0 = 12.9: all mass deep in the upper tail
         (8.0, 0.4, 1 - 1e-12),     # z0 = -21.7: 1 - Phi(z0) rounds to 1
         (8.0, 0.4, 1e-12),
+        # 1 - Phi(z0) underflows (4.8e-350 at mu = -4000), yet P(n = 1) = 0.356
+        (-4000.0, 100.0, 0.3),
+        (-4000.0, 100.0, 0.36),
+        (-4000.0, 100.0, 0.9),
+        (-4000.0, 100.0, 0.99),
+        (-100.0, 1.0, 0.5),        # every draw is 1
+        (-100.0, 1.0, 1 - 1e-12),
     ])
     def test_smallest_point_reaching_level(self, mu, sigma, q):
         n = dln_quantile(DiscretisedLognormalParams(mu, sigma), q)
@@ -325,6 +390,14 @@ class TestDlnQuantile:
 
     def test_level_below_resolution_is_first_point(self):
         assert dln_quantile(DiscretisedLognormalParams(30.0, 2.0), 1e-300) == 1
+
+    @pytest.mark.parametrize("q", [0.5, 1 - 1e-12])
+    def test_point_beyond_float_range_is_domain_error(self, q):
+        # exp(mu + sigma z) overflows past mu + sigma z = 709
+        params = DiscretisedLognormalParams(800.0, 3.0)
+        with pytest.raises(DomainError, match="beyond float range") as err:
+            dln_quantile(params, q)
+        assert str(params) in str(err.value)
 
 
 class TestDlnCdf:

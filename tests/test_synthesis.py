@@ -185,9 +185,22 @@ class TestGuidedInversion:
             raise AssertionError("the inversion table must not be built")
 
         monkeypatch.setattr(synthesis, "cdf_values", no_table)
-        with pytest.raises(DomainError, match=f"would hold {length} entries") as err:
+        # an infinite length: the tail quantile itself is beyond float range
+        message = "is beyond float range" if length == "inf" else f"would hold {length} entries"
+        with pytest.raises(DomainError, match=message) as err:
             sample(truth, 10, SeededGenerator(0))
         assert str(truth) in str(err.value)
+
+    def test_mass_beyond_float_resolution_above_one_half(self):
+        # 1 - Phi(z0) underflows at mu = -100: every draw is 1, and the fit
+        # to them ends at its start, on the scale floor, with ll 0
+        truth = DiscretisedLognormalParams(-100.0, 1.0)
+        ds = sample(truth, 1000, SeededGenerator(0))
+        assert ds.counts.tolist() == [1] * 1000
+        fit = fit_lognormal(ds)
+        assert fit.log_likelihood == 0.0 and fit.trace.evaluations == 1
+        report = recovery_experiment(truth, 1000, seeds=range(2))
+        assert all(r.converged and r.ll_gap == 0.0 for r in report.rows)
 
 
 class TestRecovery:
