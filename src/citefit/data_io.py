@@ -26,7 +26,7 @@ from typing import Iterator, Sequence, TextIO, Union, get_args, get_origin, get_
 
 from .distributions import DiscretisedLognormalParams, HookedPowerLawParams, ModelParams
 from .errors import OutputError, ParseError, SchemaVersionError
-from .fitting import CitationDataset, FitResult, model_of
+from .fitting import MAX_RAW_COUNT, CitationDataset, FitResult, model_of
 from .selection import ComparisonResult, Winner
 from .diagnostics import SegmentDiagnostics
 
@@ -54,6 +54,9 @@ def _parse_count(text: str, line_no: int) -> int:
         raise ParseError(f"count is not an integer: {token!r}", line_no) from None
     if value < 0:
         raise ParseError(f"count must be non-negative, got {value}", line_no)
+    if value > MAX_RAW_COUNT:
+        raise ParseError(f"count exceeds the largest supported count, {MAX_RAW_COUNT}",
+                         line_no)
     return value
 
 
@@ -113,6 +116,7 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
         first = next(((n, line) for n, line in lines if line.strip()), (0, ""))
         format = FORMAT_LABELED if "," in first[1] else FORMAT_ONE_PER_LINE
         lines = itertools.chain([first], lines)
+    top = MAX_RAW_COUNT
     if format == FORMAT_ONE_PER_LINE:
         counts = []
         for line_no, line in lines:
@@ -122,7 +126,7 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
                 if not line.strip():
                     continue
                 value = -1
-            if value < 0:  # negative, malformed, or padded beyond what int() strips
+            if value < 0 or value > top:  # out of range, malformed, or padded past int()
                 value = _parse_count(line, line_no)
             counts.append(value)
         if not counts:
@@ -147,7 +151,7 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
                 value = int(count_text)
             except ValueError:
                 value = -1
-            if value < 0:  # negative, malformed, or padded beyond what int() strips
+            if value < 0 or value > top:  # out of range, malformed, or padded past int()
                 value = _parse_count(count_text, line_no)
             if row_name != name:
                 name = row_name

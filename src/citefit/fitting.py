@@ -1,12 +1,15 @@
 """Maximum-likelihood fitting of both models over a shifted count dataset.
 
-Both fits run one projected BFGS search on closed-form gradients, in
-coordinates where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)``
-with ``sigma >= SIGMA_MIN`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
+Both fits run one projected search on closed-form gradients, in coordinates
+where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)`` with
+``sigma >= SIGMA_MIN`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
 ``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  The
-hooked exponent is capped (default 10000) because its likelihood has a flat
-ridge as ``alpha`` and ``B`` grow together; a search that follows the ridge
-onto the cap ends there with ``B`` optimized alone, and the result is flagged.
+lognormal search also has the exact Hessian and takes Newton steps wherever
+it is negative definite, falling back to BFGS elsewhere; the hooked search
+takes BFGS steps throughout.  The hooked exponent is capped (default 10000)
+because its likelihood has a flat ridge as ``alpha`` and ``B`` grow together;
+a search that follows the ridge onto the cap ends there with ``B`` optimized
+alone, and the result is flagged.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
     ModelParams,
-    _dln_log_pmf_grad,
+    _dln_ll_derivatives,
     _hooked_log_pmf_grad,
     log_pmf_values,
 )
@@ -39,6 +42,8 @@ _GAIN_TOL = 1e-15
 _STEP_TOL = 1e-12  # a line search gives up on steps below this
 _ARMIJO = 1e-4
 _MIN_WARN_SIZE = 30
+# the largest raw count: one above it the shift would leave int64
+MAX_RAW_COUNT = np.iinfo(np.int64).max - 1
 EXIT_REASONS = ("converged", "budget", "cap", "sigma_floor")
 
 
@@ -58,9 +63,10 @@ def model_of(params: ModelParams) -> Model:
 class CitationDataset:
     """Labeled vector of citation counts with a shift flag.
 
-    ``shifted=False`` holds raw counts (>= 0); after :func:`shift_counts`
-    every count is incremented once and the support starts at 1.  The counts
-    array is frozen so datasets can be shared freely across fits.
+    ``shifted=False`` holds raw counts, from 0 to :data:`MAX_RAW_COUNT`; after
+    :func:`shift_counts` every count is incremented once and the support runs
+    from 1 to the int64 maximum.  The counts array is frozen so datasets can
+    be shared freely across fits.
     """
 
     __slots__ = ("label", "counts", "shifted", "_distinct")
@@ -71,12 +77,15 @@ class CitationDataset:
             raise DomainError("dataset must contain at least one count")
         if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
             raise DomainError("counts must be integers")
+        # the extremes as Python numbers, which compare exactly with the
+        # limits whatever the array holds (uint64, floats, Python integers)
+        low, high = (1, MAX_RAW_COUNT + 1) if shifted else (0, MAX_RAW_COUNT)
+        least, most = arr.item(arr.argmin()), arr.item(arr.argmax())
+        if least < low:
+            raise DomainError(f"counts must be >= {low} for shifted={shifted}, got {least}")
+        if most > high:
+            raise DomainError(f"counts must be <= {high} for shifted={shifted}, got {most}")
         arr = arr.astype(np.int64)
-        low = 1 if shifted else 0
-        if arr.min() < low:
-            raise DomainError(
-                f"counts must be >= {low} for shifted={shifted}, got {arr.min()}"
-            )
         arr.setflags(write=False)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "counts", arr)
@@ -173,7 +182,7 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# bounded quasi-Newton search
+# bounded Newton and quasi-Newton search
 # ---------------------------------------------------------------------------
 
 
@@ -187,24 +196,34 @@ class _Search(NamedTuple):
     converged: bool
 
 
-def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int) -> _Search:
+def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
+                  curvature=None) -> _Search:
     """Maximize ``loglik`` over the box ``lower <= x <= upper`` in two
-    coordinates by projected BFGS.
+    coordinates by projected Newton or BFGS steps.
+
+    ``curvature``, if given, returns the Hessian ``(h00, h01, h11)`` of
+    ``loglik`` at a point whose gradient the search has just asked for.  A
+    step is then a Newton step wherever minus that Hessian over the free
+    coordinates is finite and positive definite; elsewhere, and without
+    ``curvature``, it is a quasi-Newton step on the damped-BFGS inverse
+    Hessian that the search keeps from its gradients.
 
     A coordinate is held at a bound that its gradient pushes against or that
     a step lands on, and released, once the search over the other converges,
-    if its gradient points back into the box; the inverse Hessian restarts
+    if its gradient points back into the box; the BFGS inverse restarts
     whenever the held set changes.  Each line search runs along the straight
-    quasi-Newton step, cut at the first bound (landing on it exactly) and at
-    a move of 1, and backtracks on exact values (Armijo; non-finite ones
-    fail), so an error in ``gradient`` costs iterations, never the optimum.
-    The search converges once the full step stays in the box and its
-    predicted gain is negligible, so a rising ridge is followed onto its
-    bound, or once even steepest ascent finds no gain; ``converged`` is
-    false only if ``max_iter`` ran out first.
+    step, cut at the first bound (landing on it exactly) and at a move of 1,
+    and backtracks on exact values (Armijo; non-finite ones fail), so an
+    error in ``gradient`` or ``curvature`` costs iterations, never the
+    optimum; a step that finds no gain is retried as steepest ascent.  The
+    search converges once the full step stays in the box and its predicted
+    gain is negligible, so a rising ridge is followed onto its bound, or once
+    even steepest ascent finds no gain; ``converged`` is false only if
+    ``max_iter`` ran out first.
     """
     x = [min(max(x[i], lower[i]), upper[i]) for i in (0, 1)]
     ll, g = loglik(x), gradient(x)
+    curv = curvature(x) if curvature else None
     ll_start, evals, iterations = ll, 1, 0
     held, hess = [False, False], None  # hess: (h00, h01, h11), None the identity
 
@@ -215,19 +234,20 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int) -> _Search:
         if any(against(i) and not held[i] for i in (0, 1)):
             held, hess = [held[i] or against(i) for i in (0, 1)], None
         pg = [0.0 if held[i] else g[i] for i in (0, 1)]
-        h00, h01, h11 = hess or (1.0, 0.0, 1.0)
+        metric = _newton_inverse(curv, held) or hess
+        h00, h01, h11 = metric or (1.0, 0.0, 1.0)
         d = [0.0 if held[0] else h00 * pg[0] + h01 * pg[1],
              0.0 if held[1] else h01 * pg[0] + h11 * pg[1]]
         slope = pg[0] * d[0] + pg[1] * d[1]
-        if not slope > 0.0 and hess is not None:
-            hess = None
+        if not slope > 0.0 and metric is not None:
+            hess = curv = None
             continue
         # the step length at which each coordinate reaches its bound
         room = [((upper[i] if d[i] > 0.0 else lower[i]) - x[i]) / d[i] if d[i] else math.inf
                 for i in (0, 1)]
         edge = 0 if room[0] <= room[1] else 1
         trial = None
-        if slope > 0.0 and not (room[edge] >= 1.0 and hess is not None
+        if slope > 0.0 and not (room[edge] >= 1.0 and metric is not None
                                 and slope <= _GAIN_TOL * (1.0 + abs(ll))):
             iterations += 1
             reach = max(abs(d[0]), abs(d[1]))
@@ -244,8 +264,8 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int) -> _Search:
                     curve = ll_trial - ll - step * slope
                     cut = -0.5 * step * slope / curve if -math.inf < curve < 0.0 else 0.1
                     step *= min(max(cut, 0.1), 0.5)
-            if trial is None and hess is not None:
-                hess = None
+            if trial is None and metric is not None:
+                hess = curv = None
                 continue
         if trial is None:
             # converged over the free coordinates: release any held one whose
@@ -263,7 +283,24 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int) -> _Search:
                                 [trial[0] - x[0], trial[1] - x[1]],
                                 [0.0 if held[i] else g[i] - g_trial[i] for i in (0, 1)])
         x, ll, g = trial, ll_trial, g_trial
+        curv = curvature(x) if curvature else None
     return _Search(x, ll, g, ll_start, iterations, evals, False)
+
+
+def _newton_inverse(hess, held):
+    """Inverse of minus ``hess`` over the free coordinates, as ``(h00, h01, h11)``
+    (a held coordinate's entries do not enter the step), or None unless that
+    matrix and its inverse are finite and it is positive definite."""
+    if hess is None or (held[0] and held[1]) or not all(map(math.isfinite, hess)):
+        return None
+    a, b, c = -hess[0], -hess[1], -hess[2]
+    if held[0] or held[1]:  # one free coordinate: its own curvature alone
+        a, b, c = (1.0, 0.0, c) if held[0] else (a, 0.0, 1.0)
+    det = a * c - b * b
+    if not (a > 0.0 and det > 0.0):
+        return None
+    inv = (c / det, -b / det, a / det)
+    return inv if all(map(math.isfinite, inv)) else None
 
 
 def _bfgs_update(hess, first: bool, s, y):
@@ -313,16 +350,12 @@ def _weighted_ll(values, mult, params, tail_correction=False) -> float:
     return float(mult @ logp)
 
 
-def _ll_gradient(values, mult, params, tail_correction=False,
-                 log_mass=None) -> tuple[float, float]:
-    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``;
-    a lognormal gradient reuses ``log_mass``, the log masses at ``values``,
-    when given."""
+def _ll_gradient(values, mult, params, tail_correction=False) -> tuple[float, float]:
+    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``."""
     if isinstance(params, HookedPowerLawParams):
         d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction)
-    else:
-        d0, d1 = _dln_log_pmf_grad(values, params, log_mass)
-    return float(mult @ d0), float(mult @ d1)
+        return float(mult @ d0), float(mult @ d1)
+    return _dln_ll_derivatives(values, mult, params)[0]
 
 
 def _fit_result(model: Model, ds: CitationDataset, params: ModelParams, search: _Search,
@@ -382,26 +415,39 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
         sigma = SIGMA_MIN if x[1] <= ln_sigma_floor else math.exp(x[1])
         return DiscretisedLognormalParams(x[0] * (1.0 + sigma * sigma), sigma)
 
-    # the search asks for the gradient at the point it has just scored, whose
-    # log masses the gradient then reuses
+    # the search asks for the gradient and Hessian at the point it has just
+    # scored, whose log masses they then reuse
     scored = [None, None]
+    differentiated = [None, None]  # a point and its (gradient, Hessian)
 
     def loglik(x):
         logp = log_pmf_values(params_at(x), values)
         scored[:] = list(x), logp
         return float(mult @ logp)
 
-    def gradient(x):  # from (mu, ln sigma), with d mu / d ln sigma = 2 x0 sigma**2
-        params = params_at(x)
-        s2 = params.sigma ** 2
-        log_mass = scored[1] if scored[0] == list(x) else None
-        d_mu, d_ln_sigma = _ll_gradient(values, mult, params, log_mass=log_mass)
-        return (1.0 + s2) * d_mu, d_ln_sigma + 2.0 * s2 * x[0] * d_mu
+    def derivatives(x):
+        if differentiated[0] != list(x):
+            params = params_at(x)
+            log_mass = scored[1] if scored[0] == list(x) else None
+            (d_mu, d_s), (h_mu_mu, h_mu_s, h_s_s) = _dln_ll_derivatives(
+                values, mult, params, log_mass)
+            # from (mu, ln sigma): mu = x0 (1 + sigma**2) has first derivatives
+            # 1 + sigma**2 and b = 2 x0 sigma**2, and second derivatives
+            # 2 sigma**2 (mixed) and 2 b (in ln sigma)
+            s2 = params.sigma ** 2
+            a, b = 1.0 + s2, 2.0 * s2 * x[0]
+            differentiated[:] = list(x), (
+                (a * d_mu, d_s + b * d_mu),
+                (a * a * h_mu_mu,
+                 a * (h_mu_s + b * h_mu_mu) + 2.0 * s2 * d_mu,
+                 h_s_s + b * (2.0 * h_mu_s + b * h_mu_mu) + 2.0 * b * d_mu))
+        return differentiated[1]
 
     search = _maximize_box(
-        loglik, gradient,
+        loglik, lambda x: derivatives(x)[0],
         [init.mu / (1.0 + init.sigma ** 2), math.log(init.sigma)],
-        (-math.inf, ln_sigma_floor), (math.inf, math.inf), cfg.max_iterations)
+        (-math.inf, ln_sigma_floor), (math.inf, math.inf), cfg.max_iterations,
+        curvature=lambda x: derivatives(x)[1])
 
     at_floor = search.x[1] <= ln_sigma_floor
     return _fit_result(Model.LOGNORMAL, ds, params_at(search.x), search,

@@ -407,6 +407,8 @@ def _reference_parse_count(text, line_no):
         raise ParseError(f"count is not an integer: {token!r}", line_no) from None
     if value < 0:
         raise ParseError(f"count must be non-negative, got {value}", line_no)
+    if value > 2**63 - 2:  # its shift must stay in int64
+        raise ParseError(f"count exceeds the largest supported count, {2**63 - 2}", line_no)
     return value
 
 

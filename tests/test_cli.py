@@ -224,6 +224,19 @@ class TestErrorPaths:
         assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert "error: parse:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "one-per-line"])
+    @pytest.mark.parametrize("count", [2**63 - 1, 2**63, 10**20])
+    def test_count_beyond_int64_is_parse_error(self, tmp_path, capsys, count, labeled):
+        # a raw count must stay inside int64 once shifted by one
+        path = tmp_path / "counts.csv"
+        path.write_text(f"journal,citations\nA,3\nA,{count}\n" if labeled
+                        else f"3\n5\n{count}\n")
+        assert main(["compare", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: parse: line 3: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_header_after_blank_line(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
         path.write_text("\njournal,citations\nA,2\nA,3\n")

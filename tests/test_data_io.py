@@ -33,7 +33,8 @@ from oracles import reference_parse_counts
 
 
 _TOKENS = st.sampled_from(["0", "5", "12", "+5", " 7 ", "-0", "1_000", "x", "-1", "",
-                           " ", "+", "3.0", "\u0663", "\x0c4\x1c", "99999999999999999999"])
+                           " ", "+", "3.0", "\u0663", "\x0c4\x1c", "99999999999999999999",
+                           "9223372036854775806", "9223372036854775807"])
 _LABELED_ROWS = st.builds("{},{}".format,
                           st.sampled_from(["A", "B", "C", "With, Comma", " spaced ", "x,"]),
                           _TOKENS)
@@ -98,6 +99,17 @@ class TestParseCounts:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             parse_counts("1\n", format="rows")
+
+    @pytest.mark.parametrize("format", ["labeled", "one-per-line"])
+    def test_counts_must_stay_in_int64_once_shifted(self, format):
+        rows = ["journal,citations", "A,0"] if format == "labeled" else ["7", "0"]
+        [ds] = parse_counts("\n".join(rows + [rows[-1][:-1] + str(2**63 - 2)]), format)
+        assert ds.counts.tolist()[-2:] == [0, 2**63 - 2]
+        for count in (2**63 - 1, 2**63, 10**20):
+            text = "\n".join(rows + [rows[-1][:-1] + str(count)])
+            with pytest.raises(ParseError, match="largest supported count") as err:
+                parse_counts(text, format)
+            assert err.value.line == 3
 
     def test_auto_format_follows_first_non_blank_line(self):
         [ds] = parse_counts("\n\n3\n\n0\n", format="auto", label="single")

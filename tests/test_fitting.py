@@ -12,15 +12,19 @@ from citefit.distributions import (
     SIGMA_MIN,
     DiscretisedLognormalParams,
     HookedPowerLawParams,
+    _dln_ll_derivatives,
     log_pmf_values,
 )
 from citefit.errors import DomainError, DoubleShiftError
 from citefit.fitting import (
     EXIT_REASONS,
+    MAX_RAW_COUNT,
     CitationDataset,
     FitConfig,
     _compressed,
     _ll_gradient,
+    _maximize_box,
+    _newton_inverse,
     fit_hooked,
     fit_lognormal,
     init_hooked,
@@ -63,6 +67,26 @@ class TestDataset:
         assert ds.distinct is ds.distinct
         with pytest.raises(ValueError):
             values[0] = 7
+
+    @pytest.mark.parametrize("counts", [
+        [3, 2**63 - 1],          # int64, but its shift would not be
+        [3, 2**63],              # numpy makes this uint64
+        [10**20],                # and this an object array
+        [2**63, 1],              # and this float64
+        [1.0, 1e19],
+        [1.0, math.inf],
+        [-(10**20), 3],
+    ])
+    def test_counts_outside_int64_are_domain_errors(self, counts):
+        with pytest.raises(DomainError, match="counts must be"):
+            CitationDataset("x", counts)
+
+    def test_largest_raw_count_shifts_to_int64_max(self):
+        assert MAX_RAW_COUNT == 2**63 - 2
+        ds = shift_counts(CitationDataset("x", [0, MAX_RAW_COUNT]))
+        assert ds.counts.dtype == np.int64 and ds.counts.tolist() == [1, 2**63 - 1]
+        with pytest.raises(DomainError, match="<= 9223372036854775807"):
+            CitationDataset("x", np.array([2**63], dtype=np.uint64), shifted=True)
 
 
 class TestShift:
@@ -200,6 +224,20 @@ class TestFitLognormal:
         ds = sample(DiscretisedLognormalParams(2.0, 1.0), 2000, SeededGenerator(9))
         a, b = fit_lognormal(ds), fit_lognormal(ds)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_newton_search_matches_bfgs_with_fewer_evaluations(self, monkeypatch, seed):
+        ds = sample(DiscretisedLognormalParams(2.94, 1.03), 20000, SeededGenerator(seed))
+        newton = fit_lognormal(ds)
+
+        def without_curvature(*args, curvature=None, **kwargs):
+            return _maximize_box(*args, **kwargs)
+
+        monkeypatch.setattr(citefit.fitting, "_maximize_box", without_curvature)
+        bfgs = fit_lognormal(ds)
+        assert newton.converged and bfgs.converged
+        assert abs(newton.log_likelihood - bfgs.log_likelihood) <= 1e-9
+        assert newton.trace.evaluations < bfgs.trace.evaluations
 
 
 class TestFitHooked:
@@ -347,30 +385,41 @@ def _coords(params):
             lambda x: HookedPowerLawParams(math.exp(x[0]), math.expm1(x[1]), params.truncation))
 
 
+def _differences(f, x, floor, steps):
+    """Five-point differences of ``f`` (a number or a sequence) along each
+    coordinate of ``x``: central, or one-sided where a central stencil would
+    cross ``floor``."""
+    def at(i, k):
+        y = list(x)
+        y[i] += k * steps[i]
+        return np.asarray(f(y))
+
+    return [(-25 * at(i, 0) + 48 * at(i, 1) - 36 * at(i, 2) + 16 * at(i, 3)
+             - 3 * at(i, 4)) / (12 * steps[i]) if x[i] - 2 * steps[i] < floor[i]
+            else (at(i, -2) - 8 * at(i, -1) + 8 * at(i, 1) - at(i, 2)) / (12 * steps[i])
+            for i in (0, 1)]
+
+
+def _floor(params):
+    """The lower bounds of the search coordinates: the sigma floor or B = 0."""
+    if isinstance(params, DiscretisedLognormalParams):
+        return [-math.inf, math.log(SIGMA_MIN)]
+    return [-math.inf, 0.0]
+
+
 def _numeric_gradient(ds, params, tail_correction=False, h=1e-3):
     """Five-point differences of ``total_log_likelihood`` in the search
-    coordinates: central, or one-sided where a central stencil would cross
-    the sigma floor or B = 0.
+    coordinates.
 
     The tail bound grows like 1 / (alpha - 1), so with it the step in
     ``ln alpha`` shrinks to a hundredth of ``ln alpha``, the distance to that
     pole; a fixed step would leave a stencil error of order (h / ln alpha)**4."""
     x, make = _coords(params)
-    lognormal = isinstance(params, DiscretisedLognormalParams)
-    floor = [-math.inf, math.log(SIGMA_MIN) if lognormal else 0.0]
     steps = [h, h]
-    if tail_correction and not lognormal and params.alpha > 1:
+    if tail_correction and isinstance(params, HookedPowerLawParams) and params.alpha > 1:
         steps[0] = min(h, 0.01 * x[0])
-
-    def ll(i, k):
-        y = list(x)
-        y[i] += k * steps[i]
-        return total_log_likelihood(ds, make(y), tail_correction)
-
-    return [(-25 * ll(i, 0) + 48 * ll(i, 1) - 36 * ll(i, 2) + 16 * ll(i, 3)
-             - 3 * ll(i, 4)) / (12 * steps[i]) if x[i] - 2 * steps[i] < floor[i]
-            else (ll(i, -2) - 8 * ll(i, -1) + 8 * ll(i, 1) - ll(i, 2)) / (12 * steps[i])
-            for i in (0, 1)]
+    return [float(d) for d in _differences(
+        lambda y: total_log_likelihood(ds, make(y), tail_correction), x, _floor(params), steps)]
 
 
 def _assert_gradient_matches(ds, params, tail_correction=False):
@@ -383,7 +432,31 @@ def _assert_gradient_matches(ds, params, tail_correction=False):
         assert abs(a - n) <= 1e-6 * scale, (analytic, numeric)
 
 
+def _assert_hessian_close(hess, numeric, tol=1e-6):
+    # ``hess`` = (h00, h01, h11) against differences of the gradient,
+    # numeric[j][i] = dg_i / dx_j, each entry to ``tol`` of the largest
+    scale = max(float(np.max(np.abs(numeric))), 1.0)
+    h00, h01, h11 = hess
+    for a, n in ((h00, numeric[0][0]), (h01, numeric[0][1]), (h01, numeric[1][0]),
+                 (h11, numeric[1][1])):
+        assert abs(a - n) <= tol * scale, (hess, numeric)
+
+
+def _assert_hessian_matches(ds, params, tol=1e-6):
+    # the lognormal Hessian, from fresh and from reused log masses, against
+    # five-point differences of the analytic gradient
+    values, mult = _compressed(ds)
+    x, make = _coords(params)
+    numeric = _differences(lambda y: _ll_gradient(values, mult, make(y)), x,
+                           _floor(params), [1e-4, 1e-4])
+    for log_mass in (None, log_pmf_values(params, values)):
+        _assert_hessian_close(_dln_ll_derivatives(values, mult, params, log_mass)[1],
+                              numeric, tol)
+
+
 _GRADIENT_DATA = sample(DiscretisedLognormalParams(2.0, 1.2), 400, SeededGenerator(3))
+_LEFT_TAIL_DATA = _shifted([1] * 1949 + [2] * 24 + [3] * 2)
+_FLOOR_DATA = _shifted([1] * 50 + [2] * 10 + [3] * 2)
 
 
 class TestGradients:
@@ -391,6 +464,11 @@ class TestGradients:
     @given(mu=st.floats(-4.0, 7.0), sigma=st.floats(0.05, 5.0))
     def test_lognormal_matches_differences(self, mu, sigma):
         _assert_gradient_matches(_GRADIENT_DATA, DiscretisedLognormalParams(mu, sigma))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(-4.0, 7.0), sigma=st.floats(0.05, 5.0))
+    def test_lognormal_hessian_matches_differences(self, mu, sigma):
+        _assert_hessian_matches(_GRADIENT_DATA, DiscretisedLognormalParams(mu, sigma))
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(0.3, 60.0), offset=st.floats(0.0, 3000.0),
@@ -407,21 +485,47 @@ class TestGradients:
         # rounding moves either gradient by up to 1e-7 of its size
         values, mult = _compressed(_GRADIENT_DATA)
         params = DiscretisedLognormalParams(mu, sigma)
-        fresh = _ll_gradient(values, mult, params)
-        reused = _ll_gradient(values, mult, params,
-                              log_mass=log_pmf_values(params, values))
+        fresh = _dln_ll_derivatives(values, mult, params)[0]
+        reused = _dln_ll_derivatives(values, mult, params,
+                                     log_mass=log_pmf_values(params, values))[0]
         scale = max(abs(fresh[0]), abs(fresh[1]), 1.0)
         for a, b in zip(fresh, reused):
             assert abs(a - b) <= 1e-6 * scale, (fresh, reused)
 
+    def test_lognormal_search_derivatives_match_differences(self, monkeypatch):
+        # fit_lognormal hands the search its gradient and Hessian in
+        # (mu / (1 + sigma**2), ln sigma); check both away from the optimum,
+        # where the second derivatives of mu enter
+        passed = {}
+
+        def spy(loglik, gradient, *args, curvature=None):
+            passed.update(loglik=loglik, gradient=gradient, curvature=curvature)
+            return _maximize_box(loglik, gradient, *args, curvature=curvature)
+
+        monkeypatch.setattr(citefit.fitting, "_maximize_box", spy)
+        fit_lognormal(_GRADIENT_DATA)
+        floor = [-math.inf, math.log(SIGMA_MIN)]
+        for x in ([0.8, 0.3], [-2.0, 1.0], [1.5, -1.0], [3.0, 0.5]):
+            grad = passed["gradient"](x)
+            numeric = _differences(passed["loglik"], x, floor, [1e-4, 1e-4])
+            scale = max(abs(float(numeric[0])), abs(float(numeric[1])), 1.0)
+            assert all(abs(a - n) <= 1e-6 * scale for a, n in zip(grad, numeric)), x
+            _assert_hessian_close(passed["curvature"](x),
+                                  _differences(passed["gradient"], x, floor, [1e-4, 1e-4]))
+
     def test_lognormal_far_left_tail(self):
         # nearly every article uncited: the maximum sits deep in the left tail
-        ds = _shifted([1] * 1949 + [2] * 24 + [3] * 2)
-        _assert_gradient_matches(ds, DiscretisedLognormalParams(-10.0, 1.6))
+        params = DiscretisedLognormalParams(-10.0, 1.6)
+        _assert_gradient_matches(_LEFT_TAIL_DATA, params)
+        _assert_hessian_matches(_LEFT_TAIL_DATA, params)
 
     def test_lognormal_at_sigma_floor(self):
-        ds = _shifted([1] * 50 + [2] * 10 + [3] * 2)
-        _assert_gradient_matches(ds, DiscretisedLognormalParams(0.2, SIGMA_MIN))
+        params = DiscretisedLognormalParams(0.2, SIGMA_MIN)
+        _assert_gradient_matches(_FLOOR_DATA, params)
+        # counts 2 and 3 lie 200 to 1000 scales out, where each Hessian entry
+        # is a difference of terms some 1e4 times its size: against mpmath
+        # the analytic entries are 6e-6 off there, the gradient 3e-11
+        _assert_hessian_matches(_FLOOR_DATA, params, tol=1e-5)
 
     def test_hooked_at_cap_with_zero_offset_and_tail(self):
         ds = sample(DiscretisedLognormalParams(2.93, 0.73), 2000, SeededGenerator(3))
@@ -435,11 +539,88 @@ class TestGradients:
         values, mult = _compressed(_GRADIENT_DATA)
         for mu in (-20.0, -10.0, 0.0, 3.0, 8.0, 15.0):
             for sigma in (SIGMA_MIN, 0.01, 0.3, 1.0, 10.0, 100.0, 1e4):
-                grad = _ll_gradient(values, mult, DiscretisedLognormalParams(mu, sigma))
-                assert all(map(math.isfinite, grad)), (mu, sigma, grad)
+                grad, hess = _dln_ll_derivatives(values, mult,
+                                                 DiscretisedLognormalParams(mu, sigma))
+                assert all(map(math.isfinite, grad + hess)), (mu, sigma, grad, hess)
         for alpha in (1e-3, 0.3, 1.0, 1.0 + 1e-9, 2.0, 100.0, 10000.0):
             for offset in (0.0, 1.0, 1e3, 1e6, 1e9):
                 for tail in (False, True):
                     params = HookedPowerLawParams(alpha, offset)
                     grad = _ll_gradient(values, mult, params, tail)
                     assert all(map(math.isfinite, grad)), (alpha, offset, tail, grad)
+
+
+# ---------------------------------------------------------------------------
+# the bounded search
+# ---------------------------------------------------------------------------
+
+
+def _quartic():
+    """``-(x0**2 - 1)**2 - (x1 - 0.5)**2`` with its gradient and Hessian: the
+    Hessian is indefinite for x0**2 < 1/3 and the maxima are at x0 = +-1."""
+    def loglik(x):
+        return -(x[0] ** 2 - 1.0) ** 2 - (x[1] - 0.5) ** 2
+
+    def gradient(x):
+        return -4.0 * x[0] * (x[0] ** 2 - 1.0), -2.0 * (x[1] - 0.5)
+
+    def hessian(x):
+        return 4.0 - 12.0 * x[0] ** 2, 0.0, -2.0
+
+    return loglik, gradient, hessian
+
+
+_BOX = ((-5.0, -5.0), (5.0, 5.0))
+
+
+class TestSearch:
+    def test_indefinite_start_falls_back_to_bfgs_and_converges(self):
+        loglik, gradient, hessian = _quartic()
+        asked = []
+
+        def curvature(x):
+            asked.append(_newton_inverse(hessian(x), [False, False]))
+            return hessian(x)
+
+        search = _maximize_box(loglik, gradient, [0.1, 0.0], *_BOX, 100, curvature=curvature)
+        assert asked[0] is None and asked[-1] is not None  # BFGS first, Newton at the end
+        assert search.converged
+        assert abs(abs(search.x[0]) - 1.0) <= 1e-6 and abs(search.x[1] - 0.5) <= 1e-6
+        assert search.ll >= -1e-12
+
+    @pytest.mark.parametrize("hessian", [
+        (math.nan, 0.0, -1.0),     # not finite
+        (1.0, 0.0, 1.0),           # minus it is negative definite
+        (-1.0, -2.0, -1.0),        # indefinite
+        (-1.0, 0.0, 0.0),          # singular
+    ])
+    def test_unusable_curvature_leaves_the_bfgs_search(self, hessian):
+        loglik, gradient, _ = _quartic()
+        plain = _maximize_box(loglik, gradient, [0.1, 0.0], *_BOX, 100)
+        assert _maximize_box(loglik, gradient, [0.1, 0.0], *_BOX, 100,
+                             curvature=lambda x: hessian) == plain
+
+    def test_newton_steps_on_a_quadratic(self):
+        # the exact Hessian of a concave quadratic: one step to the maximum,
+        # and the gain then predicted is zero
+        def loglik(x):
+            return -(x[0] - 0.3) ** 2 - (x[0] - 0.3) * (x[1] + 0.2) - 2.0 * (x[1] + 0.2) ** 2
+
+        def gradient(x):
+            return (-2.0 * (x[0] - 0.3) - (x[1] + 0.2), -(x[0] - 0.3) - 4.0 * (x[1] + 0.2))
+
+        search = _maximize_box(loglik, gradient, [0.0, 0.0], *_BOX, 100,
+                               curvature=lambda x: (-2.0, -1.0, -4.0))
+        assert search.converged and search.evaluations == 2
+        assert search.x == pytest.approx([0.3, -0.2], abs=1e-12)
+
+    def test_newton_inverse_over_the_free_coordinates(self):
+        hess = (-2.0, -1.0, -4.0)
+        h00, h01, h11 = _newton_inverse(hess, [False, False])
+        assert (h00, h01, h11) == pytest.approx((4.0 / 7.0, -1.0 / 7.0, 2.0 / 7.0))
+        assert _newton_inverse(hess, [False, True])[0] == 0.5
+        assert _newton_inverse(hess, [True, False])[2] == 0.25
+        assert _newton_inverse(hess, [True, True]) is None
+        assert _newton_inverse((1.0, 0.0, -1.0), [True, False]) is not None
+        assert _newton_inverse((1.0, 0.0, -1.0), [False, True]) is None
+        assert _newton_inverse(None, [False, False]) is None
