@@ -11,7 +11,12 @@ terms plus an Euler-Maclaurin remainder for the rest, so its cost does not
 grow with ``N`` and it agrees with the term-by-term sum to about 1e-15
 relative.  Log masses are formed relative to the first term,
 ``-alpha ln((B + n) / (B + 1))`` less the normalization over that term, so
-they keep their digits where ``alpha ln(B + 1)`` reaches 1e5.
+they keep their digits where ``alpha ln(B + 1)`` reaches 1e5.  Both come
+from one pass: a single buffer holds the head's ``k`` and the points'
+``n - 1``, takes ``-alpha ln(1 + x / (B + 1))`` once, and its head slice is
+summed in place into the normalization that the point slice is then reduced
+by.  The normalization alone, the CDF table and the gradient go through the
+same pass; the gradient shares one ``log1p`` pass between the sums it needs.
 
 Discretised lognormal: the continuous lognormal density ``c(x)`` integrated
 over unit intervals and renormalized to the support above one half::
@@ -98,42 +103,33 @@ _HEAD_MIN = 64
 _HEAD_DROP = 45.0
 # exp stays in the normal double range (about 1e-304) at and above this
 _EXP_FLOOR = -700.0
+# the longest hooked CDF table: its float64 entries and the evaluation buffer
+# beside them must stay within what numpy can address
+_MAX_TABLE = np.iinfo(np.intp).max // 16
 
 
-def _hooked_log_rel_norm(alpha: float, offset: float, truncation: int,
-                         tail_correction: bool) -> float:
-    """Log of the normalization over its first term ``(B + 1)**-alpha``.
-
-    The values stay between 0 and about ln N, where the normalization itself
-    can reach 1.6e5 in size, so log masses formed from them keep their
-    digits when a fit multiplies them by thousands of articles.
-    """
-    total = _hooked_log_rel_sum(alpha, offset, truncation)
-    if tail_correction and alpha > 1:
-        total = float(np.logaddexp(total, _hooked_log_rel_tail(alpha, offset, truncation)))
-    return total
-
-
-def _hooked_log_rel_sum(alpha: float, offset: float, truncation: int) -> float:
-    """``ln sum_{n=1..N} ((B + n) / (B + 1))**-alpha``, without the tail bound."""
-    b1 = float(offset) + 1.0
+def _hooked_head(alpha: float, offset: float, truncation: int) -> tuple[int, bool]:
+    """Length ``K`` of the exact head of the normalization sum, and whether
+    the Euler-Maclaurin remainder over ``n = K+1..N`` follows it."""
     # once B + n >= 2 alpha and n > 64, each Euler-Maclaurin order is smaller
     # than the one before by (alpha + 2j)**2 / (2 pi (B + n))**2 < 1/50, so six
     # orders leave the remainder exact to double precision
-    head = min(truncation, max(_HEAD_MIN, math.ceil(2.0 * alpha - offset)))
-    drop = b1 * math.expm1(min((_HEAD_DROP + math.log(truncation)) / alpha, 700.0)) + 2.0
-    rest = head < truncation and head < drop
-    if not rest:
-        head = int(min(head, drop))
-    if b1 < 1e300 and alpha > 1e-300 * b1:
-        total = _hooked_head_sum(alpha, b1, head)
-    else:  # k / (B + 1), or alpha times its logarithm, could underflow
-        with np.errstate(under="ignore"):
-            total = _hooked_head_sum(alpha, b1, head)
-    if not rest:
-        return math.log(total)
-    # Euler-Maclaurin value of the terms f(x) = ((B + x) / (B + 1))**-alpha
-    # for x = a..N, a = head + 1
+    head = math.ceil(2.0 * alpha - offset)
+    if head < _HEAD_MIN:
+        head = _HEAD_MIN
+    if head > truncation:
+        head = truncation
+    x = (_HEAD_DROP + math.log(truncation)) / alpha
+    drop = (offset + 1.0) * math.expm1(x if x < 700.0 else 700.0) + 2.0
+    if head < drop:
+        return head, head < truncation
+    return int(drop), False
+
+
+def _hooked_remainder(alpha: float, offset: float, head: int, truncation: int) -> float:
+    """Euler-Maclaurin value of the terms ``f(x) = ((B + x) / (B + 1))**-alpha``
+    for ``x = head+1..N``."""
+    b1 = float(offset) + 1.0
     a, b = head + 1, truncation
     xa, xb = offset + a, offset + b
     fa = math.exp(-alpha * math.log1p((a - 1) / b1))
@@ -154,11 +150,14 @@ def _hooked_log_rel_sum(alpha: float, offset: float, truncation: int) -> float:
         da *= rise / xa
         db *= rise / xb
         rise += 1.0
-    return math.log(total + rem)
+    return rem
 
 
-def _hooked_head_sum(alpha: float, b1: float, head: int) -> float:
-    """``sum_{k=0..head-1} exp(-alpha ln(1 + k / b1))``, in one buffer.
+def _hooked_log_total(terms: np.ndarray, alpha: float, offset: float, truncation: int,
+                      rest: bool, tail: bool) -> float:
+    """Log of the normalization over its first term ``(B + 1)**-alpha``, from
+    the head's exponents ``terms = -alpha ln(1 + k / (B + 1))``, k = 0..K-1,
+    which it overwrites with their exponentials.
 
     The terms fall with k, and the head ends at most one term past
     ``exp(-_HEAD_DROP) / N`` of the first, so only the last can drop below
@@ -166,15 +165,57 @@ def _hooked_head_sum(alpha: float, b1: float, head: int) -> float:
     (which would trip a caller's ``np.seterr(under="raise")``) and leaves the
     sum as it was: the term is first added to a partial sum that holds an
     earlier term, so it stays below half of that sum's last bit either way.
+    The result stays between 0 and about ln N, where the normalization itself
+    can reach 1.6e5 in size, so log masses formed from it keep their digits
+    when a fit multiplies them by thousands of articles.
     """
-    terms = np.arange(head, dtype=np.float64)
-    terms /= b1
-    np.log1p(terms, out=terms)
-    terms *= -alpha
     if terms[-1] < _EXP_FLOOR:
         np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
-    return float(np.add.reduce(terms))
+    total = float(np.add.reduce(terms))
+    if rest:
+        total += _hooked_remainder(alpha, offset, terms.size, truncation)
+    total = math.log(total)
+    if tail and alpha > 1:
+        with np.errstate(under="ignore"):  # the tail bound can be far below the sum
+            total = float(np.logaddexp(total, _hooked_log_rel_tail(alpha, offset, truncation)))
+    return total
+
+
+def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams,
+                       tail_correction: bool) -> tuple[np.ndarray, float]:
+    """Log masses at the support points ``ns`` and the log of the
+    normalization over its first term, from one pass over one buffer.
+
+    The buffer holds the head's ``k = 0..K-1`` followed by the points'
+    ``n - 1``; it is divided by ``B + 1``, passed through ``log1p`` and
+    multiplied by ``-alpha`` once.  The head slice is then summed in place
+    into the normalization, and the point slice, less its logarithm, is
+    returned: ``-alpha ln((B + n) / (B + 1)) - ln(Z / (B + 1)**-alpha)``, the
+    same as ``-alpha ln(B + n) - ln Z`` without cancelling two numbers near
+    1e5.  ``ns`` is only read.
+    """
+    b1 = float(params.offset) + 1.0
+    if b1 < 1e300 and params.alpha > 1e-300 * b1:
+        return _hooked_pass(ns, params, tail_correction)
+    with np.errstate(under="ignore"):  # k / (B + 1), or alpha times its logarithm, could underflow
+        return _hooked_pass(ns, params, tail_correction)
+
+
+def _hooked_pass(ns, params, tail_correction):
+    """:func:`_hooked_log_masses` under the caller's floating-point error state."""
+    alpha, offset, truncation = params.alpha, params.offset, params.truncation
+    head, rest = _hooked_head(alpha, offset, truncation)
+    buf = np.arange(head + ns.size, dtype=np.float64)
+    points = buf[head:]
+    np.subtract(ns, 1.0, out=points)
+    buf /= float(offset) + 1.0
+    np.log1p(buf, out=buf)
+    buf *= -alpha
+    log_norm = _hooked_log_total(buf[:head], alpha, offset, truncation, rest,
+                                 bool(tail_correction))
+    points -= log_norm
+    return points, log_norm
 
 
 def _hooked_log_tail(alpha: float, offset: float, truncation: int) -> float:
@@ -204,8 +245,8 @@ def hooked_log_norm(params: HookedPowerLawParams, tail_correction: bool = False)
     tail is added, making the normalization effectively untruncated.
     """
     b1 = float(params.offset) + 1.0  # a Python float overflows to inf without a warning
-    return -params.alpha * math.log(b1) + _hooked_log_rel_norm(
-        params.alpha, params.offset, params.truncation, bool(tail_correction))
+    return -params.alpha * math.log(b1) + _hooked_log_masses(
+        np.empty(0), params, tail_correction)[1]
 
 
 def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
@@ -221,22 +262,8 @@ def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
     return _hooked_log_tail(params.alpha, params.offset, params.truncation)
 
 
-def _hooked_log_pmf_array(ns: np.ndarray, params: HookedPowerLawParams,
-                          tail_correction: bool) -> np.ndarray:
-    # -alpha ln((B + n) / (B + 1)) less the relative normalization: the same
-    # as -alpha ln(B + n) - ln Z without cancelling two numbers near 1e5
-    log_norm = _hooked_log_rel_norm(params.alpha, params.offset, params.truncation,
-                                    bool(tail_correction))
-    out = ns - 1.0
-    out /= params.offset + 1.0
-    np.log1p(out, out=out)
-    out *= -params.alpha
-    out -= log_norm
-    return out
-
-
 def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
-                         tail_correction: bool):
+                         tail_correction: bool, log_norm: float | None = None):
     """Partial derivatives of each log mass in ``ln alpha`` and ``ln(B + 1)``.
 
     In ``B`` the normalization's derivative is exact,
@@ -244,24 +271,47 @@ def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
     tail bound as well.  In ``alpha`` it is a central difference of the
     relative sum, which keeps about ten digits because that sum's logarithm
     stays below about ln N; the tail bound enters in closed form, weighted
-    by its share of the normalization.
+    by its share of the normalization.  The sums at ``alpha -+ h`` and
+    ``alpha + 1`` share one ``log1p`` pass over the longest head they need
+    and the points.  ``log_norm``, the relative normalization at ``params``
+    (the log mass at 1 is its negative), saves summing it again when the
+    caller has just scored that point.
     """
     alpha, offset, truncation = params.alpha, params.offset, params.truncation
-    b1 = offset + 1.0
+    b1 = float(offset) + 1.0
     tail = bool(tail_correction) and alpha > 1
-    log_norm = _hooked_log_rel_norm(alpha, offset, truncation, tail)
     h = 1e-5 * alpha
-    d_alpha = (_hooked_log_rel_sum(alpha + h, offset, truncation)
-               - _hooked_log_rel_sum(alpha - h, offset, truncation)) / (2.0 * h)
-    if tail:
-        share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
-        d_tail = -math.log1p((truncation - 0.5) / b1) - 1.0 / (alpha - 1.0)
-        d_alpha += share * (d_tail - d_alpha)
-    # (B + 1) Z(alpha + 1, B) / Z(alpha, B), from the relative normalizations
-    ratio = math.exp(_hooked_log_rel_norm(alpha + 1.0, offset, truncation, tail) - log_norm)
+    heads = {a: _hooked_head(a, offset, truncation)
+             for a in (alpha - h, alpha + h, alpha + 1.0, alpha)}
+    size = max(head for head, _ in heads.values())
     ns = np.asarray(ns, dtype=np.float64)
-    return (-alpha * (np.log1p((ns - 1.0) / b1) + d_alpha),
-            alpha * (ratio - b1 / (offset + ns)))
+    with np.errstate(under="ignore"):  # as in _hooked_log_masses, tiny alpha or huge B
+        logs = np.arange(size + ns.size, dtype=np.float64)
+        np.subtract(ns, 1.0, out=logs[size:])
+        logs /= b1
+        np.log1p(logs, out=logs)
+
+        def log_total(a, tail_):
+            head, rest = heads[a]
+            return _hooked_log_total(logs[:head] * -a, a, offset, truncation, rest, tail_)
+
+        if log_norm is None:
+            log_norm = log_total(alpha, tail)
+        d_alpha = (log_total(alpha + h, False) - log_total(alpha - h, False)) / (2.0 * h)
+        if tail:
+            share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
+            d_tail = -math.log1p((truncation - 0.5) / b1) - 1.0 / (alpha - 1.0)
+            d_alpha += share * (d_tail - d_alpha)
+        # (B + 1) Z(alpha + 1, B) / Z(alpha, B), from the relative normalizations
+        ratio = math.exp(log_total(alpha + 1.0, tail) - log_norm)
+        d_ln_alpha = logs[size:]
+        d_ln_alpha += d_alpha
+        d_ln_alpha *= -alpha
+        d_ln_b1 = ns + offset
+        np.divide(b1, d_ln_b1, out=d_ln_b1)
+        np.subtract(ratio, d_ln_b1, out=d_ln_b1)
+        d_ln_b1 *= alpha
+    return d_ln_alpha, d_ln_b1
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +511,11 @@ def log_pmf_values(params: ModelParams, ns: np.ndarray,
     ns = _support(params, ns)
     if isinstance(params, HookedPowerLawParams):
         ns = ns.astype(np.float64, copy=False)
-        if not ns.ndim:  # the steps work in place, on arrays
-            return _hooked_log_pmf_array(ns.reshape(1), params, tail_correction)[0]
-        return _hooked_log_pmf_array(ns, params, tail_correction)
+        if ns.ndim == 1:
+            return _hooked_log_masses(ns, params, tail_correction)[0]
+        # the pass works on one flat buffer; a 0-d ns gives a scalar
+        flat, _ = _hooked_log_masses(ns.reshape(-1), params, tail_correction)
+        return flat.reshape(ns.shape)[()]
     if isinstance(params, DiscretisedLognormalParams):
         return _dln_log_pmf_array(ns, params)
     raise TypeError(f"unknown parameter type {type(params)!r}")
@@ -478,9 +530,14 @@ def cdf_values(params: ModelParams, ns: np.ndarray,
         # asked for; np.cumsum adds in order, so each entry is the same
         # however far the sum runs
         top = int(ns.max()) if ns.size else 0
+        if top > _MAX_TABLE:
+            raise MemoryError(f"a hooked CDF table of {top} entries is beyond "
+                              "addressable memory")
         with np.errstate(under="ignore"):
-            table = np.cumsum(np.exp(_hooked_log_pmf_array(
-                np.arange(1, top + 1, dtype=np.float64), params, tail_correction)))
+            table, _ = _hooked_log_masses(np.arange(1, top + 1, dtype=np.float64),
+                                          params, tail_correction)
+            np.exp(table, out=table)
+        np.cumsum(table, out=table)
         np.minimum(table, 1.0, out=table)  # cumsum dust may poke above 1
         return table[ns.astype(np.int64) - 1]
     if isinstance(params, DiscretisedLognormalParams):

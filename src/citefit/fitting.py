@@ -44,6 +44,9 @@ _ARMIJO = 1e-4
 _MIN_WARN_SIZE = 30
 # the largest raw count: one above it the shift would leave int64
 MAX_RAW_COUNT = np.iinfo(np.int64).max - 1
+# distinct counts come from a frequency table up to this many times the
+# number of counts, and from a sort beyond (the two cost about the same near 3)
+_BINCOUNT_SPAN = 2
 EXIT_REASONS = ("converged", "budget", "cap", "sigma_floor")
 
 
@@ -96,9 +99,20 @@ class CitationDataset:
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct counts in increasing order and their multiplicities,
         ``np.unique(counts, return_counts=True)``, computed on first use and
-        kept; both arrays are frozen."""
+        kept; both arrays are frozen.
+
+        Where the largest count is at most :data:`_BINCOUNT_SPAN` times the
+        number of counts, a frequency table finds them without sorting;
+        wider ranges, such as one extreme article, sort.
+        """
         if self._distinct is None:
-            values, mult = np.unique(self.counts, return_counts=True)
+            counts = self.counts
+            if counts.item(counts.argmax()) <= _BINCOUNT_SPAN * counts.size:
+                freq = np.bincount(counts)
+                values = np.flatnonzero(freq)
+                mult = freq[values]
+            else:
+                values, mult = np.unique(counts, return_counts=True)
             values.setflags(write=False)
             mult.setflags(write=False)
             object.__setattr__(self, "_distinct", (values, mult))
@@ -345,15 +359,13 @@ def _compressed(ds: CitationDataset):
     return values.astype(np.float64), mult.astype(np.float64)
 
 
-def _weighted_ll(values, mult, params, tail_correction=False) -> float:
-    logp = log_pmf_values(params, values, tail_correction)
-    return float(mult @ logp)
-
-
-def _ll_gradient(values, mult, params, tail_correction=False) -> tuple[float, float]:
-    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``."""
+def _ll_gradient(values, mult, params, tail_correction=False,
+                 log_norm=None) -> tuple[float, float]:
+    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``;
+    ``log_norm``, the hooked log normalization over its first term at
+    ``params``, if the caller has it, is not summed again."""
     if isinstance(params, HookedPowerLawParams):
-        d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction)
+        d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction, log_norm)
         return float(mult @ d0), float(mult @ d1)
     return _dln_ll_derivatives(values, mult, params)[0]
 
@@ -483,7 +495,7 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
         alpha = math.exp(la)
         for offset in offsets:
             params = HookedPowerLawParams(alpha, offset, truncation)
-            ll = float(mult @ log_pmf_values(params, values, cfg.tail_correction))
+            ll = float(mult.dot(log_pmf_values(params, values, cfg.tail_correction)))
             if best is None or ll > best[0]:
                 best = (ll, params)
     return best[1]
@@ -516,11 +528,23 @@ def fit_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
         alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
         return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation)
 
+    # the search asks for the gradient at the point it has just scored; the
+    # mass at 1, scored beside the data, is the normalization there
+    points = np.append(values, 1.0)
+    scored = [None, None]  # a point and its log normalization over the first term
+
+    def loglik(x):
+        logp = log_pmf_values(params_at(x), points, cfg.tail_correction)
+        scored[:] = list(x), -logp[-1]
+        return float(mult.dot(logp[:-1]))
+
+    def gradient(x):
+        log_norm = scored[1] if scored[0] == list(x) else None
+        return _ll_gradient(values, mult, params_at(x), cfg.tail_correction, log_norm)
+
     init = init_hooked(ds, cfg)
     search = _maximize_box(
-        lambda x: _weighted_ll(values, mult, params_at(x), cfg.tail_correction),
-        lambda x: _ll_gradient(values, mult, params_at(x), cfg.tail_correction),
-        [math.log(init.alpha), math.log(init.offset + 1.0)],
+        loglik, gradient, [math.log(init.alpha), math.log(init.offset + 1.0)],
         (-math.inf, 0.0), (ln_cap, math.log(1e9 + 1.0)), cfg.max_iterations)
 
     capped = search.x[0] >= ln_cap and search.grad[0] >= 0.0

@@ -11,9 +11,10 @@ evaluate the library's model CDFs at every integer: what they check is the
 choice of evaluation points, not the CDFs themselves.
 
 The ``reference_*`` functions are the plainer forms that the hooked log
-masses, the hooked normalization and the count parser once had: one numpy
-expression per quantity and one split per row.  The library's faster forms
-must agree with them exactly, bit for bit and error for error.
+masses, the hooked normalization, its gradient and the count parser once
+had: one numpy expression per quantity, each normalization summed on its own
+and one split per row.  The library's faster forms must agree with them
+exactly, bit for bit and error for error.
 
 Quadrature caveat: these integrands can decay by hundreds of orders of
 magnitude across one interval (a boundary layer at the edge nearest the
@@ -377,12 +378,15 @@ def reference_hooked_log_rel_sum(alpha, offset, truncation):
     return math.log(total)
 
 
+def _reference_log_rel_tail(alpha, offset, truncation):
+    return (math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
+            - alpha * math.log1p((truncation - 0.5) / (offset + 1.0)))
+
+
 def _reference_log_rel_norm(alpha, offset, truncation, tail_correction):
     total = reference_hooked_log_rel_sum(alpha, offset, truncation)
     if tail_correction and alpha > 1:
-        tail = (math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
-                - alpha * math.log1p((truncation - 0.5) / (offset + 1.0)))
-        total = float(np.logaddexp(total, tail))
+        total = float(np.logaddexp(total, _reference_log_rel_tail(alpha, offset, truncation)))
     return total
 
 
@@ -397,6 +401,37 @@ def reference_hooked_log_pmf(ns, alpha, offset, truncation, tail_correction=Fals
     log_norm = _reference_log_rel_norm(alpha, offset, truncation, bool(tail_correction))
     ns = np.asarray(ns).astype(np.float64)
     return -alpha * np.log1p((ns - 1.0) / (offset + 1.0)) - log_norm
+
+
+def reference_hooked_cdf(ns, alpha, offset, truncation, tail_correction=False):
+    """Hooked CDF at ``ns``: the running sum of the reference log masses'
+    exponentials up to the largest point, capped at 1."""
+    ns = np.asarray(ns).astype(np.int64)
+    with np.errstate(under="ignore"):
+        table = np.cumsum(np.exp(reference_hooked_log_pmf(
+            np.arange(1, int(ns.max()) + 1), alpha, offset, truncation, tail_correction)))
+    return np.minimum(table, 1.0)[ns - 1]
+
+
+def reference_hooked_log_pmf_grad(ns, alpha, offset, truncation, tail_correction=False):
+    """Partial derivatives of the hooked log masses at ``ns`` in ``ln alpha``
+    and ``ln(B + 1)``, each of the four normalizations they need (at alpha,
+    alpha -+ h and alpha + 1) summed on its own, then the points in one
+    expression."""
+    b1 = offset + 1.0
+    tail = bool(tail_correction) and alpha > 1
+    log_norm = _reference_log_rel_norm(alpha, offset, truncation, tail)
+    h = 1e-5 * alpha
+    d_alpha = (reference_hooked_log_rel_sum(alpha + h, offset, truncation)
+               - reference_hooked_log_rel_sum(alpha - h, offset, truncation)) / (2.0 * h)
+    if tail:
+        share = math.exp(_reference_log_rel_tail(alpha, offset, truncation) - log_norm)
+        d_tail = -math.log1p((truncation - 0.5) / b1) - 1.0 / (alpha - 1.0)
+        d_alpha += share * (d_tail - d_alpha)
+    ratio = math.exp(_reference_log_rel_norm(alpha + 1.0, offset, truncation, tail) - log_norm)
+    ns = np.asarray(ns, dtype=np.float64)
+    return (-alpha * (np.log1p((ns - 1.0) / b1) + d_alpha),
+            alpha * (ratio - b1 / (offset + ns)))
 
 
 def _reference_parse_count(text, line_no):

@@ -316,27 +316,44 @@ class TestErrorPaths:
         assert captured.out == render_table(docs, STYLE_PARAMETERS)
 
     def test_count_too_large_for_memory_is_parse_error(self, tmp_path):
-        # the diagnostics' per-count table would need 745 GiB; the child's
-        # address space is capped so that no allocation is made for real
-        pytest.importorskip("resource")
-        path = tmp_path / "huge.txt"
-        path.write_text("1\n2\n100000000000\n")
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-                  "from citefit.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
-        child = subprocess.run([sys.executable, "-c", script, "compare", str(path)],
-                               env=env, capture_output=True, text=True, timeout=120)
+        # the diagnostics' per-count table would need 745 GiB
+        child = _compare_in_capped_child(tmp_path, "1\n2\n100000000000\n")
         assert child.returncode == EXIT_PARSE
         assert child.stderr.startswith("error: memory: ")
         assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+
+    @pytest.mark.parametrize("count", [4611686018427387904, 9223372036854775806])
+    def test_table_beyond_addressable_memory_is_refused(self, tmp_path, count):
+        # the hooked CDF table would pass numpy's size limit, or its length
+        # would overflow int64: refused before allocating, like any table
+        # too large for memory
+        child = _compare_in_capped_child(tmp_path, f"3\n{count}\n")
+        assert child.returncode == EXIT_PARSE
+        errors = [line for line in child.stderr.splitlines()
+                  if not line.startswith("warning: ")]
+        assert errors == [f"error: memory: input too large: a hooked CDF table of "
+                          f"{count + 1} entries is beyond addressable memory"]
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
         assert "error: io:" in capsys.readouterr().err
+
+
+def _compare_in_capped_child(tmp_path, text: str):
+    """``citefit compare`` on the one-per-line counts ``text``, in a child
+    whose address space is capped so that no huge allocation is made for real."""
+    pytest.importorskip("resource")
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from citefit.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
+    return subprocess.run([sys.executable, "-c", script, "compare", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestDefaults:

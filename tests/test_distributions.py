@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from citefit.distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
+    _hooked_log_pmf_grad,
     cdf_values,
     dln_cdf,
     dln_log_pmf,
@@ -26,7 +27,8 @@ from citefit.errors import DomainError, SupportRangeError
 from citefit.numerics import LOG_ZERO
 
 from oracles import (direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle,
-                     hooked_cdf_oracle, reference_hooked_log_norm, reference_hooked_log_pmf)
+                     hooked_cdf_oracle, reference_hooked_cdf, reference_hooked_log_norm,
+                     reference_hooked_log_pmf, reference_hooked_log_pmf_grad)
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 
@@ -225,6 +227,80 @@ class TestHookedBitIdentity:
         with np.errstate(all="raise"):
             log_norm = hooked_log_norm(HookedPowerLawParams(alpha, offset, 100))
         assert log_norm == reference_hooked_log_norm(alpha, offset, 100)
+
+
+# the whole admissible range: exponents down to subnormal ones, offsets past
+# 1e300 where k / (B + 1) leaves the normal range, and every kind of head
+_KERNEL_ALPHAS = st.one_of(st.floats(1e-310, 1e4), st.floats(0.5, 50.0),
+                           st.sampled_from([1e-310, 1e-300, 1.0, 1.01, 1e4]))
+_KERNEL_OFFSETS = st.one_of(st.floats(0.0, 1e9), st.floats(1e300, 1e308),
+                            st.sampled_from([0.0, 1e9, 1e300]))
+
+
+class TestHookedOnePass:
+    """The one-pass kernel (normalization, log masses, CDF table and
+    gradient from one buffer) equals the two-pass forms in ``oracles`` bit for
+    bit, and keeps quiet where their terms underflow."""
+
+    @given(_KERNEL_ALPHAS, _KERNEL_OFFSETS, st.sampled_from([1, 64, 10_000, 1_000_000]),
+           st.booleans(), st.data())
+    @example(1e-310, 5.0, 64, False, None)
+    @example(1e4, 1e300, 10_000, True, None)
+    @example(1e-300, 1e308, 1_000_000, True, None)
+    @example(2.0, 0.0, 1, True, None)
+    @example(1e4, 0.0, 10_000, False, None)     # the grid corner: head terms underflow
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_pass_forms(self, alpha, offset, truncation, tail, data):
+        params = HookedPowerLawParams(alpha, offset, truncation)
+        if data is None:
+            ns = np.unique(np.geomspace(1, truncation, 100).astype(np.int64))
+        else:
+            ns = np.array(data.draw(st.lists(st.integers(1, truncation), min_size=1,
+                                             max_size=100)))
+        points = ns.astype(np.float64)
+        with np.errstate(under="ignore"):  # the references underflow quietly ...
+            want_logp = reference_hooked_log_pmf(ns, alpha, offset, truncation, tail)
+            want_norm = reference_hooked_log_norm(alpha, offset, truncation, tail)
+            want_grad = reference_hooked_log_pmf_grad(points, alpha, offset, truncation, tail)
+        with np.errstate(under="raise"):  # ... and so must the kernel
+            logp = log_pmf_values(params, ns, tail)
+            log_norm = hooked_log_norm(params, tail)
+            scored = -log_pmf_values(params, np.ones(1), tail)[0]
+            grads = [_hooked_log_pmf_grad(points, params, tail),
+                     _hooked_log_pmf_grad(points, params, tail, scored)]
+        assert logp.tobytes() == want_logp.tobytes()
+        assert np.float64(log_norm).tobytes() == np.float64(want_norm).tobytes()
+        for grad in grads:
+            assert all(got.tobytes() == want.tobytes() for got, want in zip(grad, want_grad))
+        if ns.max() <= 10_000:  # the table runs to the largest point
+            with np.errstate(under="raise"):
+                cdf = cdf_values(params, ns, tail)
+            want_cdf = reference_hooked_cdf(ns, alpha, offset, truncation, tail)
+            assert cdf.tobytes() == want_cdf.tobytes()
+
+    def test_gradient_reuses_the_scored_normalization(self, monkeypatch):
+        # with the normalization passed in, only the sums at alpha -+ h and
+        # alpha + 1 are formed, all from one log1p pass
+        import citefit.distributions as module
+
+        alphas = []
+        real = module._hooked_log_total
+
+        def spy(terms, alpha, *args):
+            alphas.append(alpha)
+            return real(terms, alpha, *args)
+
+        monkeypatch.setattr(module, "_hooked_log_total", spy)
+        alpha, h = 7.7, 7.7 * 1e-5
+        params = HookedPowerLawParams(alpha, 175.4, 10_000)
+        ns = np.arange(1.0, 300.0)
+        scored = -log_pmf_values(params, np.ones(1))[0]
+        alphas.clear()
+        _hooked_log_pmf_grad(ns, params, False, scored)
+        assert sorted(alphas) == [alpha - h, alpha + h, alpha + 1.0]
+        alphas.clear()
+        _hooked_log_pmf_grad(ns, params, False)
+        assert sorted(alphas) == [alpha - h, alpha, alpha + h, alpha + 1.0]
 
 
 class TestHookedCdf:

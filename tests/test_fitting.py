@@ -13,6 +13,7 @@ from citefit.distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
     _dln_ll_derivatives,
+    _hooked_log_pmf_grad,
     log_pmf_values,
 )
 from citefit.errors import DomainError, DoubleShiftError
@@ -67,6 +68,22 @@ class TestDataset:
         assert ds.distinct is ds.distinct
         with pytest.raises(ValueError):
             values[0] = 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=0, max_size=40),
+           st.sampled_from(["at", "past", "far"]), st.booleans())
+    def test_distinct_equals_unique(self, counts, where, shifted):
+        # the largest count at the frequency table's span, just past it, and
+        # far past it, where the counts are sorted instead
+        n = len(counts) + 1
+        span = citefit.fitting._BINCOUNT_SPAN * n
+        top = {"at": span, "past": span + 1, "far": 10**12}[where]
+        counts = [min(c + shifted, span) for c in counts] + [top]
+        values, mult = CitationDataset("x", counts, shifted=shifted).distinct
+        want_values, want_mult = np.unique(np.array(counts, dtype=np.int64), return_counts=True)
+        assert values.dtype == want_values.dtype and mult.dtype == want_mult.dtype
+        assert np.array_equal(values, want_values) and np.array_equal(mult, want_mult)
+        assert not values.flags.writeable and not mult.flags.writeable
 
     @pytest.mark.parametrize("counts", [
         [3, 2**63 - 1],          # int64, but its shift would not be
@@ -241,6 +258,29 @@ class TestFitLognormal:
 
 
 class TestFitHooked:
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_gradient_takes_the_scored_normalization(self, monkeypatch, tail):
+        # every gradient of the search comes with the normalization of the
+        # point just scored, read off the mass at 1, and equals the gradient
+        # that sums it afresh
+        ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
+        passed = []
+
+        def spy(ns, params, tail_correction, log_norm=None):
+            passed.append((params, log_norm))
+            return _hooked_log_pmf_grad(ns, params, tail_correction, log_norm)
+
+        plain = fit_hooked(ds, FitConfig(tail_correction=tail))
+        monkeypatch.setattr(citefit.fitting, "_hooked_log_pmf_grad", spy)
+        assert fit_hooked(ds, FitConfig(tail_correction=tail)) == plain
+        assert passed
+        values, _ = _compressed(ds)
+        for params, log_norm in passed:
+            assert log_norm == -log_pmf_values(params, np.ones(1), tail)[0]
+            for got, fresh in zip(_hooked_log_pmf_grad(values, params, tail, log_norm),
+                                  _hooked_log_pmf_grad(values, params, tail)):
+                assert got.tobytes() == fresh.tobytes()
+
     def test_mle_dominates_truth(self):
         truth = HookedPowerLawParams(7.7, 175.4)
         ds = sample(truth, 20000, SeededGenerator(1))

@@ -21,7 +21,7 @@ from citefit.selection import (
 )
 from citefit.synthesis import SeededGenerator, sample
 
-from reference_table import Z_BEST_PAIRS
+from reference_table import REFERENCE_ROWS, Z_BEST_PAIRS
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174
 
@@ -212,3 +212,34 @@ class TestVuongTest:
         ln = fit_lognormal(ds)
         loose = vuong_test(ds, hk.params, ln.params, z_threshold=1e6)
         assert loose.winner in (Winner.L, Winner.H)
+
+
+# fixed before any draw was looked at
+_KNOWN_ANSWER_SEED = 2016
+
+
+class TestKnownAnswer:
+    """The pipeline tells the two models apart at the paper's journal sizes:
+    each reference row's article count, drawn from its published lognormal
+    and from its published hooked fit, is fitted with both models and
+    compared."""
+
+    def test_vuong_names_the_generating_model(self):
+        starred = {"lognormal": Winner.L_STAR, "hooked": Winner.H_STAR}
+        winners = {"lognormal": [], "hooked": []}
+        for index, row in enumerate(REFERENCE_ROWS):
+            _, articles, mu, sigma, _, alpha, offset = row[:7]
+            truths = {"lognormal": DiscretisedLognormalParams(mu, sigma),
+                      "hooked": HookedPowerLawParams(
+                          10000.0 if alpha == "10k" else alpha, offset)}
+            for family, (name, truth) in enumerate(truths.items()):
+                gen = SeededGenerator(_KNOWN_ANSWER_SEED * 1000 + 2 * index + family)
+                ds = sample(truth, articles, gen, label=f"{row[0]} ({name})")
+                result = vuong_test(ds, fit_hooked(ds).params, fit_lognormal(ds).params)
+                winners[name].append(result.winner)
+        for name, other in (("lognormal", "hooked"), ("hooked", "lognormal")):
+            # never a starred winner for the wrong model ...
+            assert starred[other] not in winners[name], (name, winners[name])
+            # ... and a starred right one on at least 80% of each family
+            assert winners[name].count(starred[name]) >= 0.8 * len(REFERENCE_ROWS), (
+                name, winners[name])
