@@ -12,6 +12,7 @@ from .distributions import (
     SIGMA_MIN,
     DiscretisedLognormalParams,
     HookedPowerLawParams,
+    Model,
     cdf_values,
     dln_cdf,
     dln_log_pmf,
@@ -26,7 +27,6 @@ from .fitting import (
     CitationDataset,
     FitConfig,
     FitResult,
-    Model,
     fit_hooked,
     fit_lognormal,
     init_hooked,
@@ -38,7 +38,6 @@ from .selection import (
     DEFAULT_Z_THRESHOLD,
     ComparisonResult,
     Winner,
-    aic,
     classify_winner,
     total_log_likelihood,
     vuong_test,

@@ -15,16 +15,11 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 
 from . import data_io, diagnostics, selection, synthesis
-from .distributions import (
-    DEFAULT_ALPHA_CAP,
-    DEFAULT_TRUNCATION,
-    DiscretisedLognormalParams,
-    HookedPowerLawParams,
-)
+from .distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from .errors import (
     CitefitError,
     ConfigError,
@@ -379,6 +374,9 @@ def run(cfg: CliConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Each destination is the name of a
+    :class:`CliConfig` or :class:`FitConfig` field, and a flag left out sets
+    nothing, so the field keeps the default its dataclass declares."""
     parser = argparse.ArgumentParser(
         prog="citefit",
         description="Fit and compare discretised lognormal and hooked power "
@@ -386,51 +384,52 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_DOC,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    unset = argparse.SUPPRESS
 
-    fit_opts = argparse.ArgumentParser(add_help=False)
-    fit_opts.add_argument("--alpha-cap", type=float, default=DEFAULT_ALPHA_CAP,
+    fit_opts = argparse.ArgumentParser(add_help=False, argument_default=unset)
+    fit_opts.add_argument("--alpha-cap", type=float,
                           help="upper bound on the hooked exponent; fits that "
                                "reach it are clamped and flagged "
-                               f"(default: {DEFAULT_ALPHA_CAP:g})")
-    fit_opts.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+                               f"(default: {FitConfig.alpha_cap:g})")
+    fit_opts.add_argument("--truncation", type=int,
                           help="length of the hooked normalization sum "
-                               f"(default: {DEFAULT_TRUNCATION}; raised "
+                               f"(default: {FitConfig.truncation}; raised "
                                "automatically to cover larger counts)")
-    fit_opts.add_argument("--tail-correct", action="store_true",
+    fit_opts.add_argument("--tail-correct", dest="tail_correction", action="store_true",
                           help="add the integral tail bound to the hooked "
                                "normalization (default: off, truncated sum only)")
     fit_opts.add_argument("--z-threshold", type=float,
-                          default=selection.DEFAULT_Z_THRESHOLD,
                           help="two-sided significance threshold for the Vuong "
-                               f"z statistic (default: {selection.DEFAULT_Z_THRESHOLD:g})")
-    fit_opts.add_argument("--segments", type=int, default=diagnostics.DEFAULT_SEGMENTS,
+                               f"z statistic (default: {CliConfig.z_threshold:g})")
+    fit_opts.add_argument("--segments", type=int,
                           help="number of log-spaced diagnostic intervals "
-                               f"(default: {diagnostics.DEFAULT_SEGMENTS})")
+                               f"(default: {CliConfig.segments})")
     fit_opts.add_argument("--timestamp", action="store_true",
                           help="record a wall-clock timestamp in provenance "
                                "(default: off, keeping runs byte-reproducible)")
 
-    data_opts = argparse.ArgumentParser(add_help=False)
-    data_opts.add_argument("input", help="counts file (one per line, or "
-                                         "journal,citations rows)")
-    data_opts.add_argument("--format", dest="input_format", default=data_io.FORMAT_AUTO,
+    data_opts = argparse.ArgumentParser(add_help=False, argument_default=unset)
+    data_opts.add_argument("input_path", metavar="input",
+                           help="counts file (one per line, or journal,citations rows)")
+    data_opts.add_argument("--format", dest="input_format",
                            choices=[data_io.FORMAT_AUTO, data_io.FORMAT_ONE_PER_LINE,
                                     data_io.FORMAT_LABELED],
                            help="input layout (default: auto-detect by comma)")
 
-    p_fit = sub.add_parser("fit", parents=[data_opts, fit_opts],
+    p_fit = sub.add_parser("fit", parents=[data_opts, fit_opts], argument_default=unset,
                            help="fit models and write result documents")
-    p_fit.add_argument("--model", choices=MODEL_CHOICES, default="both",
-                       help="which model(s) to fit (default: both)")
+    p_fit.add_argument("--model", choices=MODEL_CHOICES,
+                       help=f"which model(s) to fit (default: {CliConfig.model})")
     p_fit.add_argument("--out", dest="out_dir", required=True,
                        help="directory for per-journal result documents")
 
-    p_cmp = sub.add_parser("compare", parents=[data_opts, fit_opts],
+    p_cmp = sub.add_parser("compare", parents=[data_opts, fit_opts], argument_default=unset,
                            help="fit both models and print the parameters table")
     p_cmp.add_argument("--out", dest="out_dir",
                        help="also write result documents here")
 
     p_diag = sub.add_parser("diagnose", parents=[data_opts, fit_opts],
+                            argument_default=unset,
                             help="fit both models, print the segments table, "
                                  "optionally write CDF plots")
     p_diag.add_argument("--out", dest="out_dir",
@@ -438,34 +437,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--plot", dest="plot_dir",
                         help="directory for per-journal SVG/CSV plot files")
 
-    p_sim = sub.add_parser("simulate", parents=[fit_opts],
+    p_sim = sub.add_parser("simulate", parents=[fit_opts], argument_default=unset,
                            help="run recovery or mixture experiments on "
                                 "synthetic data")
-    p_sim.add_argument("kind", choices=["recovery", "mixture"])
-    p_sim.add_argument("--truth", dest="truth_model", default="lognormal",
-                       choices=["lognormal", "hooked"],
-                       help="generator family for recovery (default: lognormal)")
-    p_sim.add_argument("--mu", type=float, default=0.0)
-    p_sim.add_argument("--sigma", type=float, default=1.0)
-    p_sim.add_argument("--alpha", type=float, default=2.0)
-    p_sim.add_argument("--offset", type=float, default=1.0)
-    p_sim.add_argument("--n", type=int, default=10000,
-                       help="sample size per draw (default: 10000)")
-    p_sim.add_argument("--seeds", dest="n_seeds", type=int, default=10,
+    p_sim.add_argument("simulate_kind", choices=["recovery", "mixture"])
+    p_sim.add_argument("--truth", dest="truth_model", choices=["lognormal", "hooked"],
+                       help="generator family for recovery "
+                            f"(default: {CliConfig.truth_model})")
+    p_sim.add_argument("--mu", type=float)
+    p_sim.add_argument("--sigma", type=float)
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--offset", type=float)
+    p_sim.add_argument("--n", type=int,
+                       help=f"sample size per draw (default: {CliConfig.n})")
+    p_sim.add_argument("--seeds", dest="n_seeds", type=int,
                        help="number of consecutive seeds for recovery "
-                            "(default: 10)")
-    p_sim.add_argument("--seed", type=int, default=0,
-                       help="base seed (default: 0)")
+                            f"(default: {CliConfig.n_seeds})")
+    p_sim.add_argument("--seed", type=int,
+                       help=f"base seed (default: {CliConfig.seed})")
     p_sim.add_argument("--component", dest="components", action="append",
-                       default=[], metavar="MU,SIGMA,WEIGHT",
+                       metavar="MU,SIGMA,WEIGHT",
                        help="mixture component (repeatable)")
     p_sim.add_argument("--out", dest="out_dir",
                        help="write the experiment report here")
 
-    p_rep = sub.add_parser("report", help="render tables from stored documents")
-    p_rep.add_argument("docs", nargs="+",
+    p_rep = sub.add_parser("report", argument_default=unset,
+                           help="render tables from stored documents")
+    p_rep.add_argument("doc_paths", metavar="docs", nargs="+",
                        help="result documents or directories of them")
-    p_rep.add_argument("--style", default=data_io.STYLE_PARAMETERS,
+    p_rep.add_argument("--style",
                        choices=[data_io.STYLE_PARAMETERS, data_io.STYLE_SEGMENTS])
 
     return parser
@@ -482,36 +482,16 @@ def _parse_component(text: str) -> tuple[float, float, float]:
 
 
 def config_from_args(ns: argparse.Namespace) -> CliConfig:
-    fit_cfg = FitConfig(
-        alpha_cap=getattr(ns, "alpha_cap", DEFAULT_ALPHA_CAP),
-        truncation=getattr(ns, "truncation", DEFAULT_TRUNCATION),
-        tail_correction=getattr(ns, "tail_correct", False),
-    )
-    return CliConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        input_format=getattr(ns, "input_format", data_io.FORMAT_AUTO),
-        out_dir=getattr(ns, "out_dir", None),
-        plot_dir=getattr(ns, "plot_dir", None),
-        model=getattr(ns, "model", "both"),
-        fit=fit_cfg,
-        segments=getattr(ns, "segments", diagnostics.DEFAULT_SEGMENTS),
-        z_threshold=getattr(ns, "z_threshold", selection.DEFAULT_Z_THRESHOLD),
-        seed=getattr(ns, "seed", 0),
-        timestamp=getattr(ns, "timestamp", False),
-        style=getattr(ns, "style", data_io.STYLE_PARAMETERS),
-        doc_paths=tuple(getattr(ns, "docs", ())),
-        simulate_kind=getattr(ns, "kind", None),
-        truth_model=getattr(ns, "truth_model", "lognormal"),
-        mu=getattr(ns, "mu", 0.0),
-        sigma=getattr(ns, "sigma", 1.0),
-        alpha=getattr(ns, "alpha", 2.0),
-        offset=getattr(ns, "offset", 1.0),
-        n=getattr(ns, "n", 10000),
-        n_seeds=getattr(ns, "n_seeds", 10),
-        components=tuple(_parse_component(c)
-                         for c in getattr(ns, "components", [])),
-    )
+    """The invocation ``ns`` names, field by field; what it leaves out keeps
+    its dataclass default."""
+    given = dict(vars(ns))
+    fit_cfg = FitConfig(**{f.name: given.pop(f.name) for f in fields(FitConfig)
+                           if f.name in given})
+    if "components" in given:
+        given["components"] = tuple(_parse_component(c) for c in given["components"])
+    if "doc_paths" in given:
+        given["doc_paths"] = tuple(given["doc_paths"])
+    return CliConfig(fit=fit_cfg, **given)
 
 
 def main(argv=None) -> int:

@@ -24,9 +24,9 @@ from statistics import median
 from types import NoneType, UnionType
 from typing import Iterator, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
 
-from .distributions import DiscretisedLognormalParams, HookedPowerLawParams, ModelParams
+from .distributions import ModelParams
 from .errors import OutputError, ParseError, SchemaVersionError
-from .fitting import MAX_RAW_COUNT, CitationDataset, FitResult, model_of
+from .fitting import MAX_RAW_COUNT, CitationDataset, FitResult
 from .selection import ComparisonResult, Winner
 from .diagnostics import SegmentDiagnostics
 
@@ -188,7 +188,7 @@ class ResultDocument:
     provenance: dict = field(default_factory=dict)
 
 
-_PARAMS_BY_KIND = {"hooked": HookedPowerLawParams, "lognormal": DiscretisedLognormalParams}
+_PARAMS_BY_KIND = {cls.model.value: cls for cls in get_args(ModelParams)}
 _type_hints = lru_cache(maxsize=None)(get_type_hints)
 
 
@@ -206,7 +206,7 @@ def to_json(value):
         return {k: to_json(v) for k, v in value.items()}
     if is_dataclass(value):
         data = {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
-        return {"kind": model_of(value).value, **data} if isinstance(value, ModelParams) else data
+        return {"kind": value.model.value, **data} if isinstance(value, ModelParams) else data
     return value
 
 
@@ -241,41 +241,16 @@ def from_json(cls, data):
         raise ParseError(f"malformed {cls.__name__}: {exc!r}") from exc
 
 
-def document_from_dict(data: dict) -> ResultDocument:
-    version = data.get("schema_version")
-    if version not in READABLE_VERSIONS:
-        raise SchemaVersionError(version, READABLE_VERSIONS)
-    return from_json(ResultDocument, data)
-
-
-def _dumps(data) -> str:
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
-
-
 def write_json(data, path) -> None:
-    """Persist ``data`` as JSON atomically: the file appears complete or not
-    at all."""
+    """Persist ``data`` as indented JSON atomically: the file appears
+    complete or not at all."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_dumps(data))
+            fh.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
-
-
-def dumps_result(doc: ResultDocument) -> str:
-    return _dumps(to_json(doc))
-
-
-def loads_result(text: str) -> ResultDocument:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed result document: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("malformed result document: expected an object")
-    return document_from_dict(data)
 
 
 def write_result(doc: ResultDocument, path) -> None:
@@ -283,8 +258,20 @@ def write_result(doc: ResultDocument, path) -> None:
 
 
 def read_result(path) -> ResultDocument:
+    """The document stored at ``path`` by :func:`write_result`, from any of
+    :data:`READABLE_VERSIONS`; anything else raises :class:`ParseError` or
+    :class:`SchemaVersionError`."""
     with open_text(path) as fh:
-        return loads_result(fh.read())
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed result document: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("malformed result document: expected an object")
+    version = data.get("schema_version")
+    if version not in READABLE_VERSIONS:
+        raise SchemaVersionError(version, READABLE_VERSIONS)
+    return from_json(ResultDocument, data)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import ModelParams, cdf_values
+from .distributions import Model, ModelParams, cdf_values
 from .errors import DomainError, OutputError
-from .fitting import CitationDataset, Model, _require_shifted, model_of
+from .fitting import CitationDataset, _require_shifted
 
 DEFAULT_SEGMENTS = 4
 
@@ -132,7 +132,7 @@ def segment_differences(
         lo, hi = np.searchsorted(xs, (seg.start, seg.end + 1))
         part = d[lo:hi]
         diffs.append(float(part[np.argmax(np.abs(part))]))
-    return SegmentDiagnostics(model_of(params), tuple(segments), tuple(diffs))
+    return SegmentDiagnostics(params.model, tuple(segments), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------

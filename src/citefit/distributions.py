@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from statistics import NormalDist
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +48,14 @@ _LN_HALF = math.log(0.5)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+class Model(str, Enum):
+    """The two model families; each parameter record names its own as
+    ``model``, the tag its persisted form carries as ``"kind"``."""
+
+    LOGNORMAL = "lognormal"
+    HOOKED = "hooked"
+
+
 @dataclass(frozen=True)
 class HookedPowerLawParams:
     """Exponent, head offset and normalization length of the hooked model.
@@ -54,6 +64,7 @@ class HookedPowerLawParams:
     the cap is configurable; construction only requires admissible values.
     """
 
+    model: ClassVar[Model] = Model.HOOKED
     alpha: float
     offset: float
     truncation: int = DEFAULT_TRUNCATION
@@ -75,6 +86,7 @@ class DiscretisedLognormalParams:
     equal) cannot drive the scale to zero.
     """
 
+    model: ClassVar[Model] = Model.LOGNORMAL
     mu: float
     sigma: float
 
@@ -393,21 +405,24 @@ def _dln_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: DiscretisedLog
         log_den = _log_phi_diff(zlo, zhi) + _LN_SQRT_2PI
     else:
         log_den = log_mass + (log_sf0 + _LN_SQRT_2PI)
-    rlo = np.exp(-0.5 * zlo * zlo - log_den)
-    rhi = np.exp(-0.5 * zhi * zhi - log_den)
-    f_mu = (rlo - rhi) / sigma
-    # rlo and rhi become z r, z**2 r and z**3 r in turn
-    rlo *= zlo
-    rhi *= zhi
-    f_s = rlo - rhi
-    rlo *= zlo
-    rhi *= zhi
-    z2r = rlo - rhi
-    rlo *= zlo
-    rhi *= zhi
-    z3r = rlo - rhi
-    s_mu, s_s, s_mu_mu, s_mu_s, s_s_s, s_z2r, s_z3r = (
-        np.stack((f_mu, f_s, f_mu * f_mu, f_mu * f_s, f_s * f_s, z2r, z3r)) @ mult).tolist()
+    # a cell whose mass underflows to zero has infinite ratios at both ends
+    # and NaN derivatives; numpy's warning for inf - inf adds nothing to them
+    with np.errstate(invalid="ignore"):
+        rlo = np.exp(-0.5 * zlo * zlo - log_den)
+        rhi = np.exp(-0.5 * zhi * zhi - log_den)
+        f_mu = (rlo - rhi) / sigma
+        # rlo and rhi become z r, z**2 r and z**3 r in turn
+        rlo *= zlo
+        rhi *= zhi
+        f_s = rlo - rhi
+        rlo *= zlo
+        rhi *= zhi
+        z2r = rlo - rhi
+        rlo *= zlo
+        rhi *= zhi
+        z3r = rlo - rhi
+        s_mu, s_s, s_mu_mu, s_mu_s, s_s_s, s_z2r, s_z3r = (
+            np.stack((f_mu, f_s, f_mu * f_mu, f_mu * f_s, f_s * f_s, z2r, z3r)) @ mult).tolist()
     n = float(np.add.reduce(mult))
     r0 = math.exp(-0.5 * z0 * z0 - _LN_SQRT_2PI - log_sf0)
     k = r0 * (r0 - z0)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .distributions import (
     SIGMA_MIN,
     DiscretisedLognormalParams,
     HookedPowerLawParams,
+    Model,
     ModelParams,
     _dln_ll_derivatives,
     _hooked_log_pmf_grad,
@@ -41,6 +41,8 @@ _GRID_POINTS = 17
 _GAIN_TOL = 1e-15
 _STEP_TOL = 1e-12  # a line search gives up on steps below this
 _ARMIJO = 1e-4
+# the search's iteration budget: a fit that spends it exits for ``budget``
+_MAX_ITERATIONS = 10000
 _MIN_WARN_SIZE = 30
 # the largest raw count: one above it the shift would leave int64
 MAX_RAW_COUNT = np.iinfo(np.int64).max - 1
@@ -48,19 +50,6 @@ MAX_RAW_COUNT = np.iinfo(np.int64).max - 1
 # number of counts, and from a sort beyond (the two cost about the same near 3)
 _BINCOUNT_SPAN = 2
 EXIT_REASONS = ("converged", "budget", "cap", "sigma_floor")
-
-
-class Model(str, Enum):
-    LOGNORMAL = "lognormal"
-    HOOKED = "hooked"
-
-
-def model_of(params: ModelParams) -> Model:
-    if isinstance(params, HookedPowerLawParams):
-        return Model.HOOKED
-    if isinstance(params, DiscretisedLognormalParams):
-        return Model.LOGNORMAL
-    raise TypeError(f"unknown parameter type {type(params)!r}")
 
 
 class CitationDataset:
@@ -150,17 +139,12 @@ class FitConfig:
     alpha_cap: float = DEFAULT_ALPHA_CAP
     truncation: int = DEFAULT_TRUNCATION
     tail_correction: bool = False
-    max_iterations: int = 10000
 
     def __post_init__(self):
         if not self.alpha_cap > 1:
             raise DomainError(f"alpha_cap must be > 1, got {self.alpha_cap!r}")
         if self.truncation < 1:
             raise DomainError(f"truncation must be >= 1, got {self.truncation!r}")
-        if self.max_iterations < 100:
-            raise DomainError(
-                f"max_iterations must be >= 100, got {self.max_iterations!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -342,8 +326,27 @@ def _bfgs_update(hess, first: bool, s, y):
 
 
 # ---------------------------------------------------------------------------
-# objective helpers
+# the fit driver
 # ---------------------------------------------------------------------------
+
+
+class _Problem(NamedTuple):
+    """One family's search, set up for one dataset: the map from search
+    coordinates to parameters, the objective with its derivatives there, the
+    start and the box, the rule that names the bound a search ended on
+    (``cap``, ``sigma_floor`` or None), and what the setup itself has to
+    report (the hooked fit's raised truncation)."""
+
+    params_at: Callable
+    loglik: Callable
+    gradient: Callable
+    curvature: Callable | None
+    start: list
+    lower: tuple
+    upper: tuple
+    bound: Callable[[_Search], str | None]
+    warnings: tuple[str, ...] = ()
+    truncation_raised: bool = False
 
 
 def _require_shifted(ds: CitationDataset) -> None:
@@ -359,29 +362,31 @@ def _compressed(ds: CitationDataset):
     return values.astype(np.float64), mult.astype(np.float64)
 
 
-def _ll_gradient(values, mult, params, tail_correction=False,
-                 log_norm=None) -> tuple[float, float]:
-    """Total log-likelihood gradient in ``(mu, ln sigma)`` or ``(ln alpha, ln(B + 1))``;
-    ``log_norm``, the hooked log normalization over its first term at
-    ``params``, if the caller has it, is not summed again."""
-    if isinstance(params, HookedPowerLawParams):
-        d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction, log_norm)
-        return float(mult @ d0), float(mult @ d1)
-    return _dln_ll_derivatives(values, mult, params)[0]
+def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
+    """Run the search that ``problem(ds, cfg, values, mult)`` sets up over the
+    distinct counts and their multiplicities, and package its end point.
 
-
-def _fit_result(model: Model, ds: CitationDataset, params: ModelParams, search: _Search,
-                bound: str | None, warnings_: list[str], **flags) -> FitResult:
-    """Package a finished search; ``bound`` is the exit reason of a search that
-    converged with a parameter on its bound (``cap`` or ``sigma_floor``)."""
+    A search that converged with a parameter on its bound exits for that
+    bound; ``alpha_capped`` and ``at_sigma_floor`` name which.
+    """
+    _require_shifted(ds)
+    warnings_ = ()
+    if len(ds) < _MIN_WARN_SIZE:
+        warnings_ = (f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})",)
+    p = problem(ds, cfg, *_compressed(ds))
+    search = _maximize_box(p.loglik, p.gradient, p.start, p.lower, p.upper,
+                           _MAX_ITERATIONS, curvature=p.curvature)
+    bound = p.bound(search)
+    params = p.params_at(search.x)
     trace = FitTrace(
         init_log_likelihood=search.ll_start,
         evaluations=search.evaluations,
         exit_reason="budget" if not search.converged else bound or "converged",
-        warnings=tuple(warnings_),
-        **flags,
+        at_sigma_floor=bound == "sigma_floor",
+        truncation_raised=p.truncation_raised,
+        warnings=warnings_ + p.warnings,
     )
-    return FitResult(model=model, params=params, log_likelihood=search.ll,
+    return FitResult(model=params.model, params=params, log_likelihood=search.ll,
                      converged=search.converged, alpha_capped=bound == "cap",
                      iterations=search.iterations, n_articles=len(ds), trace=trace)
 
@@ -414,12 +419,10 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
     Never raises for non-convergence: the best point found is returned with
     ``converged=False`` when the iteration budget runs out.
     """
-    _require_shifted(ds)
-    warnings_: list[str] = []
-    if len(ds) < _MIN_WARN_SIZE:
-        warnings_.append(f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})")
+    return _fit(ds, cfg, _lognormal_problem)
 
-    values, mult = _compressed(ds)
+
+def _lognormal_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Problem:
     init = init_lognormal(ds)
     ln_sigma_floor = math.log(SIGMA_MIN)
 
@@ -455,15 +458,11 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
                  h_s_s + b * (2.0 * h_mu_s + b * h_mu_mu) + 2.0 * b * d_mu))
         return differentiated[1]
 
-    search = _maximize_box(
-        loglik, lambda x: derivatives(x)[0],
+    return _Problem(
+        params_at, loglik, lambda x: derivatives(x)[0], lambda x: derivatives(x)[1],
         [init.mu / (1.0 + init.sigma ** 2), math.log(init.sigma)],
-        (-math.inf, ln_sigma_floor), (math.inf, math.inf), cfg.max_iterations,
-        curvature=lambda x: derivatives(x)[1])
-
-    at_floor = search.x[1] <= ln_sigma_floor
-    return _fit_result(Model.LOGNORMAL, ds, params_at(search.x), search,
-                       "sigma_floor" if at_floor else None, warnings_, at_sigma_floor=at_floor)
+        (-math.inf, ln_sigma_floor), (math.inf, math.inf),
+        bound=lambda search: "sigma_floor" if search.x[1] <= ln_sigma_floor else None)
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +509,11 @@ def fit_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     when the search ends with ``alpha`` on the cap and the likelihood still
     rising towards it; ``B`` is then optimized with ``alpha`` held there.
     """
-    _require_shifted(ds)
-    warnings_: list[str] = []
-    if len(ds) < _MIN_WARN_SIZE:
-        warnings_.append(f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})")
+    return _fit(ds, cfg, _hooked_problem)
 
-    values, mult = _compressed(ds)
+
+def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Problem:
     truncation, raised = _effective_truncation(ds, cfg)
-    if raised:
-        warnings_.append(
-            f"truncation raised to {truncation} to cover max count {int(ds.counts.max())}"
-        )
-
     ln_cap = math.log(cfg.alpha_cap)
 
     def params_at(x) -> HookedPowerLawParams:
@@ -540,13 +532,17 @@ def fit_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 
     def gradient(x):
         log_norm = scored[1] if scored[0] == list(x) else None
-        return _ll_gradient(values, mult, params_at(x), cfg.tail_correction, log_norm)
+        d_ln_alpha, d_ln_b1 = _hooked_log_pmf_grad(values, params_at(x),
+                                                   cfg.tail_correction, log_norm)
+        return float(mult @ d_ln_alpha), float(mult @ d_ln_b1)
 
     init = init_hooked(ds, cfg)
-    search = _maximize_box(
-        loglik, gradient, [math.log(init.alpha), math.log(init.offset + 1.0)],
-        (-math.inf, 0.0), (ln_cap, math.log(1e9 + 1.0)), cfg.max_iterations)
-
-    capped = search.x[0] >= ln_cap and search.grad[0] >= 0.0
-    return _fit_result(Model.HOOKED, ds, params_at(search.x), search,
-                       "cap" if capped else None, warnings_, truncation_raised=raised)
+    return _Problem(
+        params_at, loglik, gradient, None,
+        [math.log(init.alpha), math.log(init.offset + 1.0)],
+        (-math.inf, 0.0), (ln_cap, math.log(1e9 + 1.0)),
+        bound=lambda search: ("cap" if search.x[0] >= ln_cap and search.grad[0] >= 0.0
+                              else None),
+        warnings=(f"truncation raised to {truncation} to cover max count "
+                  f"{int(ds.counts.max())}",) if raised else (),
+        truncation_raised=raised)

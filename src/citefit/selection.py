@@ -1,4 +1,4 @@
-"""Model comparison: log-likelihood totals, AIC, the Vuong test and the
+"""Model comparison: log-likelihood totals, the Vuong test and the
 L / L* / H / H* winner labels.
 
 The Vuong statistic is oriented so that positive z favors the hooked power
@@ -44,13 +44,6 @@ class ComparisonResult:
     n_articles: int
 
 
-def pointwise_log_likelihood(ds: CitationDataset, params: ModelParams,
-                             tail_correction: bool = False) -> np.ndarray:
-    """Per-article log probability under the model, in dataset order."""
-    _require_shifted(ds)
-    return log_pmf_values(params, ds.counts, tail_correction)
-
-
 def total_log_likelihood(ds: CitationDataset, params: ModelParams,
                          tail_correction: bool = False) -> float:
     """Sum of per-article log probabilities.
@@ -74,14 +67,6 @@ def total_log_likelihood(ds: CitationDataset, params: ModelParams,
         )
         return float("-inf")
     return float(math.fsum(mult * terms))
-
-
-def aic(ll: float, k: int) -> float:
-    """Akaike information criterion ``2k - 2*ll``; with equal ``k`` its
-    ordering is exactly the reversed log-likelihood ordering."""
-    if k < 1:
-        raise DomainError(f"parameter count k must be >= 1, got {k!r}")
-    return 2.0 * k - 2.0 * ll
 
 
 def classify_winner(z: float, significant_threshold: float = DEFAULT_Z_THRESHOLD) -> Winner:

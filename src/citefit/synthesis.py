@@ -9,7 +9,7 @@ experiment is reproducible bit-for-bit from its seed on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import NamedTuple, Sequence
 
@@ -17,21 +17,13 @@ import numpy as np
 
 from .distributions import (
     DiscretisedLognormalParams,
-    HookedPowerLawParams,
+    Model,
     ModelParams,
     cdf_values,
     dln_quantile,
 )
 from .errors import DomainError
-from .fitting import (
-    CitationDataset,
-    FitConfig,
-    FitResult,
-    Model,
-    fit_hooked,
-    fit_lognormal,
-    model_of,
-)
+from .fitting import CitationDataset, FitConfig, FitResult, fit_hooked, fit_lognormal
 from .selection import (
     DEFAULT_Z_THRESHOLD,
     ComparisonResult,
@@ -90,7 +82,7 @@ class _Inversion(NamedTuple):
 
 
 def _inversion_table(params: ModelParams) -> _Inversion:
-    if isinstance(params, DiscretisedLognormalParams):
+    if params.model is Model.LOGNORMAL:
         top = dln_quantile(params, TAIL_QUANTILE)
     else:
         top = params.truncation  # truncated support; CDF reaches 1 at N
@@ -142,7 +134,7 @@ def sample(params: ModelParams, n: int, gen, label: str | None = None) -> Citati
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n!r}")
     if label is None:
-        label = f"sim:{model_of(params).value}"
+        label = f"sim:{params.model.value}"
     return _draw(_inversion_table(params), n, _as_stream(gen), label)
 
 
@@ -171,7 +163,7 @@ class RecoveryReport:
 
 
 def _param_errors(truth: ModelParams, fitted: ModelParams) -> dict[str, float]:
-    if isinstance(truth, DiscretisedLognormalParams):
+    if truth.model is Model.LOGNORMAL:
         return {
             "mu": abs(fitted.mu - truth.mu),
             "sigma": abs(fitted.sigma - truth.sigma),
@@ -202,7 +194,7 @@ def recovery_experiment(
         raise DomainError(f"recovery experiments need n >= 1000, got {n!r}")
     if not seeds:
         raise DomainError("recovery experiments need at least one seed")
-    model = model_of(truth)
+    model = truth.model
     inv = _inversion_table(truth)
     rows = []
     for seed in seeds:
@@ -210,10 +202,8 @@ def recovery_experiment(
                    f"sim:{model.value}:seed={seed}")
         fit = fit_lognormal(ds, cfg) if model is Model.LOGNORMAL else fit_hooked(ds, cfg)
         truth_eval = truth
-        if isinstance(truth, HookedPowerLawParams) and isinstance(
-                fit.params, HookedPowerLawParams):
-            truth_eval = HookedPowerLawParams(truth.alpha, truth.offset,
-                                              fit.params.truncation)
+        if model is Model.HOOKED:  # at the truncation the fit raised, if it did
+            truth_eval = replace(truth, truncation=fit.params.truncation)
         ll_truth = total_log_likelihood(ds, truth_eval, cfg.tail_correction)
         rows.append(RecoveryRow(
             seed=int(seed),

@@ -27,6 +27,29 @@ from citefit.fitting import CitationDataset, FitConfig
 from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
 
 
+SMOKE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "smoke_counts.csv")
+
+# the tables round their values, so unlike the full-precision documents they
+# hold across numpy builds
+SMOKE_COMPARE = """\
+Journal  Art.  Ln mu  Ln sigma   Ln LL  Hk alpha  Hk B   Hk LL  Vuong  Best
+Smoke A    40   2.02      1.01  -137.9       6.3  51.5  -139.0  -0.91     L
+Smoke B    40   0.72      0.90   -79.7       7.5  14.5   -79.8  -0.22     L
+"""
+SMOKE_DIAGNOSE = """\
+Journal            S1 Ln  S2 Ln  S3 Ln  S4 Ln  S1 hk  S2 hk  S3 hk  S4 hk
+Smoke A              -1%    -2%    11%    -7%    -6%    -6%    12%    -7%
+Smoke B              -1%     4%    -3%    -1%    -2%     5%    -2%    -2%
+Mean               -1.0%   1.0%   3.8%  -4.1%  -3.7%  -0.1%   4.9%  -4.1%
+Median             -1.0%   1.0%   3.8%  -4.1%  -3.7%  -0.1%   4.9%  -4.1%
+Total >0               0      1      1      0      0      1      1      0
+Total <0               2      1      1      2      2      1      1      2
+Total >1%              0      1      1      0      0      1      1      0
+Total <-1%             1      1      1      2      2      1      1      2
+Total in [-1%,1%]      1      0      0      0      0      0      0      0
+"""
+
+
 @pytest.fixture()
 def labeled_input(tmp_path):
     path = tmp_path / "counts.csv"
@@ -102,6 +125,11 @@ class TestCompareCommand:
         assert out.splitlines()[0].startswith("Journal")
         assert "Journal A" in out and "Vuong" in out
 
+    def test_smoke_fixture_table_is_pinned(self, capsys):
+        assert main(["compare", SMOKE]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == SMOKE_COMPARE and captured.err == ""
+
     def test_starred_label_appears_for_clear_winner(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         ds = sample(DiscretisedLognormalParams(3.0, 1.0), 5000, SeededGenerator(2))
@@ -131,6 +159,11 @@ class TestDiagnoseCommand:
             "Journal_A.csv", "Journal_A.svg", "Journal_B.csv", "Journal_B.svg"]
         out = capsys.readouterr().out
         assert "S1 Ln" in out and "Mean" in out
+
+    def test_smoke_fixture_table_is_pinned(self, capsys):
+        assert main(["diagnose", SMOKE]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == SMOKE_DIAGNOSE and captured.err == ""
 
     def test_extreme_count_plots_in_bounded_memory(self, tmp_path):
         # diagnostics and plots follow the distinct counts, not the largest
@@ -315,9 +348,13 @@ class TestErrorPaths:
         docs = [read_result(out / f"{label}.json") for label in ("Z1", "A", "Z2")]
         assert captured.out == render_table(docs, STYLE_PARAMETERS)
 
-    def test_count_too_large_for_memory_is_parse_error(self, tmp_path):
-        # the diagnostics' per-count table would need 745 GiB
-        child = _compare_in_capped_child(tmp_path, "1\n2\n100000000000\n")
+    @pytest.mark.parametrize("text", ["1\n2\n100000000000\n", "3\n1000000000000000\n"],
+                             ids=["1e11", "1e15"])
+    def test_count_too_large_for_memory_is_parse_error(self, tmp_path, text):
+        # the diagnostics' per-count table would need 745 GiB or 7 PiB; on
+        # the way there no warning is printed, such as numpy's inf - inf in
+        # the lognormal derivatives at the larger count
+        child = _compare_in_capped_child(tmp_path, text)
         assert child.returncode == EXIT_PARSE
         assert child.stderr.startswith("error: memory: ")
         assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
@@ -326,13 +363,12 @@ class TestErrorPaths:
     def test_table_beyond_addressable_memory_is_refused(self, tmp_path, count):
         # the hooked CDF table would pass numpy's size limit, or its length
         # would overflow int64: refused before allocating, like any table
-        # too large for memory
+        # too large for memory, and with no warning printed before
         child = _compare_in_capped_child(tmp_path, f"3\n{count}\n")
         assert child.returncode == EXIT_PARSE
-        errors = [line for line in child.stderr.splitlines()
-                  if not line.startswith("warning: ")]
-        assert errors == [f"error: memory: input too large: a hooked CDF table of "
-                          f"{count + 1} entries is beyond addressable memory"]
+        assert child.stderr.splitlines() == [
+            f"error: memory: input too large: a hooked CDF table of "
+            f"{count + 1} entries is beyond addressable memory"]
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"),
@@ -370,6 +406,28 @@ class TestDefaults:
         cfg = config_from_args(build_parser().parse_args(["compare", "x"]))
         assert cfg.fit == FitConfig()
         assert cfg == CliConfig(command="compare", input_path="x")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["simulate", "mixture", "--alpha-cap", "50", "--truncation", "20",
+          "--tail-correct", "--z-threshold", "2.5", "--segments", "3", "--timestamp",
+          "--truth", "hooked", "--mu", "1.5", "--sigma", "0.5", "--alpha", "3",
+          "--offset", "4", "--n", "2000", "--seeds", "2", "--seed", "7",
+          "--component", "1,2,3", "--component", "4,5,6", "--out", "o"],
+         CliConfig(command="simulate", simulate_kind="mixture",
+                   fit=FitConfig(alpha_cap=50.0, truncation=20, tail_correction=True),
+                   z_threshold=2.5, segments=3, timestamp=True, truth_model="hooked",
+                   mu=1.5, sigma=0.5, alpha=3.0, offset=4.0, n=2000, n_seeds=2, seed=7,
+                   components=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), out_dir="o")),
+        (["fit", "in.csv", "--format", "labeled", "--model", "hooked", "--out", "o"],
+         CliConfig(command="fit", input_path="in.csv", input_format="labeled",
+                   model="hooked", out_dir="o")),
+        (["diagnose", "in.csv", "--plot", "p"],
+         CliConfig(command="diagnose", input_path="in.csv", plot_dir="p")),
+        (["report", "a.json", "docs", "--style", "segments"],
+         CliConfig(command="report", doc_paths=("a.json", "docs"), style="segments")),
+    ], ids=["simulate", "fit", "diagnose", "report"])
+    def test_each_flag_sets_its_field(self, argv, want):
+        assert config_from_args(build_parser().parse_args(argv)) == want
 
     def test_analyze_dataset_accepts_raw_counts(self):
         raw = CitationDataset("tiny", list(range(40)))

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from citefit import data_io
 from citefit.data_io import (
     ResultDocument,
-    dumps_result,
-    loads_result,
     parse_counts,
     read_result,
     render_table,
@@ -166,10 +164,24 @@ def _document(seed=41, label="Journal X"):
     )
 
 
+def _stored(tmp_path, data, name="doc.json"):
+    """The document read back from a file holding the JSON form ``data``."""
+    path = tmp_path / name
+    data_io.write_json(data, path)
+    return read_result(path)
+
+
+def _text(tmp_path, doc, name="doc.json"):
+    """The text :func:`write_result` stores for ``doc``."""
+    path = tmp_path / name
+    write_result(doc, path)
+    return path.read_text(encoding="utf-8")
+
+
 class TestDocumentRoundTrip:
     def test_field_for_field_equality(self):
         doc = _document()
-        again = loads_result(dumps_result(doc))
+        again = data_io.from_json(ResultDocument, json.loads(json.dumps(data_io.to_json(doc))))
         assert again == doc
 
     def test_file_round_trip(self, tmp_path):
@@ -187,56 +199,65 @@ class TestDocumentRoundTrip:
         with pytest.raises(ParseError):
             read_result(path)
 
-    def test_version_error_names_both_versions(self):
+    def test_non_object_document_is_parse_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="expected an object"):
+            read_result(path)
+
+    def test_version_error_names_both_versions(self, tmp_path):
         doc = _document()
-        data = json.loads(dumps_result(doc))
+        data = json.loads(_text(tmp_path, doc))
         data["schema_version"] = 99
         with pytest.raises(SchemaVersionError, match=r"99.*1"):
-            data_io.document_from_dict(data)
+            _stored(tmp_path, data)
 
-    def test_v2_round_trip_keeps_fit_telemetry(self):
+    def test_v2_round_trip_keeps_fit_telemetry(self, tmp_path):
         doc = _document()
-        data = json.loads(dumps_result(doc))
+        data = json.loads(_text(tmp_path, doc))
         assert data["schema_version"] == data_io.SCHEMA_VERSION == 2
         for model in ("lognormal", "hooked"):
             trace = data[model]["trace"]
             assert isinstance(trace["evaluations"], int) and trace["evaluations"] > 0
             assert trace["exit_reason"] in EXIT_REASONS
             assert "restarts" not in trace
-        assert data_io.document_from_dict(data) == doc
+        assert _stored(tmp_path, data) == doc
 
-    def test_v1_document_still_reads(self):
+    def test_v1_document_still_reads(self, tmp_path):
         # version 1 traces described the simplex search; its fields are
         # dropped and the telemetry it lacked loads as None
-        data = json.loads(dumps_result(_document()))
+        data = json.loads(_text(tmp_path, _document()))
         data["schema_version"] = 1
         for model in ("lognormal", "hooked"):
             trace = data[model]["trace"]
             del trace["evaluations"], trace["exit_reason"]
             trace.update(final_ll_spread=1e-12, final_simplex_diameter=5e-7, restarts=1)
-        doc = data_io.document_from_dict(data)
+        doc = _stored(tmp_path, data)
         assert doc.hooked.trace.evaluations is None
         assert doc.lognormal.trace.exit_reason is None
         assert doc.schema_version == data_io.SCHEMA_VERSION
         # it is written back as a version 2 document and reads the same
-        assert loads_result(dumps_result(doc)) == doc
-        assert json.loads(dumps_result(doc))["schema_version"] == 2
+        text = _text(tmp_path, doc, "again.json")
+        assert read_result(tmp_path / "again.json") == doc
+        assert json.loads(text)["schema_version"] == 2
 
-    def test_nan_z_round_trips_as_null(self):
+    def test_nan_z_round_trips_as_null(self, tmp_path):
         from citefit.selection import ComparisonResult, Winner
 
         doc = ResultDocument(
             label="tie", n_articles=4,
             comparison=ComparisonResult(-1.0, -1.0, float("nan"), float("nan"),
                                         Winner.UNDEFINED, 4))
-        again = loads_result(dumps_result(doc))
+        write_result(doc, tmp_path / "doc.json")
+        again = read_result(tmp_path / "doc.json")
         assert math.isnan(again.comparison.vuong_z)
         assert again.comparison.winner is Winner.UNDEFINED
 
-    def test_label_preserved_byte_for_byte(self):
+    def test_label_preserved_byte_for_byte(self, tmp_path):
         label = "Ann. Phys. (Berl.), Sect. B/2 édition"
         doc = _document(label=label)
-        assert loads_result(dumps_result(doc)).label == label
+        write_result(doc, tmp_path / "doc.json")
+        assert read_result(tmp_path / "doc.json").label == label
 
 
 def _tiny_document():
@@ -256,7 +277,7 @@ def _v1_document():
     data["schema_version"] = 1
     for model in ("lognormal", "hooked"):
         del data[model]["trace"]["evaluations"], data[model]["trace"]["exit_reason"]
-    return data_io.document_from_dict(data)
+    return data_io.from_json(ResultDocument, data)
 
 
 # every type the codec persists, in the shapes that need its explicit rules
@@ -312,8 +333,8 @@ class TestCodec:
         if case != "undefined_winner_nan_z":  # NaN is not equal to itself
             assert back == value
 
-    def test_pinned_layout(self):
-        assert dumps_result(_tiny_document()) == TINY_DOCUMENT_TEXT
+    def test_pinned_layout(self, tmp_path):
+        assert _text(tmp_path, _tiny_document()) == TINY_DOCUMENT_TEXT
         assert json.dumps(data_io.to_json(_capped_fit())) == CAPPED_FIT_JSON
         assert data_io.from_json(FitResult, json.loads(CAPPED_FIT_JSON)) == _capped_fit()
 
@@ -333,11 +354,11 @@ class TestCodec:
         lambda d: d["lognormal_diagnostics"].update(segments=3),
         lambda d: d["hooked_diagnostics"].update(model="custom"),
     ])
-    def test_malformed_document_is_parse_error(self, mutate):
+    def test_malformed_document_is_parse_error(self, tmp_path, mutate):
         data = data_io.to_json(_document())
         mutate(data)
         with pytest.raises(ParseError, match="malformed"):
-            data_io.document_from_dict(data)
+            _stored(tmp_path, data)
 
 
 class TestRenderParameters:

@@ -14,7 +14,7 @@ from citefit.diagnostics import (
 )
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.errors import DomainError, OutputError
-from citefit.fitting import CitationDataset, fit_lognormal, model_of
+from citefit.fitting import CitationDataset, fit_lognormal
 from citefit.synthesis import SeededGenerator, sample
 from oracles import dense_empirical_cdf, dense_plot_table, dense_segment_differences
 
@@ -118,7 +118,7 @@ class TestSegmentDifferences:
                        DiscretisedLognormalParams(-20.0, 0.5)):
             diag = segment_differences(ds, params, segs)
             assert diag.signed_max_diff == (0.0, 0.0, 0.0, 0.0)
-            assert diag.model is model_of(params)
+            assert diag.model is params.model
 
     def test_sign_convention_model_above_empirical(self):
         # a model whose CDF exceeds the empirical everywhere reports negative

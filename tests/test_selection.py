@@ -1,4 +1,4 @@
-"""Tests for log-likelihood totals, AIC, the Vuong test and winner labels."""
+"""Tests for log-likelihood totals, the Vuong test and winner labels."""
 
 import math
 import re
@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
+from citefit.distributions import (
+    DiscretisedLognormalParams,
+    HookedPowerLawParams,
+    log_pmf_values,
+)
 from citefit.errors import DomainError
 from citefit.fitting import CitationDataset, fit_hooked, fit_lognormal
 from citefit.selection import (
     Winner,
-    aic,
     classify_winner,
-    pointwise_log_likelihood,
     total_log_likelihood,
     vuong_test,
 )
@@ -59,35 +61,13 @@ class TestTotalLogLikelihood:
     def test_equals_sum_of_pointwise_terms(self, params):
         ds = sample(params, 20000, SeededGenerator(5))
         for tail in (False, True):
-            want = math.fsum(pointwise_log_likelihood(ds, params, tail))
+            want = math.fsum(log_pmf_values(params, ds.counts, tail))
             assert total_log_likelihood(ds, params, tail) == pytest.approx(want, rel=1e-12)
 
     def test_requires_shifted(self):
         with pytest.raises(DomainError):
             total_log_likelihood(CitationDataset("x", [0, 1]),
                                  DiscretisedLognormalParams(0.0, 1.0))
-
-
-class TestAic:
-    def test_reference_arithmetic(self):
-        assert aic(-4490.0, 2) == 8984.0
-
-    def test_zero_case(self):
-        assert aic(0.0, 2) == 4.0
-
-    def test_k_floor(self):
-        with pytest.raises(DomainError):
-            aic(0.0, 0)
-
-    @given(st.floats(min_value=-1e8, max_value=1e8),
-           st.floats(min_value=-1e8, max_value=1e8))
-    def test_ordering_equivalence_at_equal_k(self, ll_a, ll_b):
-        # float rounding can collapse sub-resolution differences into AIC
-        # ties, so the equivalence is one strict and one non-strict arrow
-        if aic(ll_a, 2) < aic(ll_b, 2):
-            assert ll_a > ll_b
-        if ll_a > ll_b:
-            assert aic(ll_a, 2) <= aic(ll_b, 2)
 
 
 class TestClassifyWinner:
@@ -189,8 +169,8 @@ class TestVuongTest:
         ds = sample(DiscretisedLognormalParams(2.5, 1.1), 3000, SeededGenerator(seed))
         hk = HookedPowerLawParams(4.0, 20.0, 10000)
         ln = DiscretisedLognormalParams(2.4, 1.0)
-        lp_h = pointwise_log_likelihood(ds, hk)
-        lp_l = pointwise_log_likelihood(ds, ln)
+        lp_h = log_pmf_values(hk, ds.counts)
+        lp_l = log_pmf_values(ln, ds.counts)
         ll_h, ll_l = math.fsum(lp_h), math.fsum(lp_l)
         z = (ll_h - ll_l) / (math.sqrt(len(ds)) * float(np.std(lp_h - lp_l, ddof=1)))
         result = vuong_test(ds, hk, ln)
