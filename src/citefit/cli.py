@@ -130,16 +130,12 @@ def analyze_dataset(raw: CitationDataset, cfg: CliConfig,
     if cfg.model in ("hooked", "both"):
         fit_hk = fit_hooked(ds, cfg.fit)
     if fit_ln and fit_hk:
-        comparison = selection.vuong_test(
-            ds, fit_hk.params, fit_ln.params, cfg.z_threshold,
-            cfg.fit.tail_correction)
+        comparison = selection.vuong_test(ds, fit_hk.params, fit_ln.params, cfg.z_threshold)
     segments = diagnostics.make_segments(int(ds.counts.max()) - 1, cfg.segments)
     if fit_ln:
-        diag_ln = diagnostics.segment_differences(
-            ds, fit_ln.params, segments, cfg.fit.tail_correction)
+        diag_ln = diagnostics.segment_differences(ds, fit_ln.params, segments)
     if fit_hk:
-        diag_hk = diagnostics.segment_differences(
-            ds, fit_hk.params, segments, cfg.fit.tail_correction)
+        diag_hk = diagnostics.segment_differences(ds, fit_hk.params, segments)
     return data_io.ResultDocument(
         label=ds.label,
         n_articles=len(ds),
@@ -213,7 +209,7 @@ def _write_plots(docs, datasets, cfg: CliConfig) -> list[str]:
             models.append(("lognormal", doc.lognormal.params))
         if doc.hooked:
             models.append(("hooked", doc.hooked.params))
-        series = diagnostics.plot_series(ds, models, cfg.fit.tail_correction)
+        series = diagnostics.plot_series(ds, models)
         path = os.path.join(cfg.plot_dir, _slug(doc.label, taken) + ".svg")
         series.write(path)
         paths.append(path)

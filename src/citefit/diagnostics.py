@@ -113,7 +113,6 @@ def segment_differences(
     ds: CitationDataset,
     params: ModelParams,
     segments: Sequence[SegmentSpec],
-    tail_correction: bool = False,
 ) -> SegmentDiagnostics:
     """Signed maximum CDF difference (empirical minus model) per segment.
 
@@ -123,7 +122,7 @@ def segment_differences(
     """
     _require_shifted(ds)
     xs = _knots(ds, segments)
-    d = empirical_cdf(ds, xs) - cdf_values(params, xs, tail_correction)
+    d = empirical_cdf(ds, xs) - cdf_values(params, xs)
     diffs: list[float] = []
     for seg in segments:
         if seg.empty:
@@ -254,7 +253,6 @@ def _xml_escape(text: str) -> str:
 def plot_series(
     ds: CitationDataset,
     models: Sequence[tuple[str, ModelParams]],
-    tail_correction: bool = False,
 ) -> PlotSeries:
     """Build the empirical-vs-model cumulative curves for one dataset.
 
@@ -266,5 +264,5 @@ def plot_series(
         raise DomainError("plot_series needs at least one model")
     xs = _knots(ds)
     columns = [("empirical", empirical_cdf(ds, xs))]
-    columns += [(name, cdf_values(params, xs, tail_correction)) for name, params in models]
+    columns += [(name, cdf_values(params, xs)) for name, params in models]
     return PlotSeries(ds.label, xs, tuple(columns))

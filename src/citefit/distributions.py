@@ -5,7 +5,8 @@ Hooked (offset) power law, the discrete Lomax analogue::
     h(n) = (B + n)**(-alpha) / sum_{k=1..N} (B + k)**(-alpha)
 
 with exponent ``alpha``, head offset ``B`` and a truncated normalization of
-length ``N`` (optionally completed by an integral tail bound).  The
+length ``N`` (completed by an integral tail bound where the record sets its
+``tail_correction`` flag).  The
 normalization is an exact log-domain sum over at most the first 125 or so
 terms plus an Euler-Maclaurin remainder for the rest, so its cost does not
 grow with ``N`` and it agrees with the term-by-term sum to about 1e-15
@@ -58,7 +59,8 @@ class Model(str, Enum):
 
 @dataclass(frozen=True)
 class HookedPowerLawParams:
-    """Exponent, head offset and normalization length of the hooked model.
+    """Exponent, head offset and normalization length of the hooked model,
+    and whether that normalization adds the integral tail bound (for ``alpha > 1``).
 
     ``alpha <= alpha_cap`` (default 10000) is enforced at fitting time, where
     the cap is configurable; construction only requires admissible values.
@@ -68,6 +70,7 @@ class HookedPowerLawParams:
     alpha: float
     offset: float
     truncation: int = DEFAULT_TRUNCATION
+    tail_correction: bool = False
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -194,8 +197,7 @@ def _hooked_log_total(terms: np.ndarray, alpha: float, offset: float, truncation
     return total
 
 
-def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams,
-                       tail_correction: bool) -> tuple[np.ndarray, float]:
+def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams) -> tuple[np.ndarray, float]:
     """Log masses at the support points ``ns`` and the log of the
     normalization over its first term, from one pass over one buffer.
 
@@ -209,12 +211,12 @@ def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams,
     """
     b1 = float(params.offset) + 1.0
     if b1 < 1e300 and params.alpha > 1e-300 * b1:
-        return _hooked_pass(ns, params, tail_correction)
+        return _hooked_pass(ns, params)
     with np.errstate(under="ignore"):  # k / (B + 1), or alpha times its logarithm, could underflow
-        return _hooked_pass(ns, params, tail_correction)
+        return _hooked_pass(ns, params)
 
 
-def _hooked_pass(ns, params, tail_correction):
+def _hooked_pass(ns, params):
     """:func:`_hooked_log_masses` under the caller's floating-point error state."""
     alpha, offset, truncation = params.alpha, params.offset, params.truncation
     head, rest = _hooked_head(alpha, offset, truncation)
@@ -225,7 +227,7 @@ def _hooked_pass(ns, params, tail_correction):
     np.log1p(buf, out=buf)
     buf *= -alpha
     log_norm = _hooked_log_total(buf[:head], alpha, offset, truncation, rest,
-                                 bool(tail_correction))
+                                 params.tail_correction)
     points -= log_norm
     return points, log_norm
 
@@ -241,7 +243,7 @@ def _hooked_log_rel_tail(alpha: float, offset: float, truncation: int) -> float:
             - alpha * math.log1p((truncation - 0.5) / (offset + 1.0)))
 
 
-def hooked_log_norm(params: HookedPowerLawParams, tail_correction: bool = False) -> float:
+def hooked_log_norm(params: HookedPowerLawParams) -> float:
     """Log of the hooked normalization sum ``sum_{n=1..N} (B + n)**(-alpha)``.
 
     Computed in the log domain with the leading term factored out, so it
@@ -252,13 +254,12 @@ def hooked_log_norm(params: HookedPowerLawParams, tail_correction: bool = False)
     Euler-Maclaurin expansion with six Bernoulli corrections, so the cost is
     independent of ``N`` while the result stays the truncated sum, within
     about 1e-15 relative (absolute log error ~3e-11 at ``|alpha ln(B + 1)|``
-    near 1.6e5, the rounding of the leading term itself).  With
-    ``tail_correction`` and ``alpha > 1`` the integral bound on the dropped
-    tail is added, making the normalization effectively untruncated.
+    near 1.6e5, the rounding of the leading term itself).  Where the record
+    sets ``tail_correction`` and ``alpha > 1`` the integral bound on the
+    dropped tail is added, making the normalization effectively untruncated.
     """
     b1 = float(params.offset) + 1.0  # a Python float overflows to inf without a warning
-    return -params.alpha * math.log(b1) + _hooked_log_masses(
-        np.empty(0), params, tail_correction)[1]
+    return -params.alpha * math.log(b1) + _hooked_log_masses(np.empty(0), params)[1]
 
 
 def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
@@ -275,7 +276,7 @@ def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
 
 
 def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
-                         tail_correction: bool, log_norm: float | None = None):
+                         log_norm: float | None = None):
     """Partial derivatives of each log mass in ``ln alpha`` and ``ln(B + 1)``.
 
     In ``B`` the normalization's derivative is exact,
@@ -291,7 +292,7 @@ def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
     """
     alpha, offset, truncation = params.alpha, params.offset, params.truncation
     b1 = float(offset) + 1.0
-    tail = bool(tail_correction) and alpha > 1
+    tail = params.tail_correction and alpha > 1
     h = 1e-5 * alpha
     heads = {a: _hooked_head(a, offset, truncation)
              for a in (alpha - h, alpha + h, alpha + 1.0, alpha)}
@@ -518,8 +519,7 @@ def _support(params: ModelParams, ns) -> np.ndarray:
     return ns
 
 
-def log_pmf_values(params: ModelParams, ns: np.ndarray,
-                   tail_correction: bool = False) -> np.ndarray:
+def log_pmf_values(params: ModelParams, ns: np.ndarray) -> np.ndarray:
     """Vectorized log PMF for either model over integer support points.
 
     ``ns`` is only read: the result is always a new array."""
@@ -527,17 +527,16 @@ def log_pmf_values(params: ModelParams, ns: np.ndarray,
     if isinstance(params, HookedPowerLawParams):
         ns = ns.astype(np.float64, copy=False)
         if ns.ndim == 1:
-            return _hooked_log_masses(ns, params, tail_correction)[0]
+            return _hooked_log_masses(ns, params)[0]
         # the pass works on one flat buffer; a 0-d ns gives a scalar
-        flat, _ = _hooked_log_masses(ns.reshape(-1), params, tail_correction)
+        flat, _ = _hooked_log_masses(ns.reshape(-1), params)
         return flat.reshape(ns.shape)[()]
     if isinstance(params, DiscretisedLognormalParams):
         return _dln_log_pmf_array(ns, params)
     raise TypeError(f"unknown parameter type {type(params)!r}")
 
 
-def cdf_values(params: ModelParams, ns: np.ndarray,
-               tail_correction: bool = False) -> np.ndarray:
+def cdf_values(params: ModelParams, ns: np.ndarray) -> np.ndarray:
     """Vectorized CDF for either model over integer support points."""
     ns = _support(params, ns)
     if isinstance(params, HookedPowerLawParams):
@@ -549,8 +548,7 @@ def cdf_values(params: ModelParams, ns: np.ndarray,
             raise MemoryError(f"a hooked CDF table of {top} entries is beyond "
                               "addressable memory")
         with np.errstate(under="ignore"):
-            table, _ = _hooked_log_masses(np.arange(1, top + 1, dtype=np.float64),
-                                          params, tail_correction)
+            table, _ = _hooked_log_masses(np.arange(1, top + 1, dtype=np.float64), params)
             np.exp(table, out=table)
         np.cumsum(table, out=table)
         np.minimum(table, 1.0, out=table)  # cumsum dust may poke above 1
@@ -565,28 +563,25 @@ def cdf_values(params: ModelParams, ns: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def hooked_log_pmf(n: int, params: HookedPowerLawParams,
-                   tail_correction: bool = False) -> float:
+def hooked_log_pmf(n: int, params: HookedPowerLawParams) -> float:
     """Log probability mass ``-alpha*ln(B + n) - ln(normalization)``."""
-    return float(log_pmf_values(params, np.asarray([n]), tail_correction)[0])
+    return float(log_pmf_values(params, np.asarray([n]))[0])
 
 
-def hooked_cdf(n: int, params: HookedPowerLawParams,
-               tail_correction: bool = False) -> float:
+def hooked_cdf(n: int, params: HookedPowerLawParams) -> float:
     """Cumulative mass ``sum_{k=1..n} h(k)``.
 
     With the default truncated normalization it reaches 1 at ``n = N``;
     with ``tail_correction`` the analytic tail mass remains above ``N``.
     """
-    return float(cdf_values(params, np.asarray([n]), tail_correction)[0])
+    return float(cdf_values(params, np.asarray([n]))[0])
 
 
-def hooked_quantile(params: HookedPowerLawParams, q: float,
-                    tail_correction: bool = False) -> int:
+def hooked_quantile(params: HookedPowerLawParams, q: float) -> int:
     """Smallest support point with cumulative mass >= q (capped at N)."""
     if not 0.0 < q < 1.0 + 1e-15:
         raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
-    table = cdf_values(params, np.arange(1, params.truncation + 1), tail_correction)
+    table = cdf_values(params, np.arange(1, params.truncation + 1))
     return min(int(np.searchsorted(table, q, side="left")), params.truncation - 1) + 1
 
 

@@ -216,8 +216,8 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
     optimum; a step that finds no gain is retried as steepest ascent.  The
     search converges once the full step stays in the box and its predicted
     gain is negligible, so a rising ridge is followed onto its bound, or once
-    even steepest ascent finds no gain; ``converged`` is false only if
-    ``max_iter`` ran out first.
+    even steepest ascent finds no gain; ``converged`` is false if
+    ``max_iter`` ran out first or the log-likelihood is not finite.
     """
     x = [min(max(x[i], lower[i]), upper[i]) for i in (0, 1)]
     ll, g = loglik(x), gradient(x)
@@ -270,7 +270,7 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
             # gradient points back into the box, or stop
             freed = [i for i in (0, 1) if held[i] and g[i] != 0.0 and not against(i)]
             if not freed:
-                return _Search(x, ll, g, ll_start, iterations, evals, True)
+                return _Search(x, ll, g, ll_start, iterations, evals, math.isfinite(ll))
             held, hess = [held[i] and i not in freed for i in (0, 1)], None
             continue
         g_trial = gradient(trial)
@@ -367,21 +367,31 @@ def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
     distinct counts and their multiplicities, and package its end point.
 
     A search that converged with a parameter on its bound exits for that
-    bound; ``alpha_capped`` and ``at_sigma_floor`` name which.
+    bound; ``alpha_capped`` and ``at_sigma_floor`` name which.  A search whose
+    log-likelihood is not finite has no exit reason; its trace names the
+    counts the model gives no mass.
     """
     _require_shifted(ds)
     warnings_ = ()
     if len(ds) < _MIN_WARN_SIZE:
         warnings_ = (f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})",)
-    p = problem(ds, cfg, *_compressed(ds))
+    values, mult = _compressed(ds)
+    p = problem(ds, cfg, values, mult)
     search = _maximize_box(p.loglik, p.gradient, p.start, p.lower, p.upper,
                            _MAX_ITERATIONS, curvature=p.curvature)
-    bound = p.bound(search)
     params = p.params_at(search.x)
+    if math.isfinite(search.ll):
+        bound = p.bound(search)
+        exit_reason = (bound or "converged") if search.converged else "budget"
+    else:
+        bound = exit_reason = None
+        zero = ds.distinct[0][np.isneginf(log_pmf_values(params, values))]
+        warnings_ += (f"zero model probability at shifted counts {zero.tolist()}; "
+                      "log-likelihood is -inf",)
     trace = FitTrace(
         init_log_likelihood=search.ll_start,
         evaluations=search.evaluations,
-        exit_reason="budget" if not search.converged else bound or "converged",
+        exit_reason=exit_reason,
         at_sigma_floor=bound == "sigma_floor",
         truncation_raised=p.truncation_raised,
         warnings=warnings_ + p.warnings,
@@ -493,8 +503,8 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
     for la in ln_alphas[::-1].tolist():
         alpha = math.exp(la)
         for offset in offsets:
-            params = HookedPowerLawParams(alpha, offset, truncation)
-            ll = float(mult.dot(log_pmf_values(params, values, cfg.tail_correction)))
+            params = HookedPowerLawParams(alpha, offset, truncation, cfg.tail_correction)
+            ll = float(mult.dot(log_pmf_values(params, values)))
             if best is None or ll > best[0]:
                 best = (ll, params)
     return best[1]
@@ -518,7 +528,7 @@ def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Probl
 
     def params_at(x) -> HookedPowerLawParams:
         alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
-        return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation)
+        return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation, cfg.tail_correction)
 
     # the search asks for the gradient at the point it has just scored; the
     # mass at 1, scored beside the data, is the normalization there
@@ -526,14 +536,13 @@ def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Probl
     scored = [None, None]  # a point and its log normalization over the first term
 
     def loglik(x):
-        logp = log_pmf_values(params_at(x), points, cfg.tail_correction)
+        logp = log_pmf_values(params_at(x), points)
         scored[:] = list(x), -logp[-1]
         return float(mult.dot(logp[:-1]))
 
     def gradient(x):
         log_norm = scored[1] if scored[0] == list(x) else None
-        d_ln_alpha, d_ln_b1 = _hooked_log_pmf_grad(values, params_at(x),
-                                                   cfg.tail_correction, log_norm)
+        d_ln_alpha, d_ln_b1 = _hooked_log_pmf_grad(values, params_at(x), log_norm)
         return float(mult @ d_ln_alpha), float(mult @ d_ln_b1)
 
     init = init_hooked(ds, cfg)

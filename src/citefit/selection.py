@@ -44,8 +44,7 @@ class ComparisonResult:
     n_articles: int
 
 
-def total_log_likelihood(ds: CitationDataset, params: ModelParams,
-                         tail_correction: bool = False) -> float:
+def total_log_likelihood(ds: CitationDataset, params: ModelParams) -> float:
     """Sum of per-article log probabilities.
 
     The model is evaluated once per distinct count and each term weighted by
@@ -56,7 +55,7 @@ def total_log_likelihood(ds: CitationDataset, params: ModelParams,
     """
     _require_shifted(ds)
     values, mult = ds.distinct
-    terms = log_pmf_values(params, values, tail_correction)
+    terms = log_pmf_values(params, values)
     zero = np.isneginf(terms)
     if zero.any():
         _warnings.warn(
@@ -94,7 +93,6 @@ def vuong_test(
     hooked_params: ModelParams,
     lognormal_params: ModelParams,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
-    tail_correction: bool = False,
 ) -> ComparisonResult:
     """Non-nested model comparison via pointwise log-likelihood ratios.
 
@@ -115,8 +113,8 @@ def vuong_test(
     _require_shifted(ds)
     n = len(ds)
     values, mult = ds.distinct
-    lp_h = log_pmf_values(hooked_params, values, tail_correction)
-    lp_l = log_pmf_values(lognormal_params, values, tail_correction)
+    lp_h = log_pmf_values(hooked_params, values)
+    lp_l = log_pmf_values(lognormal_params, values)
     ll_h = math.fsum(mult * lp_h)
     ll_l = math.fsum(mult * lp_l)
     m = lp_h - lp_l

@@ -202,9 +202,10 @@ def recovery_experiment(
                    f"sim:{model.value}:seed={seed}")
         fit = fit_lognormal(ds, cfg) if model is Model.LOGNORMAL else fit_hooked(ds, cfg)
         truth_eval = truth
-        if model is Model.HOOKED:  # at the truncation the fit raised, if it did
-            truth_eval = replace(truth, truncation=fit.params.truncation)
-        ll_truth = total_log_likelihood(ds, truth_eval, cfg.tail_correction)
+        if model is Model.HOOKED:  # the fit's law: its truncation, raised or not, and tail
+            truth_eval = replace(truth, truncation=fit.params.truncation,
+                                 tail_correction=fit.params.tail_correction)
+        ll_truth = total_log_likelihood(ds, truth_eval)
         rows.append(RecoveryRow(
             seed=int(seed),
             fitted=fit.params,
@@ -296,6 +297,5 @@ def mixture_experiment(
     ds, sizes = sample_mixture(spec, n, gen)
     ln_fit = fit_lognormal(ds, cfg)
     hk_fit = fit_hooked(ds, cfg)
-    comparison = vuong_test(ds, hk_fit.params, ln_fit.params, z_threshold,
-                            cfg.tail_correction)
+    comparison = vuong_test(ds, hk_fit.params, ln_fit.params, z_threshold)
     return MixtureReport(spec, n, gen.seed, sizes, ln_fit, hk_fit, comparison)

@@ -169,7 +169,7 @@ def dense_empirical_cdf(counts):
     return np.cumsum(freq) / len(counts)
 
 
-def dense_segment_differences(ds, params, segments, tail_correction=False):
+def dense_segment_differences(ds, params, segments):
     """The signed maximum empirical-minus-model CDF difference of each
     segment, evaluated at every integer of the segment (the per-integer
     algorithm that the knot evaluation replaced); empty segments give 0."""
@@ -180,17 +180,17 @@ def dense_segment_differences(ds, params, segments, tail_correction=False):
             diffs.append(0.0)
             continue
         xs = np.arange(seg.start, seg.end + 1, dtype=np.int64)
-        d = emp[xs - 1] - cdf_values(params, xs, tail_correction)
+        d = emp[xs - 1] - cdf_values(params, xs)
         diffs.append(float(d[np.argmax(np.abs(d))]))
     return tuple(diffs)
 
 
-def dense_plot_table(ds, models, tail_correction=False):
+def dense_plot_table(ds, models):
     """Plot rows at every integer x from 1 to the largest count: row
     ``x - 1`` holds the empirical CDF and then each model's CDF at x."""
     xs = np.arange(1, int(ds.counts.max()) + 1, dtype=np.int64)
     columns = [dense_empirical_cdf(ds.counts)]
-    columns += [cdf_values(params, xs, tail_correction) for params in models]
+    columns += [cdf_values(params, xs) for params in models]
     return np.column_stack(columns)
 
 

@@ -96,11 +96,9 @@ def test_criterion_3_normalization_with_tail_handling():
                       "its effective support", budget_s=30):
         for alpha in ALPHA_GRID:
             for offset in OFFSET_GRID:
-                params = HookedPowerLawParams(alpha, offset, 10000)
-                body = float(np.exp(log_pmf_values(
-                    params, np.arange(1, 10001), tail_correction=True)).sum())
-                tail = math.exp(hooked_log_tail_mass(params)
-                                - cf.hooked_log_norm(params, tail_correction=True))
+                params = HookedPowerLawParams(alpha, offset, 10000, tail_correction=True)
+                body = float(np.exp(log_pmf_values(params, np.arange(1, 10001))).sum())
+                tail = math.exp(hooked_log_tail_mass(params) - cf.hooked_log_norm(params))
                 assert abs(body + tail - 1.0) <= 1e-6, (alpha, offset, body, tail)
         for mu in MU_GRID:
             for sigma in SIGMA_GRID:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citefit
 from citefit import synthesis
@@ -23,7 +25,8 @@ from citefit.cli import (
 )
 from citefit.data_io import STYLE_PARAMETERS, from_json, read_result, render_table
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
-from citefit.fitting import CitationDataset, FitConfig
+from citefit.fitting import CitationDataset, FitConfig, shift_counts
+from citefit.selection import total_log_likelihood
 from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
 
 
@@ -91,6 +94,36 @@ class TestFitCommand:
         assert doc.provenance["input_sha256"] == hashlib.sha256(
             labeled_input.read_bytes()).hexdigest()
         assert "created" not in doc.provenance  # timestamps are opt-in
+
+    def test_tail_corrected_document_scores_to_its_log_likelihood(self, tmp_path):
+        # the stored hooked record names the tail-corrected law it was fitted
+        # under, so scoring it after reading it back gives the stored value
+        counts = SeededGenerator(11).stream().zipf(2.2, 3000) - 1
+        path = tmp_path / "zipf.txt"
+        path.write_text("".join(f"{c}\n" for c in counts))
+        out = tmp_path / "out"
+        assert main(["fit", str(path), "--tail-correct", "--out", str(out)]) == EXIT_OK
+        doc = read_result(out / "zipf.json")
+        assert doc.hooked.params.tail_correction is True
+        assert doc.provenance["config"]["tail_correction"] is True
+        ds = shift_counts(CitationDataset("zipf", counts))
+        for fit in (doc.hooked, doc.lognormal):
+            assert total_log_likelihood(ds, fit.params) == pytest.approx(
+                fit.log_likelihood, rel=1e-12)
+        assert doc.comparison.ll_hooked == pytest.approx(doc.hooked.log_likelihood, rel=1e-12)
+
+    def test_zero_mass_count_is_stored_as_not_converged(self, tmp_path, capsys):
+        # the lognormal gives a count of 1e15 no mass at any parameters
+        path = tmp_path / "big.txt"
+        path.write_text("3\n1000000000000000\n")
+        out = tmp_path / "out"
+        argv = ["fit", str(path), "--model", "lognormal", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        fit = read_result(out / "big.json").lognormal
+        assert fit.log_likelihood == -float("inf") and not fit.converged
+        assert fit.trace.exit_reason is None
+        assert "zero model probability at shifted counts [1000000000000001]" in (
+            fit.trace.warnings[-1])
 
     def test_input_is_read_in_one_pass(self, tmp_path):
         # CRLF rows, multi-byte labels and a file far larger than one read
@@ -374,6 +407,51 @@ class TestErrorPaths:
         assert main(["fit", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
         assert "error: io:" in capsys.readouterr().err
+
+
+_EXIT_CODES = (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_IO)
+
+# labels free of the characters that end a line when the input is read
+_LABELS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                  max_size=6)
+
+
+class TestBoundary:
+    """Whatever the input, ``main`` returns one of the documented exit
+    codes and raises nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(_LABELS, st.integers(0, 10**6)), min_size=1, max_size=40),
+           tail=st.booleans())
+    def test_labeled_rows(self, tmp_path_factory, rows, tail):
+        path = tmp_path_factory.mktemp("rows") / "counts.csv"
+        path.write_text("".join(f"{label},{count}\n" for label, count in rows),
+                        encoding="utf-8")
+        argv = ["compare", str(path), "--format", "labeled"] + ["--tail-correct"] * tail
+        assert main(argv) in _EXIT_CODES
+
+    def test_arbitrary_bytes(self, tmp_path):
+        # in a child with a capped address space: bytes that happen to spell
+        # a huge count must fail to allocate, not fill the memory of the host
+        pytest.importorskip("resource")
+        script = (
+            "import os, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from hypothesis import given, settings, strategies as st\n"
+            "from citefit.cli import main\n"
+            "path = os.path.join(sys.argv[1], 'input')\n"
+            "@settings(max_examples=50, deadline=None, database=None)\n"
+            "@given(st.binary(max_size=300))\n"
+            "def run(data):\n"
+            "    with open(path, 'wb') as fh:\n"
+            "        fh.write(data)\n"
+            f"    assert main(['compare', path]) in {_EXIT_CODES!r}\n"
+            "run()\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
+        child = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
 
 
 def _compare_in_capped_child(tmp_path, text: str):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,20 @@ class TestDocumentRoundTrip:
         assert read_result(tmp_path / "again.json") == doc
         assert json.loads(text)["schema_version"] == 2
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_hooked_params_without_tail_flag_read_as_truncated(self, tmp_path, version):
+        # documents written before the record carried its tail flag describe
+        # the truncated law; the current layout holds the flag after truncation
+        doc = _document()
+        data = json.loads(_text(tmp_path, doc))
+        params = data["hooked"]["params"]
+        assert list(params) == ["kind", "alpha", "offset", "truncation", "tail_correction"]
+        assert params.pop("tail_correction") is False
+        data["schema_version"] = version
+        back = _stored(tmp_path, data)
+        assert back.hooked.params.tail_correction is False
+        assert back.hooked.params == doc.hooked.params
+
     def test_nan_z_round_trips_as_null(self, tmp_path):
         from citefit.selection import ComparisonResult, Winner
 
@@ -288,6 +303,8 @@ ROUND_TRIP_CASES = {
     "named_diagnostics_model": lambda: (SegmentDiagnostics, SegmentDiagnostics(
         Model.HOOKED, (SegmentSpec(1, 1, 3), SegmentSpec(2, 4, 9, empty=True)), (0.125, 0.0))),
     "version_1": lambda: (ResultDocument, _v1_document()),
+    "tail_corrected_hooked": lambda: (FitResult, replace(
+        _capped_fit(), params=HookedPowerLawParams(2.5, 1.0, 100, tail_correction=True))),
     "recovery_lognormal": lambda: (RecoveryReport, recovery_experiment(
         DiscretisedLognormalParams(2.0, 1.0), 1000, seeds=[3, 4])),
     "recovery_hooked": lambda: (RecoveryReport, recovery_experiment(
@@ -317,7 +334,7 @@ TINY_DOCUMENT_TEXT = """{
 """
 CAPPED_FIT_JSON = (
     '{"model": "hooked", "params": {"kind": "hooked", "alpha": 2.5, "offset": 1.0, '
-    '"truncation": 100}, "log_likelihood": -4.0, "converged": false, '
+    '"truncation": 100, "tail_correction": false}, "log_likelihood": -4.0, "converged": false, '
     '"alpha_capped": true, "iterations": 7, "n_articles": 3, "trace": '
     '{"init_log_likelihood": -4.25, "evaluations": 9, "exit_reason": "cap", '
     '"at_sigma_floor": false, "truncation_raised": false, "warnings": ["w"]}}')

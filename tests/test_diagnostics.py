@@ -32,12 +32,13 @@ _lognormals = st.builds(DiscretisedLognormalParams,
                         st.floats(min_value=0.05, max_value=4.0))
 
 
-def _hooked_for(ds):
+def _hooked_for(ds, tail_correction=False):
     top = int(ds.counts.max())
     return st.builds(HookedPowerLawParams,
                      st.floats(min_value=0.3, max_value=10000.0),
                      st.floats(min_value=0.0, max_value=1e5),
-                     st.integers(min_value=top, max_value=2 * top + 10))
+                     st.integers(min_value=top, max_value=2 * top + 10),
+                     st.just(tail_correction))
 
 
 class TestEmpiricalCdf:
@@ -160,10 +161,9 @@ class TestSegmentDifferences:
         # the knots give, bit for bit, the per-integer algorithm's extremes
         ds = _shifted(counts)
         segs = make_segments(int(ds.counts.max()) - 1, k)
-        for params in (data.draw(_lognormals), data.draw(_hooked_for(ds))):
-            diag = segment_differences(ds, params, segs, tail_correction)
-            assert diag.signed_max_diff == dense_segment_differences(
-                ds, params, segs, tail_correction)
+        for params in (data.draw(_lognormals), data.draw(_hooked_for(ds, tail_correction))):
+            diag = segment_differences(ds, params, segs)
+            assert diag.signed_max_diff == dense_segment_differences(ds, params, segs)
 
     def test_diffs_bounded(self):
         ds = sample(HookedPowerLawParams(3.0, 10.0), 3000, SeededGenerator(6))
@@ -177,11 +177,10 @@ class TestPlotSeries:
     @settings(max_examples=100, deadline=None)
     def test_rows_equal_dense_rows(self, data, counts, tail_correction):
         ds = _shifted(counts)
-        models = [data.draw(_lognormals), data.draw(_hooked_for(ds))]
-        series = plot_series(ds, [("lognormal", models[0]), ("hooked", models[1])],
-                             tail_correction)
+        models = [data.draw(_lognormals), data.draw(_hooked_for(ds, tail_correction))]
+        series = plot_series(ds, [("lognormal", models[0]), ("hooked", models[1])])
         rows = np.column_stack([col for _, col in series.columns])
-        dense = dense_plot_table(ds, models, tail_correction)
+        dense = dense_plot_table(ds, models)
         assert series.xs[-1] == ds.counts.max() and np.all(np.diff(series.xs) > 0)
         assert np.array_equal(rows, dense[series.xs - 1])
 

@@ -1,6 +1,7 @@
 """Tests for the hooked power law and discretised lognormal evaluations."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -66,8 +67,8 @@ def _norm_cases(draw):
 
 class TestHookedNorm:
     def test_tail_corrected_matches_zeta_closed_form(self):
-        params = HookedPowerLawParams(2.0, 1.0, 10000)
-        got = hooked_log_norm(params, tail_correction=True)
+        params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
+        got = hooked_log_norm(params)
         assert got == pytest.approx(LN_ZETA2_MINUS_1, abs=1e-12)
 
     def test_agrees_with_extended_precision_oracle(self):
@@ -116,13 +117,13 @@ class TestHookedNorm:
         # the tail integral diverges for alpha <= 1: correction requested but
         # not applied, leaving the truncated normalization
         params = HookedPowerLawParams(0.9, 2.0, 5000)
-        assert hooked_log_norm(params, tail_correction=True) == hooked_log_norm(params)
+        assert hooked_log_norm(replace(params, tail_correction=True)) == hooked_log_norm(params)
 
 
 class TestHookedPmf:
     def test_head_value_closed_form(self):
-        params = HookedPowerLawParams(2.0, 1.0, 10000)
-        got = hooked_log_pmf(1, params, tail_correction=True)
+        params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
+        got = hooked_log_pmf(1, params)
         assert got == pytest.approx(math.log(0.25) - LN_ZETA2_MINUS_1, abs=1e-12)
 
     def test_strictly_decreasing(self):
@@ -192,17 +193,17 @@ class TestHookedBitIdentity:
     @example(1009.0, 0.0, 10000, False, None)   # ... and just above
     @settings(max_examples=300, deadline=None)
     def test_log_pmf_values_and_norm(self, alpha, offset, truncation, tail, data):
-        params = HookedPowerLawParams(alpha, offset, truncation)
+        params = HookedPowerLawParams(alpha, offset, truncation, tail)
         if data is None:
             ns = np.unique(np.geomspace(1, truncation, 200).astype(np.int64))
         else:
             ns = np.array(data.draw(st.lists(st.integers(1, truncation), min_size=1,
                                              max_size=300)))
         for support in (ns, ns.astype(np.float64), np.asarray(ns[-1])):
-            got = log_pmf_values(params, support, tail)
+            got = log_pmf_values(params, support)
             assert np.array_equal(
                 got, reference_hooked_log_pmf(support, alpha, offset, truncation, tail))
-        assert hooked_log_norm(params, tail) == reference_hooked_log_norm(
+        assert hooked_log_norm(params) == reference_hooked_log_norm(
             alpha, offset, truncation, tail)
 
     @pytest.mark.parametrize("writable", [False, True])
@@ -251,7 +252,7 @@ class TestHookedOnePass:
     @example(1e4, 0.0, 10_000, False, None)     # the grid corner: head terms underflow
     @settings(max_examples=300, deadline=None)
     def test_matches_two_pass_forms(self, alpha, offset, truncation, tail, data):
-        params = HookedPowerLawParams(alpha, offset, truncation)
+        params = HookedPowerLawParams(alpha, offset, truncation, tail)
         if data is None:
             ns = np.unique(np.geomspace(1, truncation, 100).astype(np.int64))
         else:
@@ -263,18 +264,18 @@ class TestHookedOnePass:
             want_norm = reference_hooked_log_norm(alpha, offset, truncation, tail)
             want_grad = reference_hooked_log_pmf_grad(points, alpha, offset, truncation, tail)
         with np.errstate(under="raise"):  # ... and so must the kernel
-            logp = log_pmf_values(params, ns, tail)
-            log_norm = hooked_log_norm(params, tail)
-            scored = -log_pmf_values(params, np.ones(1), tail)[0]
-            grads = [_hooked_log_pmf_grad(points, params, tail),
-                     _hooked_log_pmf_grad(points, params, tail, scored)]
+            logp = log_pmf_values(params, ns)
+            log_norm = hooked_log_norm(params)
+            scored = -log_pmf_values(params, np.ones(1))[0]
+            grads = [_hooked_log_pmf_grad(points, params),
+                     _hooked_log_pmf_grad(points, params, scored)]
         assert logp.tobytes() == want_logp.tobytes()
         assert np.float64(log_norm).tobytes() == np.float64(want_norm).tobytes()
         for grad in grads:
             assert all(got.tobytes() == want.tobytes() for got, want in zip(grad, want_grad))
         if ns.max() <= 10_000:  # the table runs to the largest point
             with np.errstate(under="raise"):
-                cdf = cdf_values(params, ns, tail)
+                cdf = cdf_values(params, ns)
             want_cdf = reference_hooked_cdf(ns, alpha, offset, truncation, tail)
             assert cdf.tobytes() == want_cdf.tobytes()
 
@@ -296,10 +297,10 @@ class TestHookedOnePass:
         ns = np.arange(1.0, 300.0)
         scored = -log_pmf_values(params, np.ones(1))[0]
         alphas.clear()
-        _hooked_log_pmf_grad(ns, params, False, scored)
+        _hooked_log_pmf_grad(ns, params, scored)
         assert sorted(alphas) == [alpha - h, alpha + h, alpha + 1.0]
         alphas.clear()
-        _hooked_log_pmf_grad(ns, params, False)
+        _hooked_log_pmf_grad(ns, params)
         assert sorted(alphas) == [alpha - h, alpha, alpha + h, alpha + 1.0]
 
 
@@ -315,8 +316,8 @@ class TestHookedCdf:
             math.exp(hooked_log_pmf(1, params)), abs=1e-14)
 
     def test_two_term_value_closed_form(self):
-        params = HookedPowerLawParams(2.0, 1.0, 10000)
-        got = hooked_cdf(2, params, tail_correction=True)
+        params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
+        got = hooked_cdf(2, params)
         # (1/4 + 1/9) / (zeta(2) - 1)
         assert got == pytest.approx(0.5599194238193221, abs=1e-12)
 
@@ -340,11 +341,11 @@ class TestHookedCdf:
     def test_points_equal_full_table_entries(self, alpha, offset, tail):
         # the running sum stops at the largest point asked for, and each of
         # its entries is bit for bit the entry of the full-support table
-        params = HookedPowerLawParams(alpha, offset, 10000)
-        full = cdf_values(params, np.arange(1, 10001), tail)
+        params = HookedPowerLawParams(alpha, offset, 10000, tail)
+        full = cdf_values(params, np.arange(1, 10001))
         for ns in ([1], [7, 7, 2], [350, 1, 4096], [9999, 3], [10000]):
             ns = np.array(ns)
-            assert cdf_values(params, ns, tail).tobytes() == full[ns - 1].tobytes()
+            assert cdf_values(params, ns).tobytes() == full[ns - 1].tobytes()
 
     def test_no_process_wide_cache(self):
         import citefit.distributions as module

@@ -1,6 +1,7 @@
 """Tests for dataset shifting, initialization, the fits and their gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ class TestFitLognormal:
         simplex = DiscretisedLognormalParams(-59258.62568278327, 120.71482800680485)
         assert fit.log_likelihood >= total_log_likelihood(ds, simplex) - 1e-4
 
+    def test_zero_mass_count_is_not_converged(self):
+        # at 1e15 the cell ln(n -+ 0.5) collapses to one double: that count
+        # has no mass anywhere and the log-likelihood is -inf at every point
+        fit = fit_lognormal(_shifted([4, 10**15 + 1]))
+        assert fit.log_likelihood == -math.inf and not fit.converged
+        assert fit.trace.exit_reason is None
+        assert not fit.trace.at_sigma_floor
+        assert fit.trace.warnings[-1] == (
+            "zero model probability at shifted counts [1000000000000001]; "
+            "log-likelihood is -inf")
+        assert fit_lognormal(_shifted([4, 10**14 + 1])).converged
+
     def test_one_mass_evaluation_per_search_evaluation(self, monkeypatch):
         # the gradient reuses the masses of the point just scored
         ds = sample(DiscretisedLognormalParams(2.0, 1.0), 2000, SeededGenerator(9))
@@ -265,9 +278,9 @@ class TestFitHooked:
         ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
         passed = []
 
-        def spy(ns, params, tail_correction, log_norm=None):
+        def spy(ns, params, log_norm=None):
             passed.append((params, log_norm))
-            return _hooked_log_pmf_grad(ns, params, tail_correction, log_norm)
+            return _hooked_log_pmf_grad(ns, params, log_norm)
 
         plain = fit_hooked(ds, FitConfig(tail_correction=tail))
         monkeypatch.setattr(citefit.fitting, "_hooked_log_pmf_grad", spy)
@@ -275,9 +288,10 @@ class TestFitHooked:
         assert passed
         values, _ = _compressed(ds)
         for params, log_norm in passed:
-            assert log_norm == -log_pmf_values(params, np.ones(1), tail)[0]
-            for got, fresh in zip(_hooked_log_pmf_grad(values, params, tail, log_norm),
-                                  _hooked_log_pmf_grad(values, params, tail)):
+            assert params.tail_correction is tail
+            assert log_norm == -log_pmf_values(params, np.ones(1))[0]
+            for got, fresh in zip(_hooked_log_pmf_grad(values, params, log_norm),
+                                  _hooked_log_pmf_grad(values, params)):
                 assert got.tobytes() == fresh.tobytes()
 
     def test_mle_dominates_truth(self):
@@ -419,14 +433,14 @@ def _coords(params):
         return ([params.mu, math.log(params.sigma)],
                 lambda x: DiscretisedLognormalParams(x[0], math.exp(x[1])))
     return ([math.log(params.alpha), math.log(params.offset + 1.0)],
-            lambda x: HookedPowerLawParams(math.exp(x[0]), math.expm1(x[1]), params.truncation))
+            lambda x: replace(params, alpha=math.exp(x[0]), offset=math.expm1(x[1])))
 
 
-def _ll_gradient(values, mult, params, tail_correction=False):
+def _ll_gradient(values, mult, params):
     """The total log-likelihood gradient in the coordinates of :func:`_coords`,
     from the analytic per-family derivatives."""
     if isinstance(params, HookedPowerLawParams):
-        d0, d1 = _hooked_log_pmf_grad(values, params, tail_correction)
+        d0, d1 = _hooked_log_pmf_grad(values, params)
         return float(mult @ d0), float(mult @ d1)
     return _dln_ll_derivatives(values, mult, params)[0]
 
@@ -453,7 +467,7 @@ def _floor(params):
     return [-math.inf, 0.0]
 
 
-def _numeric_gradient(ds, params, tail_correction=False, h=1e-3):
+def _numeric_gradient(ds, params, h=1e-3):
     """Five-point differences of ``total_log_likelihood`` in the search
     coordinates.
 
@@ -462,17 +476,17 @@ def _numeric_gradient(ds, params, tail_correction=False, h=1e-3):
     pole; a fixed step would leave a stencil error of order (h / ln alpha)**4."""
     x, make = _coords(params)
     steps = [h, h]
-    if tail_correction and isinstance(params, HookedPowerLawParams) and params.alpha > 1:
+    if getattr(params, "tail_correction", False) and params.alpha > 1:
         steps[0] = min(h, 0.01 * x[0])
     return [float(d) for d in _differences(
-        lambda y: total_log_likelihood(ds, make(y), tail_correction), x, _floor(params), steps)]
+        lambda y: total_log_likelihood(ds, make(y)), x, _floor(params), steps)]
 
 
-def _assert_gradient_matches(ds, params, tail_correction=False):
+def _assert_gradient_matches(ds, params):
     # each component to 1e-6 of the gradient's size
     values, mult = _compressed(ds)
-    analytic = _ll_gradient(values, mult, params, tail_correction)
-    numeric = _numeric_gradient(ds, params, tail_correction)
+    analytic = _ll_gradient(values, mult, params)
+    numeric = _numeric_gradient(ds, params)
     scale = max(abs(numeric[0]), abs(numeric[1]), 1.0)
     for a, n in zip(analytic, numeric):
         assert abs(a - n) <= 1e-6 * scale, (analytic, numeric)
@@ -522,7 +536,8 @@ class TestGradients:
     def test_hooked_matches_differences(self, alpha, offset, tail):
         if tail and alpha < 1.01:
             alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
-        _assert_gradient_matches(_GRADIENT_DATA, HookedPowerLawParams(alpha, offset), tail)
+        _assert_gradient_matches(_GRADIENT_DATA,
+                                 HookedPowerLawParams(alpha, offset, tail_correction=tail))
 
     @settings(max_examples=40, deadline=None)
     @given(mu=st.floats(-20.0, 15.0), sigma=st.floats(SIGMA_MIN, 100.0))
@@ -597,7 +612,7 @@ class TestGradients:
 
     def test_hooked_at_cap_with_zero_offset_and_tail(self):
         ds = sample(DiscretisedLognormalParams(2.93, 0.73), 2000, SeededGenerator(3))
-        _assert_gradient_matches(ds, HookedPowerLawParams(10000.0, 0.0), True)
+        _assert_gradient_matches(ds, HookedPowerLawParams(10000.0, 0.0, tail_correction=True))
 
     def test_hooked_with_raised_truncation(self):
         ds = _shifted(np.concatenate([np.arange(1, 300), np.array([25000])]))
@@ -613,8 +628,8 @@ class TestGradients:
         for alpha in (1e-3, 0.3, 1.0, 1.0 + 1e-9, 2.0, 100.0, 10000.0):
             for offset in (0.0, 1.0, 1e3, 1e6, 1e9):
                 for tail in (False, True):
-                    params = HookedPowerLawParams(alpha, offset)
-                    grad = _ll_gradient(values, mult, params, tail)
+                    params = HookedPowerLawParams(alpha, offset, tail_correction=tail)
+                    grad = _ll_gradient(values, mult, params)
                     assert all(map(math.isfinite, grad)), (alpha, offset, tail, grad)
 
 

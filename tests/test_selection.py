@@ -14,7 +14,7 @@ from citefit.distributions import (
     log_pmf_values,
 )
 from citefit.errors import DomainError
-from citefit.fitting import CitationDataset, fit_hooked, fit_lognormal
+from citefit.fitting import CitationDataset, FitConfig, fit_hooked, fit_lognormal
 from citefit.selection import (
     Winner,
     classify_winner,
@@ -35,8 +35,8 @@ def _shifted(counts, label="test"):
 class TestTotalLogLikelihood:
     def test_single_count_closed_form(self):
         ds = _shifted([1])
-        params = HookedPowerLawParams(2.0, 1.0, 10000)
-        got = total_log_likelihood(ds, params, tail_correction=True)
+        params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
+        got = total_log_likelihood(ds, params)
         assert got == pytest.approx(math.log(0.25) - LN_ZETA2_MINUS_1, abs=1e-12)
 
     def test_additive_over_disjoint_datasets(self):
@@ -57,17 +57,29 @@ class TestTotalLogLikelihood:
     @pytest.mark.parametrize("params", [
         DiscretisedLognormalParams(2.94, 1.03),
         HookedPowerLawParams(7.7, 175.4, 10000),
+        HookedPowerLawParams(7.7, 175.4, 10000, tail_correction=True),
     ])
     def test_equals_sum_of_pointwise_terms(self, params):
         ds = sample(params, 20000, SeededGenerator(5))
-        for tail in (False, True):
-            want = math.fsum(log_pmf_values(params, ds.counts, tail))
-            assert total_log_likelihood(ds, params, tail) == pytest.approx(want, rel=1e-12)
+        want = math.fsum(log_pmf_values(params, ds.counts))
+        assert total_log_likelihood(ds, params) == pytest.approx(want, rel=1e-12)
 
     def test_requires_shifted(self):
         with pytest.raises(DomainError):
             total_log_likelihood(CitationDataset("x", [0, 1]),
                                  DiscretisedLognormalParams(0.0, 1.0))
+
+
+def test_tail_corrected_fit_scores_to_its_own_log_likelihood():
+    # the fitted record carries the tail correction, so scoring it again, as
+    # the comparison does, evaluates the law the fit maximized
+    ds = _shifted(SeededGenerator(11).stream().zipf(2.2, 3000))
+    cfg = FitConfig(tail_correction=True)
+    hk, ln = fit_hooked(ds, cfg), fit_lognormal(ds, cfg)
+    assert hk.params.tail_correction is True
+    assert total_log_likelihood(ds, hk.params) == pytest.approx(hk.log_likelihood, rel=1e-12)
+    assert vuong_test(ds, hk.params, ln.params).ll_hooked == pytest.approx(
+        hk.log_likelihood, rel=1e-12)
 
 
 class TestClassifyWinner:
