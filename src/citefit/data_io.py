@@ -260,18 +260,24 @@ def write_result(doc: ResultDocument, path) -> None:
 def read_result(path) -> ResultDocument:
     """The document stored at ``path`` by :func:`write_result`, from any of
     :data:`READABLE_VERSIONS`; anything else raises :class:`ParseError` or
-    :class:`SchemaVersionError`."""
+    :class:`SchemaVersionError` naming ``path``."""
+    name = repr(os.fspath(path))
     with open_text(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed result document: {exc}") from exc
+            raise ParseError(f"{name}: malformed result document: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError("malformed result document: expected an object")
+        raise ParseError(f"{name}: malformed result document: expected an object")
+    if data.get("kind") == "recovery_report":
+        raise ParseError(f"{name} is a simulate recovery report, not a result document")
     version = data.get("schema_version")
     if version not in READABLE_VERSIONS:
-        raise SchemaVersionError(version, READABLE_VERSIONS)
-    return from_json(ResultDocument, data)
+        raise SchemaVersionError(name, version, READABLE_VERSIONS)
+    try:
+        return from_json(ResultDocument, data)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

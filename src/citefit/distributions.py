@@ -129,7 +129,8 @@ def _hooked_head(alpha: float, offset: float, truncation: int) -> tuple[int, boo
     # once B + n >= 2 alpha and n > 64, each Euler-Maclaurin order is smaller
     # than the one before by (alpha + 2j)**2 / (2 pi (B + n))**2 < 1/50, so six
     # orders leave the remainder exact to double precision
-    head = math.ceil(2.0 * alpha - offset)
+    reach = 2.0 * alpha - offset  # compared as a float: it may be infinite
+    head = truncation if reach > truncation else math.ceil(reach)
     if head < _HEAD_MIN:
         head = _HEAD_MIN
     if head > truncation:
@@ -275,8 +276,7 @@ def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
     return _hooked_log_tail(params.alpha, params.offset, params.truncation)
 
 
-def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
-                         log_norm: float | None = None):
+def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams, log_norm: float):
     """Partial derivatives of each log mass in ``ln alpha`` and ``ln(B + 1)``.
 
     In ``B`` the normalization's derivative is exact,
@@ -286,16 +286,15 @@ def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
     stays below about ln N; the tail bound enters in closed form, weighted
     by its share of the normalization.  The sums at ``alpha -+ h`` and
     ``alpha + 1`` share one ``log1p`` pass over the longest head they need
-    and the points.  ``log_norm``, the relative normalization at ``params``
-    (the log mass at 1 is its negative), saves summing it again when the
-    caller has just scored that point.
+    and the points.  ``log_norm`` is minus the log mass at 1 under ``params``:
+    the log of the normalization over its first term.
     """
     alpha, offset, truncation = params.alpha, params.offset, params.truncation
     b1 = float(offset) + 1.0
     tail = params.tail_correction and alpha > 1
     h = 1e-5 * alpha
     heads = {a: _hooked_head(a, offset, truncation)
-             for a in (alpha - h, alpha + h, alpha + 1.0, alpha)}
+             for a in (alpha - h, alpha + h, alpha + 1.0)}
     size = max(head for head, _ in heads.values())
     ns = np.asarray(ns, dtype=np.float64)
     with np.errstate(under="ignore"):  # as in _hooked_log_masses, tiny alpha or huge B
@@ -308,8 +307,6 @@ def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams,
             head, rest = heads[a]
             return _hooked_log_total(logs[:head] * -a, a, offset, truncation, rest, tail_)
 
-        if log_norm is None:
-            log_norm = log_total(alpha, tail)
         d_alpha = (log_total(alpha + h, False) - log_total(alpha - h, False)) / (2.0 * h)
         if tail:
             share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
@@ -372,9 +369,10 @@ def _dln_log_pmf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np
 
 
 def _dln_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: DiscretisedLognormalParams,
-                        log_mass: np.ndarray | None = None):
-    """Gradient ``(d_mu, d_s)`` and Hessian ``(h_mu_mu, h_mu_s, h_s_s)`` of
-    ``sum(mult * log mass at ns)`` in ``mu`` and ``s = ln sigma``, from one pass.
+                        log_mass: np.ndarray):
+    """Gradient ``(d_mu, d_s)`` and Hessian ``(h_mu_mu, h_mu_s, h_s_s)`` in
+    ``mu`` and ``s = ln sigma`` of ``sum(mult * log_mass)``, from one pass
+    over ``log_mass``, the log masses at ``ns`` under ``params``.
 
     With ``D = Phi(zhi) - Phi(zlo)`` and ``r = phi(z) / D`` at either end of a
     cell, ``ln D`` has first derivatives ``f_mu = (rlo - rhi) / sigma`` and
@@ -388,13 +386,11 @@ def _dln_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: DiscretisedLog
     ``k = r0 (r0 - z0)``, adds ``-r0 / sigma`` and ``-z0 r0`` to the gradient
     and ``k / sigma**2``, ``(k z0 + r0) / sigma`` and ``k z0**2 + r0 z0`` to the
     Hessian, once per article.  Each ratio ``phi(z) / D`` is formed in the log
-    domain from the log-differences, so it stays finite wherever the mass
+    domain from the log masses, so it stays finite wherever the mass
     itself is nonzero.  A Hessian entry can be a difference of terms some
     ``z**2`` times its size, so where the data lie hundreds of scales from
     ``mu`` it keeps fewer digits than the gradient (about 6e-6 relative at
     z = 200); the search only takes its step directions from it.
-    ``log_mass``, the log masses at ``ns`` under ``params`` when the caller
-    has them, saves evaluating them again.
     """
     ns = np.asarray(ns, dtype=np.float64)
     sigma = params.sigma
@@ -402,10 +398,7 @@ def _dln_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: DiscretisedLog
     zhi = (np.log(ns + 0.5) - params.mu) / sigma
     z0 = (_LN_HALF - params.mu) / sigma
     log_sf0 = std_normal_log_cdf(-z0)
-    if log_mass is None:
-        log_den = _log_phi_diff(zlo, zhi) + _LN_SQRT_2PI
-    else:
-        log_den = log_mass + (log_sf0 + _LN_SQRT_2PI)
+    log_den = log_mass + (log_sf0 + _LN_SQRT_2PI)
     # a cell whose mass underflows to zero has infinite ratios at both ends
     # and NaN derivatives; numpy's warning for inf - inf adds nothing to them
     with np.errstate(invalid="ignore"):

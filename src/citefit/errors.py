@@ -31,11 +31,12 @@ class ParseError(CitefitError, ValueError):
 class SchemaVersionError(CitefitError, ValueError):
     """A persisted document declares a schema version this build cannot read."""
 
-    def __init__(self, found, supported):
+    def __init__(self, source: str, found, supported):
         self.found = found
         self.supported = supported
         super().__init__(
-            f"unsupported document schema version {found!r} (supported: {supported!r})"
+            f"{source}: unsupported document schema version {found!r} "
+            f"(supported: {supported!r})"
         )
 
 

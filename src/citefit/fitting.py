@@ -6,10 +6,11 @@ where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)`` with
 ``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  The
 lognormal search also has the exact Hessian and takes Newton steps wherever
 it is negative definite, falling back to BFGS elsewhere; the hooked search
-takes BFGS steps throughout.  The hooked exponent is capped (default 10000)
-because its likelihood has a flat ridge as ``alpha`` and ``B`` grow together;
-a search that follows the ridge onto the cap ends there with ``B`` optimized
-alone, and the result is flagged.
+takes BFGS steps throughout.  Each point costs one parameter record and
+one evaluation of its log masses, which the derivatives then reuse.  The
+hooked exponent is capped (default 10000) because its likelihood has a flat
+ridge as ``alpha`` and ``B`` grow together; a search that follows the ridge
+onto the cap ends there with ``B`` optimized alone, and the result is flagged.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class FitConfig:
     tail_correction: bool = False
 
     def __post_init__(self):
-        if not self.alpha_cap > 1:
-            raise DomainError(f"alpha_cap must be > 1, got {self.alpha_cap!r}")
+        if not 1 < self.alpha_cap < math.inf:
+            raise DomainError(f"alpha_cap must be finite and > 1, got {self.alpha_cap!r}")
         if self.truncation < 1:
             raise DomainError(f"truncation must be >= 1, got {self.truncation!r}")
 
@@ -190,21 +191,20 @@ class _Search(NamedTuple):
     grad: tuple
     ll_start: float   # at the start point, moved into the box
     iterations: int
-    evaluations: int  # of ``loglik``, the start point included
+    evaluations: int  # of ``score``, the start point included
     converged: bool
 
 
-def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
-                  curvature=None) -> _Search:
-    """Maximize ``loglik`` over the box ``lower <= x <= upper`` in two
+def _maximize_box(score, x, lower, upper, max_iter: int) -> _Search:
+    """Maximize a log-likelihood over the box ``lower <= x <= upper`` in two
     coordinates by projected Newton or BFGS steps.
 
-    ``curvature``, if given, returns the Hessian ``(h00, h01, h11)`` of
-    ``loglik`` at a point whose gradient the search has just asked for.  A
-    step is then a Newton step wherever minus that Hessian over the free
-    coordinates is finite and positive definite; elsewhere, and without
-    ``curvature``, it is a quasi-Newton step on the damped-BFGS inverse
-    Hessian that the search keeps from its gradients.
+    ``score(x)`` returns the log-likelihood at ``x`` and ``derive``, which
+    gives the gradient there and the Hessian ``(h00, h01, h11)`` or None; the
+    search derives only at the start and at each trial it accepts.  A step
+    is a Newton step wherever minus the Hessian over the free coordinates is
+    finite and positive definite, and elsewhere a quasi-Newton step on the
+    damped-BFGS inverse Hessian that the search keeps from its gradients.
 
     A coordinate is held at a bound that its gradient pushes against or that
     a step lands on, and released, once the search over the other converges,
@@ -212,16 +212,16 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
     whenever the held set changes.  Each line search runs along the straight
     step, cut at the first bound (landing on it exactly) and at a move of 1,
     and backtracks on exact values (Armijo; non-finite ones fail), so an
-    error in ``gradient`` or ``curvature`` costs iterations, never the
-    optimum; a step that finds no gain is retried as steepest ascent.  The
-    search converges once the full step stays in the box and its predicted
-    gain is negligible, so a rising ridge is followed onto its bound, or once
-    even steepest ascent finds no gain; ``converged`` is false if
-    ``max_iter`` ran out first or the log-likelihood is not finite.
+    error in the derivatives costs iterations, never the optimum; a step
+    that finds no gain is retried as steepest ascent.  The search converges
+    once the full step stays in the box and its predicted gain is
+    negligible, so a rising ridge is followed onto its bound, or once even
+    steepest ascent finds no gain; ``converged`` is false if ``max_iter``
+    ran out first or the log-likelihood is not finite.
     """
     x = [min(max(x[i], lower[i]), upper[i]) for i in (0, 1)]
-    ll, g = loglik(x), gradient(x)
-    curv = curvature(x) if curvature else None
+    ll, derive = score(x)
+    g, curv = derive()
     ll_start, evals, iterations = ll, 1, 0
     held, hess = [False, False], None  # hess: (h00, h01, h11), None the identity
 
@@ -254,7 +254,7 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
                 trial = [x[0] + step * d[0], x[1] + step * d[1]]
                 if step == room[edge]:
                     trial[edge] = upper[edge] if d[edge] > 0.0 else lower[edge]
-                ll_trial = loglik(trial)
+                ll_trial, derive = score(trial)
                 evals += 1
                 if not ll_trial >= ll + _ARMIJO * step * slope:
                     trial = None
@@ -273,7 +273,7 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
                 return _Search(x, ll, g, ll_start, iterations, evals, math.isfinite(ll))
             held, hess = [held[i] and i not in freed for i in (0, 1)], None
             continue
-        g_trial = gradient(trial)
+        g_trial, curv = derive()
         if step == room[edge]:
             held[edge], hess = True, None
         else:  # the negated log-likelihood's gradient change is g - g_trial
@@ -281,7 +281,6 @@ def _maximize_box(loglik, gradient, x, lower, upper, max_iter: int,
                                 [trial[0] - x[0], trial[1] - x[1]],
                                 [0.0 if held[i] else g[i] - g_trial[i] for i in (0, 1)])
         x, ll, g = trial, ll_trial, g_trial
-        curv = curvature(x) if curvature else None
     return _Search(x, ll, g, ll_start, iterations, evals, False)
 
 
@@ -332,15 +331,13 @@ def _bfgs_update(hess, first: bool, s, y):
 
 class _Problem(NamedTuple):
     """One family's search, set up for one dataset: the map from search
-    coordinates to parameters, the objective with its derivatives there, the
-    start and the box, the rule that names the bound a search ended on
-    (``cap``, ``sigma_floor`` or None), and what the setup itself has to
-    report (the hooked fit's raised truncation)."""
+    coordinates to parameters, the ``score`` of :func:`_maximize_box` (one
+    record and one ``log_pmf_values`` call per point), the start and the box,
+    the rule that names the bound a search ended on (``cap``, ``sigma_floor``
+    or None), and what the setup has to report (the raised truncation)."""
 
     params_at: Callable
-    loglik: Callable
-    gradient: Callable
-    curvature: Callable | None
+    score: Callable
     start: list
     lower: tuple
     upper: tuple
@@ -377,8 +374,7 @@ def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
         warnings_ = (f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})",)
     values, mult = _compressed(ds)
     p = problem(ds, cfg, values, mult)
-    search = _maximize_box(p.loglik, p.gradient, p.start, p.lower, p.upper,
-                           _MAX_ITERATIONS, curvature=p.curvature)
+    search = _maximize_box(p.score, p.start, p.lower, p.upper, _MAX_ITERATIONS)
     params = p.params_at(search.x)
     if math.isfinite(search.ll):
         bound = p.bound(search)
@@ -440,20 +436,11 @@ def _lognormal_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Pr
         sigma = SIGMA_MIN if x[1] <= ln_sigma_floor else math.exp(x[1])
         return DiscretisedLognormalParams(x[0] * (1.0 + sigma * sigma), sigma)
 
-    # the search asks for the gradient and Hessian at the point it has just
-    # scored, whose log masses they then reuse
-    scored = [None, None]
-    differentiated = [None, None]  # a point and its (gradient, Hessian)
+    def score(x):
+        params = params_at(x)
+        log_mass = log_pmf_values(params, values)
 
-    def loglik(x):
-        logp = log_pmf_values(params_at(x), values)
-        scored[:] = list(x), logp
-        return float(mult @ logp)
-
-    def derivatives(x):
-        if differentiated[0] != list(x):
-            params = params_at(x)
-            log_mass = scored[1] if scored[0] == list(x) else None
+        def derive():
             (d_mu, d_s), (h_mu_mu, h_mu_s, h_s_s) = _dln_ll_derivatives(
                 values, mult, params, log_mass)
             # from (mu, ln sigma): mu = x0 (1 + sigma**2) has first derivatives
@@ -461,15 +448,15 @@ def _lognormal_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Pr
             # 2 sigma**2 (mixed) and 2 b (in ln sigma)
             s2 = params.sigma ** 2
             a, b = 1.0 + s2, 2.0 * s2 * x[0]
-            differentiated[:] = list(x), (
-                (a * d_mu, d_s + b * d_mu),
-                (a * a * h_mu_mu,
-                 a * (h_mu_s + b * h_mu_mu) + 2.0 * s2 * d_mu,
-                 h_s_s + b * (2.0 * h_mu_s + b * h_mu_mu) + 2.0 * b * d_mu))
-        return differentiated[1]
+            return ((a * d_mu, d_s + b * d_mu),
+                    (a * a * h_mu_mu,
+                     a * (h_mu_s + b * h_mu_mu) + 2.0 * s2 * d_mu,
+                     h_s_s + b * (2.0 * h_mu_s + b * h_mu_mu) + 2.0 * b * d_mu))
+
+        return float(mult @ log_mass), derive
 
     return _Problem(
-        params_at, loglik, lambda x: derivatives(x)[0], lambda x: derivatives(x)[1],
+        params_at, score,
         [init.mu / (1.0 + init.sigma ** 2), math.log(init.sigma)],
         (-math.inf, ln_sigma_floor), (math.inf, math.inf),
         bound=lambda search: "sigma_floor" if search.x[1] <= ln_sigma_floor else None)
@@ -530,24 +517,22 @@ def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Probl
         alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
         return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation, cfg.tail_correction)
 
-    # the search asks for the gradient at the point it has just scored; the
-    # mass at 1, scored beside the data, is the normalization there
+    # the log mass at 1, beside the data, is minus the gradient's normalization
     points = np.append(values, 1.0)
-    scored = [None, None]  # a point and its log normalization over the first term
 
-    def loglik(x):
-        logp = log_pmf_values(params_at(x), points)
-        scored[:] = list(x), -logp[-1]
-        return float(mult.dot(logp[:-1]))
+    def score(x):
+        params = params_at(x)
+        logp = log_pmf_values(params, points)
 
-    def gradient(x):
-        log_norm = scored[1] if scored[0] == list(x) else None
-        d_ln_alpha, d_ln_b1 = _hooked_log_pmf_grad(values, params_at(x), log_norm)
-        return float(mult @ d_ln_alpha), float(mult @ d_ln_b1)
+        def derive():
+            d_ln_alpha, d_ln_b1 = _hooked_log_pmf_grad(values, params, -logp[-1])
+            return (float(mult @ d_ln_alpha), float(mult @ d_ln_b1)), None
+
+        return float(mult.dot(logp[:-1])), derive
 
     init = init_hooked(ds, cfg)
     return _Problem(
-        params_at, loglik, gradient, None,
+        params_at, score,
         [math.log(init.alpha), math.log(init.offset + 1.0)],
         (-math.inf, 0.0), (ln_cap, math.log(1e9 + 1.0)),
         bound=lambda search: ("cap" if search.x[0] >= ln_cap and search.grad[0] >= 0.0

@@ -35,23 +35,16 @@ from .selection import (
 #: map to the quantile point (bias far below any tolerance used here).
 TAIL_QUANTILE = 1.0 - 1e-12
 
-_ALGORITHM = "pcg64"
-
 
 @dataclass(frozen=True)
 class SeededGenerator:
-    """Versioned deterministic random stream (numpy PCG64)."""
+    """Deterministic random stream: numpy's PCG64 from ``seed``."""
 
     seed: int
-    algorithm: str = _ALGORITHM
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.algorithm != _ALGORITHM:
-            raise DomainError(
-                f"unknown generator algorithm {self.algorithm!r} (have {_ALGORITHM!r})"
-            )
 
     def stream(self) -> np.random.Generator:
         """Fresh generator positioned at the start of the seed's stream."""

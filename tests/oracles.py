@@ -2,8 +2,9 @@
 
 Everything here stays deliberately independent of the fast library paths it
 validates.  The lognormal masses come from mpmath quadrature of the
-continuous density, not from normal-CDF differences; the hooked
-normalization reference sums every term in doubles, not through the
+continuous density, not from normal-CDF differences, and their gradient
+differences the normal CDF in mpmath arithmetic, not in the log domain; the
+hooked normalization reference sums every term in doubles, not through the
 library's Euler-Maclaurin remainder, and ``extended_sum_oracle`` sums it in
 mpmath arithmetic.  ``log_sum_exp`` and ``predict_underflow`` document, as
 tested code, why the library works in the log domain.  The dense diagnostics
@@ -119,6 +120,48 @@ def erfcx_oracle(x, dps=40):
             term *= -(2 * n - 1) / (2 * x * x)
             total += term
         return total / (x * mp.sqrt(mp.pi))
+
+
+def _normal_sf(z):
+    """``Phi(-z)`` as an mpmath number at the working precision, through
+    :func:`erfcx_oracle`, so it keeps its digits however far out ``z`` is."""
+    if z < 0:
+        return 1 - _normal_sf(-z)
+    x = z / mp.sqrt(2)
+    return erfcx_oracle(x, mp.mp.dps) * mp.exp(-x * x) / 2
+
+
+def dln_ll_gradient_oracle(values, mult, mu, sigma, dps=40):
+    """Gradient of ``sum(mult * ln d(values))`` for the discretised
+    lognormal in ``mu`` and ``ln sigma``, from normal CDF differences in
+    mpmath arithmetic.  Each cell's mass ``D`` is taken in the tail that
+    holds it; its log has derivatives ``(phi(zlo) - phi(zhi)) / (sigma D)``
+    and ``(zlo phi(zlo) - zhi phi(zhi)) / D``, and the renormalization
+    ``-ln Phi(-z0)`` adds ``-phi(z0) / (sigma Phi(-z0))`` and
+    ``-z0 phi(z0) / Phi(-z0)`` per article."""
+    with mp.workdps(dps):
+        mu_m, sigma_m = mp.mpf(mu), mp.mpf(sigma)
+
+        def z(x):
+            return (mp.ln(x) - mu_m) / sigma_m
+
+        def pdf(t):
+            return mp.exp(-t * t / 2) / mp.sqrt(2 * mp.pi)
+
+        d_mu = d_s = mp.mpf(0)
+        for n, k in zip(values, mult):
+            zlo, zhi = z(mp.mpf(n) - mp.mpf("0.5")), z(mp.mpf(n) + mp.mpf("0.5"))
+            if zlo >= 0:
+                mass = _normal_sf(zlo) - _normal_sf(zhi)
+            elif zhi <= 0:
+                mass = _normal_sf(-zhi) - _normal_sf(-zlo)
+            else:
+                mass = 1 - _normal_sf(-zlo) - _normal_sf(zhi)
+            d_mu += k * (pdf(zlo) - pdf(zhi)) / (sigma_m * mass)
+            d_s += k * (zlo * pdf(zlo) - zhi * pdf(zhi)) / mass
+        z0 = z(mp.mpf("0.5"))
+        ratio = sum(mult) * pdf(z0) / _normal_sf(z0)
+        return float(d_mu - ratio / sigma_m), float(d_s - z0 * ratio)
 
 
 def log_ndtr_oracle(z, dps=40):

@@ -275,6 +275,20 @@ class TestReportCommand:
         data["schema_version"] = 7
         doc_path.write_text(json.dumps(data))
         assert main(["report", str(doc_path)]) == EXIT_PARSE
+        assert str(doc_path) in capsys.readouterr().err
+
+    def test_recovery_report_in_the_directory_is_named(self, tmp_path, capsys):
+        # simulate recovery and fit share an output directory: report names
+        # the file it cannot read and what that file is
+        out = tmp_path / "out"
+        assert main(["simulate", "recovery", "--truth", "lognormal", "--n", "1000",
+                     "--seeds", "1", "--out", str(out)]) == EXIT_OK
+        assert main(["fit", SMOKE, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: parse: {str(out / 'recovery_report.json')!r} "
+                       "is a simulate recovery report, not a result document"]
 
 
 class TestErrorPaths:
@@ -358,6 +372,21 @@ class TestErrorPaths:
                      "--sigma", "1", "--n", "1000", "--seeds", "2",
                      "--out", str(out)]) == EXIT_OK
         assert "ll_gap=0.0000" in capsys.readouterr().out
+
+    def test_exponent_cap_near_float_max_runs(self, capsys):
+        # 2 alpha - B overflows to inf in the head length of the normalization
+        assert main(["compare", SMOKE, "--alpha-cap", "1e308"]) == EXIT_OK
+        assert main(["simulate", "recovery", "--truth", "hooked", "--alpha", "1e308",
+                     "--n", "1000", "--seeds", "1"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["inf", "nan", "1"])
+    def test_bad_exponent_cap_is_config_error(self, capsys, cap):
+        assert main(["compare", SMOKE, "--alpha-cap", cap]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("error: config: alpha_cap must be finite and > 1, "
+                                f"got {float(cap)!r}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
     def test_bad_z_threshold_is_config_error(self, labeled_input, tmp_path, capsys, z):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -204,6 +205,20 @@ class TestDocumentRoundTrip:
         path = tmp_path / "doc.json"
         path.write_text("[1, 2]\n", encoding="utf-8")
         with pytest.raises(ParseError, match="expected an object"):
+            read_result(path)
+
+    @pytest.mark.parametrize("content, error", [
+        (b'{"schema_version": 2, ', ParseError),
+        (b"[1, 2]", ParseError),
+        (b'{"schema_version": 99}', SchemaVersionError),
+        (b'{"schema_version": 2, "label": "x"}', ParseError),
+        (b'{"schema_version": 2, "kind": "recovery_report"}', ParseError),
+        (b'{"label": "\xff"}', ParseError),
+    ], ids=["truncated", "not-object", "version", "fields", "recovery-report", "not-utf8"])
+    def test_every_error_names_the_file(self, tmp_path, content, error):
+        path = tmp_path / "odd name.json"
+        path.write_bytes(content)
+        with pytest.raises(error, match=re.escape(repr(str(path)))):
             read_result(path)
 
     def test_version_error_names_both_versions(self, tmp_path):

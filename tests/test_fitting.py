@@ -35,6 +35,8 @@ from citefit.fitting import (
 from citefit.selection import total_log_likelihood
 from citefit.synthesis import SeededGenerator, sample
 
+from oracles import dln_ll_gradient_oracle
+
 
 def _shifted(counts, label="test"):
     return CitationDataset(label, counts, shifted=True)
@@ -259,8 +261,12 @@ class TestFitLognormal:
         ds = sample(DiscretisedLognormalParams(2.94, 1.03), 20000, SeededGenerator(seed))
         newton = fit_lognormal(ds)
 
-        def without_curvature(*args, curvature=None, **kwargs):
-            return _maximize_box(*args, **kwargs)
+        def without_curvature(score, *args):
+            def gradient_only(x):
+                ll, derive = score(x)
+                return ll, lambda: (derive()[0], None)
+
+            return _maximize_box(gradient_only, *args)
 
         monkeypatch.setattr(citefit.fitting, "_maximize_box", without_curvature)
         bfgs = fit_lognormal(ds)
@@ -273,12 +279,12 @@ class TestFitHooked:
     @pytest.mark.parametrize("tail", [False, True])
     def test_gradient_takes_the_scored_normalization(self, monkeypatch, tail):
         # every gradient of the search comes with the normalization of the
-        # point just scored, read off the mass at 1, and equals the gradient
-        # that sums it afresh
+        # point just scored, read off the mass at 1 (the gradient's values
+        # are pinned in test_distributions.TestHookedOnePass)
         ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
         passed = []
 
-        def spy(ns, params, log_norm=None):
+        def spy(ns, params, log_norm):
             passed.append((params, log_norm))
             return _hooked_log_pmf_grad(ns, params, log_norm)
 
@@ -286,13 +292,24 @@ class TestFitHooked:
         monkeypatch.setattr(citefit.fitting, "_hooked_log_pmf_grad", spy)
         assert fit_hooked(ds, FitConfig(tail_correction=tail)) == plain
         assert passed
-        values, _ = _compressed(ds)
         for params, log_norm in passed:
             assert params.tail_correction is tail
             assert log_norm == -log_pmf_values(params, np.ones(1))[0]
-            for got, fresh in zip(_hooked_log_pmf_grad(values, params, log_norm),
-                                  _hooked_log_pmf_grad(values, params)):
-                assert got.tobytes() == fresh.tobytes()
+
+    def test_one_mass_evaluation_per_search_evaluation(self, monkeypatch):
+        # the grid's 17 x 17 cells, then one per point the search scores
+        ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return log_pmf_values(*args, **kwargs)
+
+        plain = fit_hooked(ds)
+        monkeypatch.setattr(citefit.fitting, "log_pmf_values", counted)
+        fit = fit_hooked(ds)
+        assert fit == plain
+        assert len(calls) == 289 + fit.trace.evaluations
 
     def test_mle_dominates_truth(self):
         truth = HookedPowerLawParams(7.7, 175.4)
@@ -379,6 +396,40 @@ class TestFitHooked:
         assert fit.iterations < fit.trace.evaluations < 100
 
 
+class TestScore:
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("fit, derivatives", [
+        (fit_lognormal, "_dln_ll_derivatives"), (fit_hooked, "_hooked_log_pmf_grad")])
+    def test_derivatives_take_the_record_last_scored(self, monkeypatch, fit, derivatives,
+                                                     tail):
+        # each derivative call gets the very record, and the very log masses,
+        # of the most recent log_pmf_values call: no record is rebuilt
+        ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
+        cfg = FitConfig(tail_correction=tail)
+        scored, derived = [], []
+        real = getattr(citefit.fitting, derivatives)
+
+        def score_spy(params, ns):
+            scored.append((params, log_pmf_values(params, ns)))
+            return scored[-1][1]
+
+        def derive_spy(*args):
+            derived.append((scored[-1], args))
+            return real(*args)
+
+        plain = fit(ds, cfg)
+        monkeypatch.setattr(citefit.fitting, "log_pmf_values", score_spy)
+        monkeypatch.setattr(citefit.fitting, derivatives, derive_spy)
+        assert fit(ds, cfg) == plain
+        assert len(derived) > 1
+        for (params, logp), args in derived:
+            if fit is fit_lognormal:
+                assert args[2] is params and args[3] is logp
+            else:
+                assert args[1] is params and params.tail_correction is tail
+                assert args[2] == -logp[-1]
+
+
 class TestLocalOptimality:
     def test_lognormal_fit_dominates_neighborhood(self):
         # certificate at the published-value reproduction scale: the returned
@@ -436,13 +487,20 @@ def _coords(params):
             lambda x: replace(params, alpha=math.exp(x[0]), offset=math.expm1(x[1])))
 
 
+def _dln_derivatives(values, mult, params):
+    """The lognormal gradient and Hessian in ``(mu, ln sigma)``, from the log
+    masses that scoring ``params`` gives."""
+    return _dln_ll_derivatives(values, mult, params, log_pmf_values(params, values))
+
+
 def _ll_gradient(values, mult, params):
     """The total log-likelihood gradient in the coordinates of :func:`_coords`,
     from the analytic per-family derivatives."""
     if isinstance(params, HookedPowerLawParams):
-        d0, d1 = _hooked_log_pmf_grad(values, params)
+        log_norm = -log_pmf_values(params, np.ones(1))[0]
+        d0, d1 = _hooked_log_pmf_grad(values, params, log_norm)
         return float(mult @ d0), float(mult @ d1)
-    return _dln_ll_derivatives(values, mult, params)[0]
+    return _dln_derivatives(values, mult, params)[0]
 
 
 def _differences(f, x, floor, steps):
@@ -503,15 +561,13 @@ def _assert_hessian_close(hess, numeric, tol=1e-6):
 
 
 def _assert_hessian_matches(ds, params, tol=1e-6):
-    # the lognormal Hessian, from fresh and from reused log masses, against
-    # five-point differences of the analytic gradient
+    # the lognormal Hessian against five-point differences of the analytic
+    # gradient
     values, mult = _compressed(ds)
     x, make = _coords(params)
     numeric = _differences(lambda y: _ll_gradient(values, mult, make(y)), x,
                            _floor(params), [1e-4, 1e-4])
-    for log_mass in (None, log_pmf_values(params, values)):
-        _assert_hessian_close(_dln_ll_derivatives(values, mult, params, log_mass)[1],
-                              numeric, tol)
+    _assert_hessian_close(_dln_derivatives(values, mult, params)[1], numeric, tol)
 
 
 _GRADIENT_DATA = sample(DiscretisedLognormalParams(2.0, 1.2), 400, SeededGenerator(3))
@@ -541,60 +597,57 @@ class TestGradients:
 
     @settings(max_examples=40, deadline=None)
     @given(mu=st.floats(-20.0, 15.0), sigma=st.floats(SIGMA_MIN, 100.0))
-    def test_lognormal_reuses_log_masses(self, mu, sigma):
-        # to the standard above: at sigma = 1e-3 the exponents reach 1e8, whose
-        # rounding moves either gradient by up to 1e-7 of its size
+    def test_lognormal_matches_mpmath_over_the_box(self, mu, sigma):
+        # over the whole box, where differences cannot follow it, against
+        # normal-CDF differences in mpmath: at sigma = 1e-3 the exponents
+        # reach 1e8, whose rounding moves the gradient by up to 1e-7 of its size
         values, mult = _compressed(_GRADIENT_DATA)
-        params = DiscretisedLognormalParams(mu, sigma)
-        fresh = _dln_ll_derivatives(values, mult, params)[0]
-        reused = _dln_ll_derivatives(values, mult, params,
-                                     log_mass=log_pmf_values(params, values))[0]
-        scale = max(abs(fresh[0]), abs(fresh[1]), 1.0)
-        for a, b in zip(fresh, reused):
-            assert abs(a - b) <= 1e-6 * scale, (fresh, reused)
+        got = _dln_derivatives(values, mult, DiscretisedLognormalParams(mu, sigma))[0]
+        want = dln_ll_gradient_oracle(values.tolist(), mult.tolist(), mu, sigma)
+        scale = max(abs(want[0]), abs(want[1]), 1.0)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-6 * scale, (got, want)
 
     def test_lognormal_search_derivatives_match_differences(self, monkeypatch):
-        # fit_lognormal hands the search its gradient and Hessian in
+        # fit_lognormal's score derives its gradient and Hessian in
         # (mu / (1 + sigma**2), ln sigma); check both away from the optimum,
         # where the second derivatives of mu enter
         passed = {}
 
-        def spy(loglik, gradient, *args, curvature=None):
-            passed.update(loglik=loglik, gradient=gradient, curvature=curvature)
-            return _maximize_box(loglik, gradient, *args, curvature=curvature)
+        def spy(score, *args):
+            passed["score"] = score
+            return _maximize_box(score, *args)
 
         monkeypatch.setattr(citefit.fitting, "_maximize_box", spy)
         fit_lognormal(_GRADIENT_DATA)
+        loglik, gradient = _split(passed["score"])
         floor = [-math.inf, math.log(SIGMA_MIN)]
         for x in ([0.8, 0.3], [-2.0, 1.0], [1.5, -1.0], [3.0, 0.5]):
-            grad = passed["gradient"](x)
-            numeric = _differences(passed["loglik"], x, floor, [1e-4, 1e-4])
+            grad, hess = passed["score"](x)[1]()
+            numeric = _differences(loglik, x, floor, [1e-4, 1e-4])
             scale = max(abs(float(numeric[0])), abs(float(numeric[1])), 1.0)
             assert all(abs(a - n) <= 1e-6 * scale for a, n in zip(grad, numeric)), x
-            _assert_hessian_close(passed["curvature"](x),
-                                  _differences(passed["gradient"], x, floor, [1e-4, 1e-4]))
+            _assert_hessian_close(hess, _differences(gradient, x, floor, [1e-4, 1e-4]))
 
     @pytest.mark.parametrize("tail", [False, True])
     def test_hooked_search_gradient_matches_differences(self, monkeypatch, tail):
-        # fit_hooked hands the search its gradient in (ln alpha, ln(B + 1)),
-        # reusing the normalization of the point just scored; check it there
-        # and at a point not scored first
+        # fit_hooked's score derives its gradient in (ln alpha, ln(B + 1))
+        # from the normalization of the point it scored, and no Hessian
         passed = {}
 
-        def spy(loglik, gradient, *args, curvature=None):
-            passed.update(loglik=loglik, gradient=gradient)
-            return _maximize_box(loglik, gradient, *args, curvature=curvature)
+        def spy(score, *args):
+            passed["score"] = score
+            return _maximize_box(score, *args)
 
         monkeypatch.setattr(citefit.fitting, "_maximize_box", spy)
         fit_hooked(_GRADIENT_DATA, FitConfig(tail_correction=tail))
+        loglik, _ = _split(passed["score"])
         for x in ([0.8, 0.3], [2.0, 4.0], [1.5, 7.0]):
-            fresh = passed["gradient"](x)
-            passed["loglik"](x)
-            reused = passed["gradient"](x)
-            numeric = _differences(passed["loglik"], x, [-math.inf, 0.0], [1e-4, 1e-4])
+            grad, hess = passed["score"](x)[1]()
+            assert hess is None
+            numeric = _differences(loglik, x, [-math.inf, 0.0], [1e-4, 1e-4])
             scale = max(abs(float(numeric[0])), abs(float(numeric[1])), 1.0)
-            for grad in (fresh, reused):
-                assert all(abs(a - n) <= 1e-6 * scale for a, n in zip(grad, numeric)), x
+            assert all(abs(a - n) <= 1e-6 * scale for a, n in zip(grad, numeric)), x
 
     def test_lognormal_far_left_tail(self):
         # nearly every article uncited: the maximum sits deep in the left tail
@@ -622,8 +675,8 @@ class TestGradients:
         values, mult = _compressed(_GRADIENT_DATA)
         for mu in (-20.0, -10.0, 0.0, 3.0, 8.0, 15.0):
             for sigma in (SIGMA_MIN, 0.01, 0.3, 1.0, 10.0, 100.0, 1e4):
-                grad, hess = _dln_ll_derivatives(values, mult,
-                                                 DiscretisedLognormalParams(mu, sigma))
+                grad, hess = _dln_derivatives(values, mult,
+                                              DiscretisedLognormalParams(mu, sigma))
                 assert all(map(math.isfinite, grad + hess)), (mu, sigma, grad, hess)
         for alpha in (1e-3, 0.3, 1.0, 1.0 + 1e-9, 2.0, 100.0, 10000.0):
             for offset in (0.0, 1.0, 1e3, 1e6, 1e9):
@@ -636,6 +689,19 @@ class TestGradients:
 # ---------------------------------------------------------------------------
 # the bounded search
 # ---------------------------------------------------------------------------
+
+
+def _split(score):
+    """The log-likelihood and gradient of a ``score``, as two functions."""
+    return (lambda x: score(x)[0]), (lambda x: score(x)[1]()[0])
+
+
+def _scorer(loglik, gradient, hessian=None):
+    """A ``score`` for :func:`_maximize_box` from separate functions."""
+    def score(x):
+        return loglik(x), lambda: (gradient(x), hessian(x) if hessian else None)
+
+    return score
 
 
 def _quartic():
@@ -665,7 +731,7 @@ class TestSearch:
             asked.append(_newton_inverse(hessian(x), [False, False]))
             return hessian(x)
 
-        search = _maximize_box(loglik, gradient, [0.1, 0.0], *_BOX, 100, curvature=curvature)
+        search = _maximize_box(_scorer(loglik, gradient, curvature), [0.1, 0.0], *_BOX, 100)
         assert asked[0] is None and asked[-1] is not None  # BFGS first, Newton at the end
         assert search.converged
         assert abs(abs(search.x[0]) - 1.0) <= 1e-6 and abs(search.x[1] - 0.5) <= 1e-6
@@ -679,9 +745,9 @@ class TestSearch:
     ])
     def test_unusable_curvature_leaves_the_bfgs_search(self, hessian):
         loglik, gradient, _ = _quartic()
-        plain = _maximize_box(loglik, gradient, [0.1, 0.0], *_BOX, 100)
-        assert _maximize_box(loglik, gradient, [0.1, 0.0], *_BOX, 100,
-                             curvature=lambda x: hessian) == plain
+        plain = _maximize_box(_scorer(loglik, gradient), [0.1, 0.0], *_BOX, 100)
+        assert _maximize_box(_scorer(loglik, gradient, lambda x: hessian),
+                             [0.1, 0.0], *_BOX, 100) == plain
 
     def test_newton_steps_on_a_quadratic(self):
         # the exact Hessian of a concave quadratic: one step to the maximum,
@@ -692,8 +758,8 @@ class TestSearch:
         def gradient(x):
             return (-2.0 * (x[0] - 0.3) - (x[1] + 0.2), -(x[0] - 0.3) - 4.0 * (x[1] + 0.2))
 
-        search = _maximize_box(loglik, gradient, [0.0, 0.0], *_BOX, 100,
-                               curvature=lambda x: (-2.0, -1.0, -4.0))
+        search = _maximize_box(_scorer(loglik, gradient, lambda x: (-2.0, -1.0, -4.0)),
+                               [0.0, 0.0], *_BOX, 100)
         assert search.converged and search.evaluations == 2
         assert search.x == pytest.approx([0.3, -0.2], abs=1e-12)
 

@@ -37,10 +37,6 @@ class TestSeededGenerator:
         with pytest.raises(DomainError):
             SeededGenerator(2**64)
 
-    def test_algorithm_pinned(self):
-        with pytest.raises(DomainError):
-            SeededGenerator(1, algorithm="mt19937")
-
     def test_stream_restarts_from_seed(self):
         gen = SeededGenerator(42)
         a = gen.stream().random(5)
