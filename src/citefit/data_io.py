@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta
@@ -23,6 +24,8 @@ from functools import lru_cache
 from statistics import median
 from types import NoneType, UnionType
 from typing import Iterator, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .distributions import ModelParams
 from .errors import OutputError, ParseError, SchemaVersionError
@@ -61,7 +64,8 @@ def _parse_count(text: str, line_no: int) -> int:
 
 
 class _DigestingFile(io.FileIO):
-    """A raw file reader that feeds every byte it reads to a hashlib digest."""
+    """A raw file reader that feeds every byte it reads to a hashlib digest,
+    through ``readinto`` (sized reads) or ``readall`` (a read to the end)."""
 
     def __init__(self, path, digest):
         super().__init__(path)
@@ -71,6 +75,11 @@ class _DigestingFile(io.FileIO):
         n = super().readinto(buffer)
         self.digest.update(buffer[:n])
         return n
+
+    def readall(self) -> bytes:
+        data = super().readall()
+        self.digest.update(data)
+        return data
 
 
 @contextmanager
@@ -96,6 +105,28 @@ def open_text(path, digest=None) -> Iterator[TextIO]:
             raise
 
 
+# a maximal run of labeled rows that share one label (the text before the
+# last comma, without a NUL, which numpy's separator cannot hold) and hold
+# plain counts: at most 18 ASCII digits, so never past MAX_RAW_COUNT, between
+# spaces or tabs, before an optional carriage return
+_RUN = re.compile(r"([^\n\x00]*),[ \t]*[0-9]{1,18}[ \t]*\r?\n"
+                  r"(?:\1,[ \t]*[0-9]{1,18}[ \t]*\r?\n)*")
+# labeled input is read in pieces of about this many characters, each
+# completed to a line end
+_CHUNK = 8192
+
+
+def _line_chunks(source: TextIO, text: str) -> Iterator[str]:
+    """``text``, then the rest of ``source`` in pieces of about
+    :data:`_CHUNK` characters, each ending at a line end (or the end)."""
+    if text:
+        yield text
+    while chunk := source.read(_CHUNK):
+        if chunk[-1] != "\n":
+            chunk += source.readline()
+        yield chunk
+
+
 def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
                  label: str = "") -> list[CitationDataset]:
     """Parse raw (unshifted) citation counts from a text stream.
@@ -106,18 +137,22 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
     commas, and skips the first non-blank row as a header if its count field
     is not an integer; ``auto`` reads ``labeled`` rows if the first non-blank
     line holds a comma and one count per line otherwise.  The stream is read
-    once.
+    once.  Labeled rows are taken a run at a time: a maximal run of rows with
+    one label and plain counts is matched at once, and its counts converted
+    in one call; any other line (blank, the header, a count with a sign,
+    padding or other digits, or an error) is read on its own.
     Raises :class:`ParseError` with the line number on bad input.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     lines = enumerate(source, start=1)
+    first = (0, "")  # the line read to detect the format, and its number
     if format == FORMAT_AUTO:
-        first = next(((n, line) for n, line in lines if line.strip()), (0, ""))
+        first = next(((n, line) for n, line in lines if line.strip()), first)
         format = FORMAT_LABELED if "," in first[1] else FORMAT_ONE_PER_LINE
         lines = itertools.chain([first], lines)
-    top = MAX_RAW_COUNT
     if format == FORMAT_ONE_PER_LINE:
+        top = MAX_RAW_COUNT
         counts = []
         for line_no, line in lines:
             try:
@@ -136,29 +171,41 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
     if format == FORMAT_LABELED:
         groups: dict[str, list[int]] = {}
         name = counts = None  # the label of the previous row and its list
-        first = True
-        for line_no, line in lines:
-            row_name, comma, count_text = line.rpartition(",")
-            if not comma:
-                if not line.strip():
-                    continue
-                raise ParseError("expected 'journal,citations'", line_no)
-            if first:
-                first = False
-                if not count_text.strip().lstrip("+-").isdigit():
-                    continue  # header row
-            try:
-                value = int(count_text)
-            except ValueError:
-                value = -1
-            if value < 0 or value > top:  # out of range, malformed, or padded past int()
-                value = _parse_count(count_text, line_no)
-            if row_name != name:
-                name = row_name
-                counts = groups.get(name)
-                if counts is None:
-                    counts = groups[name] = []
-            counts.append(value)
+        header = True  # the next non-blank row may be a header
+        line_no = max(first[0] - 1, 0)  # lines before the chunk at hand
+        for chunk in _line_chunks(source, first[1]):
+            pos, end = 0, len(chunk)
+            while pos < end:  # a run of rows, or else one line
+                run = _RUN.match(chunk, pos)
+                if run is not None:
+                    row_name = run.group(1)
+                    # past the first label, numpy reads the counts between
+                    # separators "\n<label>,", whose newline stands for any
+                    # run of whitespace, such as a count's padding and "\r"
+                    values = np.fromstring(chunk[pos + len(row_name) + 1:run.end()],
+                                           dtype=np.int64, sep="\n" + row_name + ",").tolist()
+                    pos = run.end()
+                    line_no += len(values)
+                    header = False
+                else:
+                    stop = chunk.find("\n", pos) + 1 or end
+                    line = chunk[pos:stop]
+                    pos = stop
+                    line_no += 1
+                    row_name, comma, count_text = line.rpartition(",")
+                    if not comma:
+                        if not line.strip():
+                            continue
+                        raise ParseError("expected 'journal,citations'", line_no)
+                    if header:
+                        header = False
+                        if not count_text.strip().lstrip("+-").isdigit():
+                            continue  # header row
+                    values = [_parse_count(count_text, line_no)]
+                if row_name != name:
+                    name = row_name
+                    counts = groups.setdefault(name, [])
+                counts.extend(values)
         if not groups:
             raise ParseError("no data rows found in input")
         return [CitationDataset(name, counts, shifted=False)

@@ -16,8 +16,12 @@ they keep their digits where ``alpha ln(B + 1)`` reaches 1e5.  Both come
 from one pass: a single buffer holds the head's ``k`` and the points'
 ``n - 1``, takes ``-alpha ln(1 + x / (B + 1))`` once, and its head slice is
 summed in place into the normalization that the point slice is then reduced
-by.  The normalization alone, the CDF table and the gradient go through the
-same pass; the gradient shares one ``log1p`` pass between the sums it needs.
+by.  The normalization alone and the CDF table go through the same pass.
+The exact gradient and Hessian of a log-likelihood in ``(ln alpha,
+ln(B + 1))`` take one more pass of the same kind: with ``t = ln(1 + k /
+(B + 1))`` they are weighted moments of ``t`` and ``k / (B + 1 + k)`` under
+the head's terms ``exp(-alpha t)``, with the remainder and the tail bound
+differentiated in closed form.
 
 Discretised lognormal: the continuous lognormal density ``c(x)`` integrated
 over unit intervals and renormalized to the support above one half::
@@ -144,7 +148,8 @@ def _hooked_head(alpha: float, offset: float, truncation: int) -> tuple[int, boo
 
 def _hooked_remainder(alpha: float, offset: float, head: int, truncation: int) -> float:
     """Euler-Maclaurin value of the terms ``f(x) = ((B + x) / (B + 1))**-alpha``
-    for ``x = head+1..N``."""
+    for ``x = head+1..N``; :func:`_hooked_remainder_derivatives` differentiates
+    it analytically."""
     b1 = float(offset) + 1.0
     a, b = head + 1, truncation
     xa, xb = offset + a, offset + b
@@ -211,9 +216,11 @@ def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams) -> tuple[np
     1e5.  ``ns`` is only read.
     """
     b1 = float(params.offset) + 1.0
-    if b1 < 1e300 and params.alpha > 1e-300 * b1:
+    if b1 < 1e300 and 1e-300 * b1 < params.alpha < 1e300:
         return _hooked_pass(ns, params)
-    with np.errstate(under="ignore"):  # k / (B + 1), or alpha times its logarithm, could underflow
+    # k / (B + 1), or alpha times its logarithm, could underflow; or, for an
+    # exponent near the float maximum, overflow to the -inf that is its value
+    with np.errstate(under="ignore", over="ignore"):
         return _hooked_pass(ns, params)
 
 
@@ -276,52 +283,165 @@ def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
     return _hooked_log_tail(params.alpha, params.offset, params.truncation)
 
 
-def _hooked_log_pmf_grad(ns: np.ndarray, params: HookedPowerLawParams, log_norm: float):
-    """Partial derivatives of each log mass in ``ln alpha`` and ``ln(B + 1)``.
+def _exp_moments(s: float) -> tuple[float, float, float]:
+    """``E_i(s) = integral_0^1 v**i e**(s v) dv`` for ``i = 0, 1, 2``.
 
-    In ``B`` the normalization's derivative is exact,
-    ``dlnZ/dB = -alpha Z(alpha + 1, B) / Z(alpha, B)``, which holds with the
-    tail bound as well.  In ``alpha`` it is a central difference of the
-    relative sum, which keeps about ten digits because that sum's logarithm
-    stays below about ln N; the tail bound enters in closed form, weighted
-    by its share of the normalization.  The sums at ``alpha -+ h`` and
-    ``alpha + 1`` share one ``log1p`` pass over the longest head they need
-    and the points.  ``log_norm`` is minus the log mass at 1 under ``params``:
-    the log of the normalization over its first term.
+    Upward, ``E_i = (e**s - i E_{i-1}) / s`` from ``E_0 = expm1(s) / s``,
+    where ``|s| >= 1``; below that, ``E_2`` from its series and the same
+    recurrence run downward, which cancels nothing there."""
+    es = math.exp(s)
+    if abs(s) >= 1.0:
+        e0 = math.expm1(s) / s
+        e1 = (es - e0) / s
+        return e0, e1, (es - 2.0 * e1) / s
+    # E_2 = sum_k s**k / (k! (k + 3)), to the last bit
+    term, e2, k = 1.0, 1.0 / 3.0, 0
+    while True:
+        k += 1
+        term *= s / k
+        step = term / (k + 3)
+        e2 += step
+        if abs(step) <= 1e-17 * e2:
+            break
+    e1 = 0.5 * (es - s * e2)
+    return es - s * e1, e1, e2
+
+
+def _hooked_remainder_derivatives(alpha: float, offset: float, head: int, truncation: int):
+    """Gradient ``(r0, r1)`` and Hessian ``(r00, r01, r11)`` in ``ln alpha``
+    and ``ln(B + 1)`` of :func:`_hooked_remainder`, differentiated
+    analytically term by term (no differences).
+
+    With ``tau = ln((B + x) / (B + 1))`` the integral over ``[a, b]`` is
+    ``(B + 1) int e**((1 - alpha) tau) dtau`` between ``t(a)`` and ``t(b)``:
+    in ``alpha`` its derivatives weight the integrand by ``-tau`` and
+    ``tau**2`` (closed forms through :func:`_exp_moments`), and in
+    ``ln(B + 1)`` only its limits move, which adds ``(a - 1) f(a) - (b - 1) f(b)``.
+    Each endpoint term ``c (alpha)_m f(x) / (B + x)**m`` (``m = 0`` for the
+    halves of ``f``) is differentiated through its logarithm: with
+    ``t = ln((B + x) / (B + 1))``, ``q = (x - 1) / (B + x)`` and
+    ``r = 1 - q``, that has gradient ``(P1 - alpha t, alpha q - m r)`` and
+    Hessian ``(P2 - alpha t, alpha q, -(alpha + m) r q)``, where ``P1`` and
+    ``P2`` sum ``alpha / (alpha + i)`` and ``alpha i / (alpha + i)**2`` over
+    the factorial's factors.
+    """
+    b1 = float(offset) + 1.0
+    a, b = head + 1, truncation
+    ends = []
+    for n in (a, b):
+        x = offset + n
+        t = math.log1p((n - 1) / b1)
+        ends.append((x, t, (n - 1) / x, b1 / x, math.exp(-alpha * t)))
+    (xa, ta, qa, _, fa), (_, tb, qb, _, fb) = ends
+    u = math.log1p((b - a) / xa)
+    e0, e1, e2 = _exp_moments((1.0 - alpha) * u)
+    base = xa * fa * u
+    k1 = base * (ta * e0 + u * e1)  # (B + 1) int tau e**((1 - alpha) tau) dtau
+    k2 = base * (ta * ta * e0 + u * (2.0 * ta * e1 + u * e2))
+    g0 = -alpha * k1
+    g1 = base * e0 + (a - 1) * fa - (b - 1) * fb
+    h00 = g0 + alpha * alpha * k2
+    h01 = g0 - alpha * ((a - 1) * fa * ta - (b - 1) * fb * tb)
+    h11 = g1 + alpha * ((a - 1) * fa * qa - (b - 1) * fb * qb)
+    for (x, t, q, r, f), sign in zip(ends, (1.0, -1.0)):
+        terms = [(0.5 * f, 0.0, 0.0, 0)]  # (weight, P1, P2, m)
+        d, p1, p2 = sign * f, 0.0, 0.0
+        for i in range(2 * len(_EM_COEFFS) - 1):  # the factors alpha + i of (alpha)_11
+            rise = alpha + i
+            d *= rise / x
+            p1 += alpha / rise
+            p2 += alpha * i / rise / rise
+            if i % 2 == 0:
+                weight = _EM_COEFFS[i // 2] * d
+                # B + x > 2 alpha and x > 64 make each order under a 50th of
+                # the one before, so the rest cannot reach the last bit
+                if abs(weight) < 1e-17 * f:
+                    break
+                terms.append((weight, p1, p2, i + 1))
+        at, aq = alpha * t, alpha * q
+        for weight, p1, p2, m in terms:
+            c0, c1 = p1 - at, aq - m * r
+            g0 += weight * c0
+            g1 += weight * c1
+            h00 += weight * (p2 - at + c0 * c0)
+            h01 += weight * (aq + c0 * c1)
+            h11 += weight * (c1 * c1 - (alpha + m) * r * q)
+    return (g0, g1), (h00, h01, h11)
+
+
+def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPowerLawParams,
+                           log_norm: float):
+    """Gradient ``(d_a, d_b)`` and Hessian ``(h_aa, h_ab, h_bb)`` in ``ln alpha``
+    and ``ln(B + 1)`` of ``sum(mult * log_mass)`` over the points ``ns``, from
+    one pass over one buffer that holds the normalization head and the
+    points.  ``log_norm`` is minus the log mass at 1 under ``params``: the log
+    of the normalization over its first term, as the search scored it.
+
+    With ``t_k = ln(1 + k / (B + 1))``, ``q_k = k / (B + 1 + k)`` and
+    ``r_k = 1 - q_k = exp(-t_k)``, each exponent ``-alpha t`` has gradient
+    ``(-alpha t, alpha q)`` and Hessian ``(-alpha t, alpha q, -alpha r q)``.
+    The log-normalization's gradient is the mean of the first under the
+    weights ``w_k = exp(-alpha t_k)``, and its Hessian the mean of the second
+    plus the covariance of the first: minus the w-weighted mean of ``t`` and
+    its variance in ``alpha``, moments of ``q`` and ``r`` in ``B``.  The
+    points' part is the same closed form at ``n - 1``.  The Euler-Maclaurin
+    remainder (:func:`_hooked_remainder_derivatives`) and the tail bound
+    enter the weighted sums in closed form.
     """
     alpha, offset, truncation = params.alpha, params.offset, params.truncation
     b1 = float(offset) + 1.0
-    tail = params.tail_correction and alpha > 1
-    h = 1e-5 * alpha
-    heads = {a: _hooked_head(a, offset, truncation)
-             for a in (alpha - h, alpha + h, alpha + 1.0)}
-    size = max(head for head, _ in heads.values())
+    head, rest = _hooked_head(alpha, offset, truncation)
     ns = np.asarray(ns, dtype=np.float64)
-    with np.errstate(under="ignore"):  # as in _hooked_log_masses, tiny alpha or huge B
-        logs = np.arange(size + ns.size, dtype=np.float64)
-        np.subtract(ns, 1.0, out=logs[size:])
-        logs /= b1
-        np.log1p(logs, out=logs)
-
-        def log_total(a, tail_):
-            head, rest = heads[a]
-            return _hooked_log_total(logs[:head] * -a, a, offset, truncation, rest, tail_)
-
-        d_alpha = (log_total(alpha + h, False) - log_total(alpha - h, False)) / (2.0 * h)
-        if tail:
-            share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
-            d_tail = -math.log1p((truncation - 0.5) / b1) - 1.0 / (alpha - 1.0)
-            d_alpha += share * (d_tail - d_alpha)
-        # (B + 1) Z(alpha + 1, B) / Z(alpha, B), from the relative normalizations
-        ratio = math.exp(log_total(alpha + 1.0, tail) - log_norm)
-        d_ln_alpha = logs[size:]
-        d_ln_alpha += d_alpha
-        d_ln_alpha *= -alpha
-        d_ln_b1 = ns + offset
-        np.divide(b1, d_ln_b1, out=d_ln_b1)
-        np.subtract(ratio, d_ln_b1, out=d_ln_b1)
-        d_ln_b1 *= alpha
-    return d_ln_alpha, d_ln_b1
+    # rows t, q and r q over the head's k and the points' n - 1; tiny or huge
+    # weights underflow to 0 or overflow to inf quietly, as in the masses
+    with np.errstate(under="ignore", over="ignore"):
+        k = np.arange(head + ns.size, dtype=np.float64)
+        np.subtract(ns, 1.0, out=k[head:])
+        rows = np.empty((3, k.size))
+        t, q, rq = rows
+        np.add(k, b1, out=rq)
+        np.divide(k, rq, out=q)
+        np.divide(b1, rq, out=rq)
+        rq *= q
+        np.divide(k, b1, out=t)
+        np.log1p(t, out=t)
+        w = t[:head] * -alpha
+        np.exp(w, out=w)
+        s_t, s_q, s_rq = (rows[:, :head] @ w).tolist()
+        # the second moments as vector products: a matrix product would have
+        # the BLAS library set up its work buffers, a quarter of a megabyte
+        th, qh = t[:head], q[:head]
+        wt = w * th
+        s_tt, s_tq, s_qq = float(wt @ th), float(wt @ qh), float((w * qh) @ qh)
+        p_t, p_q, p_rq = (rows[:, head:] @ mult).tolist()
+    # derivatives of the normalization over its first term, head and remainder
+    a2 = alpha * alpha
+    z0, z1 = -alpha * s_t, alpha * s_q
+    z00, z01, z11 = z0 + a2 * s_tt, z1 - a2 * s_tq, a2 * s_qq - alpha * s_rq
+    if rest:
+        (r0, r1), (r00, r01, r11) = _hooked_remainder_derivatives(
+            alpha, offset, head, truncation)
+        z0, z1, z00, z01, z11 = z0 + r0, z1 + r1, z00 + r00, z01 + r01, z11 + r11
+    scale = math.exp(-log_norm)
+    l0, l1, l00, l01, l11 = z0 * scale, z1 * scale, z00 * scale, z01 * scale, z11 * scale
+    if params.tail_correction and alpha > 1:
+        share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
+        if share > 0.0:  # else it adds nothing, and its factors could overflow
+            # the bound's logarithm, ln(B + N + 1/2) - ln(alpha - 1) - alpha t_N
+            t_n = math.log1p((truncation - 0.5) / b1)
+            r_n = b1 / (offset + truncation + 0.5)
+            q_n = (truncation - 0.5) / (offset + truncation + 0.5)
+            c0 = -alpha * (1.0 / (alpha - 1.0) + t_n)
+            c1 = r_n + alpha * q_n
+            l0 += share * c0
+            l1 += share * c1
+            l00 += share * (c0 + a2 / ((alpha - 1.0) * (alpha - 1.0)) + c0 * c0)
+            l01 += share * (alpha * q_n + c0 * c1)
+            l11 += share * ((1.0 - alpha) * r_n * q_n + c1 * c1)
+    n = float(np.add.reduce(mult))
+    return ((-alpha * p_t - n * l0, alpha * p_q - n * l1),
+            (-alpha * p_t - n * (l00 - l0 * l0), alpha * p_q - n * (l01 - l0 * l1),
+             -alpha * p_rq - n * (l11 - l1 * l1)))
 
 
 # ---------------------------------------------------------------------------

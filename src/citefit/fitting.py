@@ -3,14 +3,15 @@
 Both fits run one projected search on closed-form gradients, in coordinates
 where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)`` with
 ``sigma >= SIGMA_MIN`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
-``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  The
-lognormal search also has the exact Hessian and takes Newton steps wherever
-it is negative definite, falling back to BFGS elsewhere; the hooked search
-takes BFGS steps throughout.  Each point costs one parameter record and
-one evaluation of its log masses, which the derivatives then reuse.  The
-hooked exponent is capped (default 10000) because its likelihood has a flat
-ridge as ``alpha`` and ``B`` grow together; a search that follows the ridge
-onto the cap ends there with ``B`` optimized alone, and the result is flagged.
+``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  Both
+searches also have the exact Hessian and take Newton steps wherever it is
+negative definite over the coordinates not held at a bound (``B`` alone on
+the exponent cap), falling back to BFGS elsewhere.  Each point costs one
+parameter record and one evaluation of its log masses, which the
+derivatives then reuse.  The hooked exponent is capped (default 10000)
+because its likelihood has a flat ridge as ``alpha`` and ``B`` grow
+together; a search that follows the ridge onto the cap ends there with
+``B`` optimized alone, and the result is flagged.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .distributions import (
     Model,
     ModelParams,
     _dln_ll_derivatives,
-    _hooked_log_pmf_grad,
+    _hooked_ll_derivatives,
     log_pmf_values,
 )
 from .errors import DomainError, DoubleShiftError
@@ -486,14 +487,16 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
     offsets = [math.exp(lb) - 1.0 for lb in ln_b1s.tolist()]
     best = None
     # descending alpha so exact ties (mass fully concentrated at 1) resolve
-    # to the largest-exponent grid edge
-    for la in ln_alphas[::-1].tolist():
-        alpha = math.exp(la)
-        for offset in offsets:
-            params = HookedPowerLawParams(alpha, offset, truncation, cfg.tail_correction)
-            ll = float(mult.dot(log_pmf_values(params, values)))
-            if best is None or ll > best[0]:
-                best = (ll, params)
+    # to the largest-exponent grid edge; under a cap near the float maximum,
+    # log masses near -1e308 sum past the float range to the -inf they stand for
+    with np.errstate(over="ignore"):
+        for la in ln_alphas[::-1].tolist():
+            alpha = math.exp(la)
+            for offset in offsets:
+                params = HookedPowerLawParams(alpha, offset, truncation, cfg.tail_correction)
+                ll = float(mult.dot(log_pmf_values(params, values)))
+                if best is None or ll > best[0]:
+                    best = (ll, params)
     return best[1]
 
 
@@ -517,18 +520,14 @@ def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Probl
         alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
         return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation, cfg.tail_correction)
 
-    # the log mass at 1, beside the data, is minus the gradient's normalization
+    # the log mass at 1, beside the data, is minus the derivatives' normalization
     points = np.append(values, 1.0)
 
     def score(x):
         params = params_at(x)
         logp = log_pmf_values(params, points)
-
-        def derive():
-            d_ln_alpha, d_ln_b1 = _hooked_log_pmf_grad(values, params, -logp[-1])
-            return (float(mult @ d_ln_alpha), float(mult @ d_ln_b1)), None
-
-        return float(mult.dot(logp[:-1])), derive
+        return (float(mult.dot(logp[:-1])),
+                lambda: _hooked_ll_derivatives(values, mult, params, -logp[-1]))
 
     init = init_hooked(ds, cfg)
     return _Problem(

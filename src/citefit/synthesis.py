@@ -181,12 +181,17 @@ def recovery_experiment(
     maximizer, up to optimizer tolerance).  The truth's inversion table is
     built once for all seeds, so each seed's counts equal
     ``sample(truth, n, SeededGenerator(seed))``; the truth is scored by
-    :func:`total_log_likelihood`, once per distinct count.
+    :func:`total_log_likelihood`, once per distinct count.  A hooked truth
+    whose exponent is above ``cfg.alpha_cap`` raises :class:`DomainError`.
     """
     if n < 1000:
         raise DomainError(f"recovery experiments need n >= 1000, got {n!r}")
     if not seeds:
         raise DomainError("recovery experiments need at least one seed")
+    if truth.model is Model.HOOKED and truth.alpha > cfg.alpha_cap:
+        # the fit stops at the cap, so its errors would measure the cap
+        raise DomainError(f"the true exponent {truth.alpha!r} is above the fit's "
+                          f"exponent cap {cfg.alpha_cap!r}")
     model = truth.model
     inv = _inversion_table(truth)
     rows = []

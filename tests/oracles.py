@@ -5,16 +5,17 @@ validates.  The lognormal masses come from mpmath quadrature of the
 continuous density, not from normal-CDF differences, and their gradient
 differences the normal CDF in mpmath arithmetic, not in the log domain; the
 hooked normalization reference sums every term in doubles, not through the
-library's Euler-Maclaurin remainder, and ``extended_sum_oracle`` sums it in
-mpmath arithmetic.  ``log_sum_exp`` and ``predict_underflow`` document, as
+library's Euler-Maclaurin remainder, ``extended_sum_oracle`` sums it in
+mpmath arithmetic, and its derivatives come from mpmath differentiating the
+Hurwitz zeta function, not from weighted moments.  ``log_sum_exp`` and ``predict_underflow`` document, as
 tested code, why the library works in the log domain.  The dense diagnostics
 evaluate the library's model CDFs at every integer: what they check is the
 choice of evaluation points, not the CDFs themselves.
 
 The ``reference_*`` functions are the plainer forms that the hooked log
-masses, the hooked normalization, its gradient and the count parser once
-had: one numpy expression per quantity, each normalization summed on its own
-and one split per row.  The library's faster forms must agree with them
+masses, the hooked normalization and the count parser once had: one numpy
+expression per quantity, each normalization summed on its own and one split
+per row.  The library's faster forms must agree with them
 exactly, bit for bit and error for error.
 
 Quadrature caveat: these integrands can decay by hundreds of orders of
@@ -376,6 +377,32 @@ def extended_sum_oracle(
         return float(mp.ln(total))
 
 
+def hooked_ll_derivatives_oracle(values, mult, alpha, offset, truncation,
+                                  tail_correction=False, dps=60):
+    """Gradient and Hessian ``(h00, h01, h11)`` of the hooked log-likelihood
+    ``sum(mult * log_mass)`` in ``(ln alpha, ln(B + 1))``, by mpmath's own
+    differentiation of a normalization written through the Hurwitz zeta
+    function, ``sum_{n=1..N} (B + n)**-alpha = zeta(alpha, B + 1) -
+    zeta(alpha, B + N + 1)``, with the integral tail bound
+    ``(B + N + 1/2)**(1 - alpha) / (alpha - 1)`` added where asked and
+    ``alpha > 1``: no head, no Euler-Maclaurin remainder and no moments."""
+    with mp.workdps(dps):
+        total = mp.fsum(mult)
+
+        def loglik(x0, y):
+            a, b1 = mp.exp(x0), mp.exp(y)
+            z = mp.zeta(a, b1) - mp.zeta(a, b1 + truncation)
+            if tail_correction and a > 1:
+                z += (b1 + truncation - mp.mpf(0.5)) ** (1 - a) / (a - 1)
+            return (-a * mp.fsum(m * mp.log(b1 - 1 + n) for n, m in zip(values, mult))
+                    - total * mp.log(z))
+
+        x = (mp.log(mp.mpf(alpha)), mp.log(mp.mpf(offset) + 1))
+        grad = [float(mp.diff(loglik, x, order)) for order in ((1, 0), (0, 1))]
+        hess = [float(mp.diff(loglik, x, order)) for order in ((2, 0), (1, 1), (0, 2))]
+    return grad, hess
+
+
 # ---------------------------------------------------------------------------
 # bit-exact references for the hooked evaluation and the parser
 # ---------------------------------------------------------------------------
@@ -454,27 +481,6 @@ def reference_hooked_cdf(ns, alpha, offset, truncation, tail_correction=False):
         table = np.cumsum(np.exp(reference_hooked_log_pmf(
             np.arange(1, int(ns.max()) + 1), alpha, offset, truncation, tail_correction)))
     return np.minimum(table, 1.0)[ns - 1]
-
-
-def reference_hooked_log_pmf_grad(ns, alpha, offset, truncation, tail_correction=False):
-    """Partial derivatives of the hooked log masses at ``ns`` in ``ln alpha``
-    and ``ln(B + 1)``, each of the four normalizations they need (at alpha,
-    alpha -+ h and alpha + 1) summed on its own, then the points in one
-    expression."""
-    b1 = offset + 1.0
-    tail = bool(tail_correction) and alpha > 1
-    log_norm = _reference_log_rel_norm(alpha, offset, truncation, tail)
-    h = 1e-5 * alpha
-    d_alpha = (reference_hooked_log_rel_sum(alpha + h, offset, truncation)
-               - reference_hooked_log_rel_sum(alpha - h, offset, truncation)) / (2.0 * h)
-    if tail:
-        share = math.exp(_reference_log_rel_tail(alpha, offset, truncation) - log_norm)
-        d_tail = -math.log1p((truncation - 0.5) / b1) - 1.0 / (alpha - 1.0)
-        d_alpha += share * (d_tail - d_alpha)
-    ratio = math.exp(_reference_log_rel_norm(alpha + 1.0, offset, truncation, tail) - log_norm)
-    ns = np.asarray(ns, dtype=np.float64)
-    return (-alpha * (np.log1p((ns - 1.0) / b1) + d_alpha),
-            alpha * (ratio - b1 / (offset + ns)))
 
 
 def _reference_parse_count(text, line_no):

@@ -374,10 +374,24 @@ class TestErrorPaths:
         assert "ll_gap=0.0000" in capsys.readouterr().out
 
     def test_exponent_cap_near_float_max_runs(self, capsys):
-        # 2 alpha - B overflows to inf in the head length of the normalization
+        # 2 alpha - B overflows to inf in the head length of the normalization,
+        # and log masses near -1e308 overflow to the -inf they stand for
         assert main(["compare", SMOKE, "--alpha-cap", "1e308"]) == EXIT_OK
         assert main(["simulate", "recovery", "--truth", "hooked", "--alpha", "1e308",
-                     "--n", "1000", "--seeds", "1"]) == EXIT_OK
+                     "--alpha-cap", "1e308", "--n", "1000", "--seeds", "1"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "20000", "--offset", "5", "--n", "2000", "--seeds", "2"],
+        ["--alpha", "1e308", "--n", "1000", "--seeds", "1"],
+        ["--alpha", "50", "--alpha-cap", "20", "--n", "1000", "--seeds", "1"],
+    ])
+    def test_hooked_truth_above_the_cap_is_config_error(self, capsys, flags):
+        # the fit stops at the cap, so the errors would measure the cap
+        assert main(["simulate", "recovery", "--truth", "hooked", *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: the true exponent ")
+        assert "is above the fit's exponent cap" in err[0]
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", ["inf", "nan", "1"])

@@ -1,8 +1,10 @@
 """Tests for parsing, document persistence and table rendering."""
 
+import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -41,6 +43,15 @@ _LABELED_ROWS = st.builds("{},{}".format,
 _COUNT_ROWS = _TOKENS
 _BLANK_ROWS = st.sampled_from(["", " ", "\t", " \r"])
 _HEADER_ROWS = st.sampled_from(["journal,citations", "name, count", "journal"])
+# runs of rows under one label, mostly with plain counts, between odd rows
+_RUN_LABELS = st.sampled_from(["A", "B", "With, Comma", " spaced ", "x,", "", "5", "A\x00B",
+                               "Zeitschrift f\u00fcr \u4e2d\u6587", "\t", "a\x0bb"])
+_RUN_TOKENS = st.one_of(st.sampled_from(["0", "7", " 12\t", "007", "999999999999999999"]),
+                        _TOKENS)
+_RUNS = st.lists(st.one_of(
+    st.tuples(_RUN_LABELS, st.lists(_RUN_TOKENS, min_size=1, max_size=8)).map(
+        lambda run: [f"{run[0]},{token}" for token in run[1]]),
+    st.lists(st.one_of(_BLANK_ROWS, _HEADER_ROWS, _COUNT_ROWS), max_size=2)), max_size=8)
 
 
 def _parse_outcome(parse, source, format):
@@ -145,6 +156,35 @@ class TestParseCounts:
         for format in ("auto", "labeled", "one-per-line"):
             assert (_parse_outcome(parse_counts, text, format)
                     == _parse_outcome(reference_parse_counts, text, format))
+
+    @given(_RUNS, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_across_chunk_edges(self, groups, ending, closed, chunk):
+        # labeled input is read a few characters at a time, so runs, labels,
+        # CRLF endings and the header straddle the edges of the pieces
+        text = ending.join(row for group in groups for row in group) + (ending if closed else "")
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a run numpy cannot read to its end warns
+            patch.setattr(data_io, "_CHUNK", chunk)
+            for format in ("auto", "labeled"):
+                assert (_parse_outcome(parse_counts, text, format)
+                        == _parse_outcome(reference_parse_counts, text, format))
+
+    @pytest.mark.parametrize("read_all", [False, True])
+    def test_digest_covers_a_file_read_in_many_pieces(self, tmp_path, read_all):
+        rows = [f"Journal {i // 700},{(i * 7919) % 1000}" for i in range(5000)]
+        data = ("journal,citations\n" + "\n".join(rows) + "\n").encode()
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        assert len(data) > 5 * data_io._CHUNK
+        digest = hashlib.sha256()
+        with data_io.open_text(path, digest) as fh:
+            if read_all:  # one read to the end goes through readall, not readinto
+                datasets = parse_counts(fh.read(), "labeled")
+            else:
+                datasets = parse_counts(fh, "labeled")
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert sum(len(d) for d in datasets) == 5000 and len(datasets) == 8
 
 
 def _document(seed=41, label="Journal X"):

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from citefit.distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
-    _hooked_log_pmf_grad,
+    _exp_moments,
+    _hooked_head,
+    _hooked_ll_derivatives,
+    _hooked_remainder,
+    _hooked_remainder_derivatives,
     cdf_values,
     dln_cdf,
     dln_log_pmf,
@@ -28,8 +32,8 @@ from citefit.errors import DomainError, SupportRangeError
 from citefit.numerics import LOG_ZERO
 
 from oracles import (direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle,
-                     hooked_cdf_oracle, reference_hooked_cdf, reference_hooked_log_norm,
-                     reference_hooked_log_pmf, reference_hooked_log_pmf_grad)
+                     hooked_cdf_oracle, hooked_ll_derivatives_oracle, reference_hooked_cdf,
+                     reference_hooked_log_norm, reference_hooked_log_pmf)
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 
@@ -251,9 +255,9 @@ _KERNEL_OFFSETS = st.one_of(st.floats(0.0, 1e9), st.floats(1e300, 1e308),
 
 
 class TestHookedOnePass:
-    """The one-pass kernel (normalization, log masses, CDF table and
-    gradient from one buffer) equals the two-pass forms in ``oracles`` bit for
-    bit, and keeps quiet where their terms underflow."""
+    """The one-pass kernel (normalization, log masses and CDF table from one
+    buffer) equals the two-pass forms in ``oracles`` bit for bit, and keeps
+    quiet where their terms underflow."""
 
     @given(_KERNEL_ALPHAS, _KERNEL_OFFSETS, st.sampled_from([1, 64, 10_000, 1_000_000]),
            st.booleans(), st.data())
@@ -270,45 +274,127 @@ class TestHookedOnePass:
         else:
             ns = np.array(data.draw(st.lists(st.integers(1, truncation), min_size=1,
                                              max_size=100)))
-        points = ns.astype(np.float64)
         with np.errstate(under="ignore"):  # the references underflow quietly ...
             want_logp = reference_hooked_log_pmf(ns, alpha, offset, truncation, tail)
             want_norm = reference_hooked_log_norm(alpha, offset, truncation, tail)
-            want_grad = reference_hooked_log_pmf_grad(points, alpha, offset, truncation, tail)
         with np.errstate(under="raise"):  # ... and so must the kernel
             logp = log_pmf_values(params, ns)
             log_norm = hooked_log_norm(params)
-            scored = -log_pmf_values(params, np.ones(1))[0]
-            grad = _hooked_log_pmf_grad(points, params, scored)
         assert logp.tobytes() == want_logp.tobytes()
         assert np.float64(log_norm).tobytes() == np.float64(want_norm).tobytes()
-        assert all(got.tobytes() == want.tobytes() for got, want in zip(grad, want_grad))
         if ns.max() <= 10_000:  # the table runs to the largest point
             with np.errstate(under="raise"):
                 cdf = cdf_values(params, ns)
             want_cdf = reference_hooked_cdf(ns, alpha, offset, truncation, tail)
             assert cdf.tobytes() == want_cdf.tobytes()
 
-    def test_gradient_reuses_the_scored_normalization(self, monkeypatch):
-        # the normalization comes from the caller: only the sums at alpha -+ h
-        # and alpha + 1 are formed, all from one log1p pass
+
+_DERIV_VALUES = np.array([1.0, 2, 3, 5, 8, 13, 40, 100, 700, 3000])
+_DERIV_MULT = np.array([50.0, 30, 20, 12, 9, 5, 4, 2, 1, 1])
+
+
+def _hooked_derivatives(params, values=_DERIV_VALUES, mult=_DERIV_MULT):
+    log_norm = -log_pmf_values(params, np.ones(1))[0]
+    return _hooked_ll_derivatives(values, mult, params, log_norm)
+
+
+def _five_point(f, x, h):
+    """Five-point central differences of ``f`` (a number or a sequence) along
+    each coordinate of ``x``."""
+    def at(i, k):
+        y = list(x)
+        y[i] += k * h
+        return np.asarray(f(*y))
+
+    return [(at(i, -2) - 8 * at(i, -1) + 8 * at(i, 1) - at(i, 2)) / (12 * h) for i in (0, 1)]
+
+
+class TestHookedDerivatives:
+    """The hooked log-likelihood's exact gradient and Hessian in
+    ``(ln alpha, ln(B + 1))``: one head pass, the remainder differentiated
+    analytically and the tail bound in closed form."""
+
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("alpha, offset, truncation", [
+        (1.05, 3.0, 1_000_000),         # far tail: the remainder carries most of the mass
+        (1.0000001, 2.0, 10_000),       # just above alpha = 1, where the tail bound diverges
+        (0.9999999, 2.0, 10_000),       # just below: the integral's exponent is near 0
+        (0.3, 0.0, 10_000),
+        (10000.0, 5e5, 10_000),         # on the cap, out along the ridge
+        (10000.0, 0.0, 10_000),         # on the cap at B = 0: a head of two terms
+    ])
+    def test_matches_zeta_oracle(self, alpha, offset, truncation, tail):
+        params = HookedPowerLawParams(alpha, offset, truncation, tail)
+        grad, hess = _hooked_derivatives(params)
+        want_grad, want_hess = hooked_ll_derivatives_oracle(
+            _DERIV_VALUES.tolist(), _DERIV_MULT.tolist(), alpha, offset, truncation, tail)
+        for got, want in ((grad, want_grad), (hess, want_hess)):
+            scale = max(max(map(abs, want)), 1.0)
+            assert all(abs(a - b) <= 1e-10 * scale for a, b in zip(got, want)), (got, want)
+
+    @pytest.mark.parametrize("alpha, offset, head, truncation", [
+        (2.5, 10.0, 64, 10_000),        # exponent (1 - alpha) u of the integral below -1
+        (1.0 + 1e-9, 2.0, 64, 10_000),  # near 0: the series branch of _exp_moments
+        (0.3, 0.0, 64, 10_000),
+        (60.0, 3000.0, 64, 10_000),
+        (10000.0, 5e5, 64, 10_000),
+        (2.0, 1e6, 64, 1_000_000),
+    ])
+    def test_remainder_matches_differences(self, alpha, offset, head, truncation):
+        def remainder(x0, y):
+            return _hooked_remainder(math.exp(x0), math.expm1(y), head, truncation)
+
+        def gradient(x0, y):
+            return _hooked_remainder_derivatives(math.exp(x0), math.expm1(y), head, truncation)[0]
+
+        x = [math.log(alpha), math.log1p(offset)]
+        grad, (h00, h01, h11) = _hooked_remainder_derivatives(alpha, offset, head, truncation)
+        numeric = _five_point(remainder, x, 1e-3)
+        scale = max(abs(float(numeric[0])), abs(float(numeric[1])), 1e-300)
+        assert all(abs(a - float(n)) <= 1e-8 * scale for a, n in zip(grad, numeric))
+        (n00, n01), (n10, n11) = _five_point(gradient, x, 1e-3)
+        scale = max(abs(n00), abs(n01), abs(n11), 1e-300)
+        for a, n in ((h00, n00), (h01, n01), (h01, n10), (h11, n11)):
+            assert abs(a - n) <= 1e-8 * scale, (a, n)
+
+    @pytest.mark.parametrize("s", [-800.0, -50.0, -1.0, -0.999, -1e-9, 0.0, 1e-9, 0.5, 1.0, 20.0])
+    def test_exp_moments(self, s):
+        with mp.workdps(40):
+            want = [mp.quad(lambda v: v ** i * mp.exp(s * v), [0, 1]) for i in (0, 1, 2)]
+        assert _exp_moments(s) == pytest.approx([float(w) for w in want], rel=4e-16)
+
+    def test_continuous_at_alpha_one(self):
+        # the integral's exponent (1 - alpha) u crosses 0, where its closed
+        # forms switch to the series
+        below = _hooked_derivatives(HookedPowerLawParams(1.0 - 1e-12, 5.0))
+        above = _hooked_derivatives(HookedPowerLawParams(1.0 + 1e-12, 5.0))
+        for a, b in zip(below[0] + below[1], above[0] + above[1]):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+    @given(_KERNEL_ALPHAS, _KERNEL_OFFSETS, st.sampled_from([1, 64, 10_000, 1_000_000]),
+           st.booleans())
+    @example(1e4, 0.0, 10_000, False)     # the grid corner: head terms underflow
+    @example(1e-310, 1e308, 1_000_000, True)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_and_quiet_over_the_admissible_range(self, alpha, offset, truncation, tail):
+        params = HookedPowerLawParams(alpha, offset, truncation, tail)
+        values = np.unique(np.geomspace(1, truncation, 50).astype(np.int64)).astype(np.float64)
+        with np.errstate(all="raise"):
+            grad, hess = _hooked_derivatives(params, values, np.ones_like(values))
+        assert all(map(math.isfinite, grad + hess)), (grad, hess)
+
+    def test_head_and_remainder_meet(self, monkeypatch):
+        # where the remainder starts one term later, the derivatives agree
         import citefit.distributions as module
 
-        alphas = []
-        real = module._hooked_log_total
-
-        def spy(terms, alpha, *args):
-            alphas.append(alpha)
-            return real(terms, alpha, *args)
-
-        monkeypatch.setattr(module, "_hooked_log_total", spy)
-        alpha, h = 7.7, 7.7 * 1e-5
-        params = HookedPowerLawParams(alpha, 175.4, 10_000)
-        ns = np.arange(1.0, 300.0)
-        scored = -log_pmf_values(params, np.ones(1))[0]
-        alphas.clear()
-        _hooked_log_pmf_grad(ns, params, scored)
-        assert sorted(alphas) == [alpha - h, alpha + h, alpha + 1.0]
+        params = HookedPowerLawParams(2.5, 10.0)
+        want = _hooked_derivatives(params)
+        head, rest = _hooked_head(2.5, 10.0, 10_000)
+        assert rest
+        monkeypatch.setattr(module, "_hooked_head", lambda *args: (head + 1, True))
+        got = _hooked_derivatives(params)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert a == pytest.approx(b, rel=1e-13, abs=1e-12)
 
 
 class TestHookedCdf:

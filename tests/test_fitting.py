@@ -14,7 +14,7 @@ from citefit.distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
     _dln_ll_derivatives,
-    _hooked_log_pmf_grad,
+    _hooked_ll_derivatives,
     log_pmf_values,
 )
 from citefit.errors import DomainError, DoubleShiftError
@@ -276,20 +276,45 @@ class TestFitLognormal:
 
 
 class TestFitHooked:
+    @pytest.mark.parametrize("truth, size, seed", [
+        (HookedPowerLawParams(4.0, 20.0), 3000, 6),
+        (HookedPowerLawParams(7.7, 175.4), 20000, 1),
+        (DiscretisedLognormalParams(2.93, 0.73), 5000, 5),   # ends on the cap
+        (DiscretisedLognormalParams(3.65, 0.81), 1806, 2),   # climbs the ridge to the cap
+    ])
+    def test_newton_search_matches_bfgs_with_fewer_evaluations(self, monkeypatch, truth,
+                                                               size, seed):
+        ds = sample(truth, size, SeededGenerator(seed))
+        newton = fit_hooked(ds)
+
+        def without_curvature(score, *args):
+            def gradient_only(x):
+                ll, derive = score(x)
+                return ll, lambda: (derive()[0], None)
+
+            return _maximize_box(gradient_only, *args)
+
+        monkeypatch.setattr(citefit.fitting, "_maximize_box", without_curvature)
+        bfgs = fit_hooked(ds)
+        assert newton.converged and bfgs.converged
+        assert newton.alpha_capped == bfgs.alpha_capped
+        assert newton.log_likelihood >= bfgs.log_likelihood - 1e-9
+        assert newton.trace.evaluations < bfgs.trace.evaluations
+
     @pytest.mark.parametrize("tail", [False, True])
     def test_gradient_takes_the_scored_normalization(self, monkeypatch, tail):
-        # every gradient of the search comes with the normalization of the
-        # point just scored, read off the mass at 1 (the gradient's values
-        # are pinned in test_distributions.TestHookedOnePass)
+        # every derivative call of the search comes with the normalization of
+        # the point just scored, read off the mass at 1 (the derivatives'
+        # values are pinned in test_distributions.TestHookedDerivatives)
         ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
         passed = []
 
-        def spy(ns, params, log_norm):
+        def spy(ns, mult, params, log_norm):
             passed.append((params, log_norm))
-            return _hooked_log_pmf_grad(ns, params, log_norm)
+            return _hooked_ll_derivatives(ns, mult, params, log_norm)
 
         plain = fit_hooked(ds, FitConfig(tail_correction=tail))
-        monkeypatch.setattr(citefit.fitting, "_hooked_log_pmf_grad", spy)
+        monkeypatch.setattr(citefit.fitting, "_hooked_ll_derivatives", spy)
         assert fit_hooked(ds, FitConfig(tail_correction=tail)) == plain
         assert passed
         for params, log_norm in passed:
@@ -399,7 +424,7 @@ class TestFitHooked:
 class TestScore:
     @pytest.mark.parametrize("tail", [False, True])
     @pytest.mark.parametrize("fit, derivatives", [
-        (fit_lognormal, "_dln_ll_derivatives"), (fit_hooked, "_hooked_log_pmf_grad")])
+        (fit_lognormal, "_dln_ll_derivatives"), (fit_hooked, "_hooked_ll_derivatives")])
     def test_derivatives_take_the_record_last_scored(self, monkeypatch, fit, derivatives,
                                                      tail):
         # each derivative call gets the very record, and the very log masses,
@@ -423,11 +448,11 @@ class TestScore:
         assert fit(ds, cfg) == plain
         assert len(derived) > 1
         for (params, logp), args in derived:
+            assert args[2] is params
             if fit is fit_lognormal:
-                assert args[2] is params and args[3] is logp
+                assert args[3] is logp
             else:
-                assert args[1] is params and params.tail_correction is tail
-                assert args[2] == -logp[-1]
+                assert params.tail_correction is tail and args[3] == -logp[-1]
 
 
 class TestLocalOptimality:
@@ -493,13 +518,18 @@ def _dln_derivatives(values, mult, params):
     return _dln_ll_derivatives(values, mult, params, log_pmf_values(params, values))
 
 
+def _hooked_derivatives(values, mult, params):
+    """The hooked gradient and Hessian in ``(ln alpha, ln(B + 1))``, from the
+    normalization that scoring ``params`` gives."""
+    log_norm = -log_pmf_values(params, np.ones(1))[0]
+    return _hooked_ll_derivatives(values, mult, params, log_norm)
+
+
 def _ll_gradient(values, mult, params):
     """The total log-likelihood gradient in the coordinates of :func:`_coords`,
     from the analytic per-family derivatives."""
     if isinstance(params, HookedPowerLawParams):
-        log_norm = -log_pmf_values(params, np.ones(1))[0]
-        d0, d1 = _hooked_log_pmf_grad(values, params, log_norm)
-        return float(mult @ d0), float(mult @ d1)
+        return _hooked_derivatives(values, mult, params)[0]
     return _dln_derivatives(values, mult, params)[0]
 
 
@@ -561,13 +591,14 @@ def _assert_hessian_close(hess, numeric, tol=1e-6):
 
 
 def _assert_hessian_matches(ds, params, tol=1e-6):
-    # the lognormal Hessian against five-point differences of the analytic
-    # gradient
+    # the Hessian against five-point differences of the analytic gradient
     values, mult = _compressed(ds)
     x, make = _coords(params)
     numeric = _differences(lambda y: _ll_gradient(values, mult, make(y)), x,
                            _floor(params), [1e-4, 1e-4])
-    _assert_hessian_close(_dln_derivatives(values, mult, params)[1], numeric, tol)
+    derivatives = (_hooked_derivatives if isinstance(params, HookedPowerLawParams)
+                   else _dln_derivatives)
+    _assert_hessian_close(derivatives(values, mult, params)[1], numeric, tol)
 
 
 _GRADIENT_DATA = sample(DiscretisedLognormalParams(2.0, 1.2), 400, SeededGenerator(3))
@@ -594,6 +625,15 @@ class TestGradients:
             alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
         _assert_gradient_matches(_GRADIENT_DATA,
                                  HookedPowerLawParams(alpha, offset, tail_correction=tail))
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.3, 60.0), offset=st.floats(0.0, 3000.0),
+           tail=st.booleans())
+    def test_hooked_hessian_matches_differences(self, alpha, offset, tail):
+        if tail and alpha < 1.01:
+            alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
+        _assert_hessian_matches(_GRADIENT_DATA,
+                                HookedPowerLawParams(alpha, offset, tail_correction=tail))
 
     @settings(max_examples=40, deadline=None)
     @given(mu=st.floats(-20.0, 15.0), sigma=st.floats(SIGMA_MIN, 100.0))
@@ -630,9 +670,9 @@ class TestGradients:
             _assert_hessian_close(hess, _differences(gradient, x, floor, [1e-4, 1e-4]))
 
     @pytest.mark.parametrize("tail", [False, True])
-    def test_hooked_search_gradient_matches_differences(self, monkeypatch, tail):
-        # fit_hooked's score derives its gradient in (ln alpha, ln(B + 1))
-        # from the normalization of the point it scored, and no Hessian
+    def test_hooked_search_derivatives_match_differences(self, monkeypatch, tail):
+        # fit_hooked's score derives its gradient and Hessian in
+        # (ln alpha, ln(B + 1)) from the normalization of the point it scored
         passed = {}
 
         def spy(score, *args):
@@ -641,13 +681,14 @@ class TestGradients:
 
         monkeypatch.setattr(citefit.fitting, "_maximize_box", spy)
         fit_hooked(_GRADIENT_DATA, FitConfig(tail_correction=tail))
-        loglik, _ = _split(passed["score"])
+        loglik, gradient = _split(passed["score"])
+        floor = [-math.inf, 0.0]
         for x in ([0.8, 0.3], [2.0, 4.0], [1.5, 7.0]):
             grad, hess = passed["score"](x)[1]()
-            assert hess is None
-            numeric = _differences(loglik, x, [-math.inf, 0.0], [1e-4, 1e-4])
+            numeric = _differences(loglik, x, floor, [1e-4, 1e-4])
             scale = max(abs(float(numeric[0])), abs(float(numeric[1])), 1.0)
             assert all(abs(a - n) <= 1e-6 * scale for a, n in zip(grad, numeric)), x
+            _assert_hessian_close(hess, _differences(gradient, x, floor, [1e-4, 1e-4]))
 
     def test_lognormal_far_left_tail(self):
         # nearly every article uncited: the maximum sits deep in the left tail
@@ -682,8 +723,9 @@ class TestGradients:
             for offset in (0.0, 1.0, 1e3, 1e6, 1e9):
                 for tail in (False, True):
                     params = HookedPowerLawParams(alpha, offset, tail_correction=tail)
-                    grad = _ll_gradient(values, mult, params)
-                    assert all(map(math.isfinite, grad)), (alpha, offset, tail, grad)
+                    grad, hess = _hooked_derivatives(values, mult, params)
+                    assert all(map(math.isfinite, grad + hess)), (alpha, offset, tail, grad,
+                                                                  hess)
 
 
 # ---------------------------------------------------------------------------
