@@ -14,13 +14,8 @@ from .distributions import (
     HookedPowerLawParams,
     Model,
     cdf_values,
-    dln_cdf,
-    dln_log_pmf,
     dln_quantile,
-    hooked_cdf,
     hooked_log_norm,
-    hooked_log_pmf,
-    hooked_quantile,
     log_pmf_values,
 )
 from .fitting import (
@@ -31,7 +26,6 @@ from .fitting import (
     fit_lognormal,
     init_hooked,
     init_lognormal,
-    shift_counts,
 )
 from .numerics import LOG_ZERO, std_normal_cdf, std_normal_log_cdf
 from .selection import (

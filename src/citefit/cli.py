@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     SchemaVersionError,
 )
-from .fitting import CitationDataset, FitConfig, fit_hooked, fit_lognormal, shift_counts
+from .fitting import CitationDataset, FitConfig, fit_hooked, fit_lognormal
 from .synthesis import MixtureSpec, SeededGenerator
 
 EXIT_OK = 0
@@ -120,10 +120,9 @@ def _provenance(cfg: CliConfig, extra: dict | None = None,
     return prov
 
 
-def analyze_dataset(raw: CitationDataset, cfg: CliConfig,
+def analyze_dataset(ds: CitationDataset, cfg: CliConfig,
                     provenance: dict | None = None) -> data_io.ResultDocument:
-    """Shift, fit the selected models, compare and diagnose one dataset."""
-    ds = raw if raw.shifted else shift_counts(raw)
+    """Fit the selected models, compare and diagnose one dataset."""
     fit_ln = fit_hk = comparison = diag_ln = diag_hk = None
     if cfg.model in ("lognormal", "both"):
         fit_ln = fit_lognormal(ds, cfg.fit)
@@ -200,10 +199,7 @@ def _write_plots(docs, datasets, cfg: CliConfig) -> list[str]:
     os.makedirs(cfg.plot_dir, exist_ok=True)
     taken: set[str] = set()
     paths = []
-    by_label = {d.label: d for d in datasets}
-    for doc in docs:
-        raw = by_label[doc.label]
-        ds = raw if raw.shifted else shift_counts(raw)
+    for doc, ds in zip(docs, datasets):
         models = []
         if doc.lognormal:
             models.append(("lognormal", doc.lognormal.params))

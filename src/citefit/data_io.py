@@ -129,7 +129,9 @@ def _line_chunks(source: TextIO, text: str) -> Iterator[str]:
 
 def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
                  label: str = "") -> list[CitationDataset]:
-    """Parse raw (unshifted) citation counts from a text stream.
+    """Parse citation counts from a text stream into datasets of shifted
+    counts: each dataset holds the counts read plus one, so uncited articles
+    sit at 1.  A count read may be 0 to :data:`MAX_RAW_COUNT`.
 
     ``one-per-line`` yields a single dataset (named by ``label``);
     ``labeled`` groups ``journal,citations`` rows by journal in first-seen
@@ -166,7 +168,7 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
             counts.append(value)
         if not counts:
             raise ParseError("no counts found in input")
-        return [CitationDataset(label, counts, shifted=False)]
+        return [CitationDataset(label, np.add(counts, 1))]
 
     if format == FORMAT_LABELED:
         groups: dict[str, list[int]] = {}
@@ -208,8 +210,7 @@ def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
                 counts.extend(values)
         if not groups:
             raise ParseError("no data rows found in input")
-        return [CitationDataset(name, counts, shifted=False)
-                for name, counts in groups.items()]
+        return [CitationDataset(name, np.add(counts, 1)) for name, counts in groups.items()]
 
     raise ParseError(f"unknown input format {format!r}")
 
@@ -392,16 +393,15 @@ def _percent_whole(value: float) -> str:
 
 
 def _segments_table(results: Sequence[ResultDocument]) -> str:
-    k = None
-    for doc in results:
-        for diag in (doc.lognormal_diagnostics, doc.hooked_diagnostics):
-            if diag is not None:
-                k = len(diag.segments)
-                break
-        if k:
-            break
-    if not k:
+    ks = sorted({len(diag.segments) for doc in results
+                 for diag in (doc.lognormal_diagnostics, doc.hooked_diagnostics)
+                 if diag is not None})
+    if len(ks) > 1:
+        raise ParseError("the documents hold different segment counts, "
+                         f"{', '.join(map(str, ks))}; report each --segments value apart")
+    if not ks or not ks[0]:
         raise ParseError("no segment diagnostics present in the given documents")
+    [k] = ks
 
     header = (["Journal"] + [f"S{j} Ln" for j in range(1, k + 1)]
               + [f"S{j} hk" for j in range(1, k + 1)])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import Model, ModelParams, cdf_values
 from .errors import DomainError, OutputError
-from .fitting import CitationDataset, _require_shifted
+from .fitting import CitationDataset
 
 DEFAULT_SEGMENTS = 4
 
@@ -46,7 +46,6 @@ class SegmentDiagnostics:
 
 def empirical_cdf(ds: CitationDataset, xs: np.ndarray) -> np.ndarray:
     """``#(counts <= x) / n`` at each of the integer points ``xs``."""
-    _require_shifted(ds)
     values, mult = ds.distinct
     below = np.concatenate(([0], np.cumsum(mult)))
     return below[np.searchsorted(values, xs, "right")] / len(ds)
@@ -120,7 +119,6 @@ def segment_differences(
     only at the segment's knots (see :func:`_knots`), which give the same
     value; empty segments report 0.
     """
-    _require_shifted(ds)
     xs = _knots(ds, segments)
     d = empirical_cdf(ds, xs) - cdf_values(params, xs)
     diffs: list[float] = []
@@ -259,7 +257,6 @@ def plot_series(
     Returns a :class:`PlotSeries`; writing files is the caller's move via
     :meth:`PlotSeries.write`.
     """
-    _require_shifted(ds)
     if len(models) < 1:
         raise DomainError("plot_series needs at least one model")
     xs = _knots(ds)

@@ -669,46 +669,3 @@ def cdf_values(params: ModelParams, ns: np.ndarray) -> np.ndarray:
     if isinstance(params, DiscretisedLognormalParams):
         return _dln_cdf_array(ns, params)
     raise TypeError(f"unknown parameter type {type(params)!r}")
-
-
-# ---------------------------------------------------------------------------
-# scalar API, one point at a time through the vectorized functions
-# ---------------------------------------------------------------------------
-
-
-def hooked_log_pmf(n: int, params: HookedPowerLawParams) -> float:
-    """Log probability mass ``-alpha*ln(B + n) - ln(normalization)``."""
-    return float(log_pmf_values(params, np.asarray([n]))[0])
-
-
-def hooked_cdf(n: int, params: HookedPowerLawParams) -> float:
-    """Cumulative mass ``sum_{k=1..n} h(k)``.
-
-    With the default truncated normalization it reaches 1 at ``n = N``;
-    with ``tail_correction`` the analytic tail mass remains above ``N``.
-    """
-    return float(cdf_values(params, np.asarray([n]))[0])
-
-
-def hooked_quantile(params: HookedPowerLawParams, q: float) -> int:
-    """Smallest support point with cumulative mass >= q (capped at N)."""
-    if not 0.0 < q < 1.0 + 1e-15:
-        raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
-    table = cdf_values(params, np.arange(1, params.truncation + 1))
-    return min(int(np.searchsorted(table, q, side="left")), params.truncation - 1) + 1
-
-
-def dln_log_pmf(n: int, params: DiscretisedLognormalParams) -> float:
-    """Log mass of the discretised lognormal at n.
-
-    Returns ``LOG_ZERO`` when both interval endpoints are so deep in the same
-    tail that the renormalized mass underflows; never NaN or a positive log.
-    """
-    return float(log_pmf_values(params, np.asarray([n]))[0])
-
-
-def dln_cdf(n: int, params: DiscretisedLognormalParams) -> float:
-    """Cumulative mass of the discretised lognormal, telescoped closed form:
-    ``[Phi(z(n + 0.5)) - Phi(z(0.5))] / [1 - Phi(z(0.5))]``.
-    """
-    return float(cdf_values(params, np.asarray([n]))[0])

@@ -16,10 +16,6 @@ class SupportRangeError(CitefitError, ValueError):
     """
 
 
-class DoubleShiftError(CitefitError, ValueError):
-    """The +1 shift was applied to a dataset that is already shifted."""
-
-
 class ParseError(CitefitError, ValueError):
     """Malformed input text; carries the offending line number when known."""
 

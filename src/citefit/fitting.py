@@ -34,7 +34,7 @@ from .distributions import (
     _hooked_ll_derivatives,
     log_pmf_values,
 )
-from .errors import DomainError, DoubleShiftError
+from .errors import DomainError
 
 _GRID_POINTS = 17
 # a search converges once the gain its next step predicts (the projected
@@ -55,17 +55,14 @@ EXIT_REASONS = ("converged", "budget", "cap", "sigma_floor")
 
 
 class CitationDataset:
-    """Labeled vector of citation counts with a shift flag.
-
-    ``shifted=False`` holds raw counts, from 0 to :data:`MAX_RAW_COUNT`; after
-    :func:`shift_counts` every count is incremented once and the support runs
+    """Labeled vector of shifted citation counts, citations + 1 per article,
     from 1 to the int64 maximum.  The counts array is frozen so datasets can
     be shared freely across fits.
     """
 
-    __slots__ = ("label", "counts", "shifted", "_distinct")
+    __slots__ = ("label", "counts", "_distinct")
 
-    def __init__(self, label: str, counts, shifted: bool = False):
+    def __init__(self, label: str, counts):
         arr = np.asarray(counts)
         if arr.size == 0:
             raise DomainError("dataset must contain at least one count")
@@ -73,17 +70,15 @@ class CitationDataset:
             raise DomainError("counts must be integers")
         # the extremes as Python numbers, which compare exactly with the
         # limits whatever the array holds (uint64, floats, Python integers)
-        low, high = (1, MAX_RAW_COUNT + 1) if shifted else (0, MAX_RAW_COUNT)
         least, most = arr.item(arr.argmin()), arr.item(arr.argmax())
-        if least < low:
-            raise DomainError(f"counts must be >= {low} for shifted={shifted}, got {least}")
-        if most > high:
-            raise DomainError(f"counts must be <= {high} for shifted={shifted}, got {most}")
+        if least < 1:
+            raise DomainError(f"counts must be >= 1 (counts are citations + 1), got {least}")
+        if most > MAX_RAW_COUNT + 1:
+            raise DomainError(f"counts must be <= {MAX_RAW_COUNT + 1}, got {most}")
         arr = arr.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "shifted", shifted)
         object.__setattr__(self, "_distinct", None)
 
     @property
@@ -118,19 +113,10 @@ class CitationDataset:
     def __eq__(self, other):
         if not isinstance(other, CitationDataset):
             return NotImplemented
-        return (self.label == other.label and self.shifted == other.shifted
-                and np.array_equal(self.counts, other.counts))
+        return self.label == other.label and np.array_equal(self.counts, other.counts)
 
     def __repr__(self):
-        return (f"CitationDataset(label={self.label!r}, n={len(self)}, "
-                f"shifted={self.shifted})")
-
-
-def shift_counts(ds: CitationDataset) -> CitationDataset:
-    """Add 1 to every count so the support starts at 1 (applied exactly once)."""
-    if ds.shifted:
-        raise DoubleShiftError(f"dataset {ds.label!r} is already shifted")
-    return CitationDataset(ds.label, ds.counts + 1, shifted=True)
+        return f"CitationDataset(label={self.label!r}, n={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -347,14 +333,6 @@ class _Problem(NamedTuple):
     truncation_raised: bool = False
 
 
-def _require_shifted(ds: CitationDataset) -> None:
-    if not ds.shifted:
-        raise DomainError(
-            f"dataset {ds.label!r} must be shifted before fitting; "
-            "call shift_counts first"
-        )
-
-
 def _compressed(ds: CitationDataset):
     values, mult = ds.distinct
     return values.astype(np.float64), mult.astype(np.float64)
@@ -369,7 +347,6 @@ def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
     log-likelihood is not finite has no exit reason; its trace names the
     counts the model gives no mass.
     """
-    _require_shifted(ds)
     warnings_ = ()
     if len(ds) < _MIN_WARN_SIZE:
         warnings_ = (f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})",)
@@ -407,7 +384,6 @@ def init_lognormal(ds: CitationDataset) -> DiscretisedLognormalParams:
     """Moment starting point: mean and sample standard deviation of the log
     counts, weighted over the distinct counts, with the scale floored at
     ``SIGMA_MIN``."""
-    _require_shifted(ds)
     values, mult = _compressed(ds)
     logs = np.log(values)
     n = len(ds)
@@ -479,7 +455,6 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
     """Coarse 17x17 grid search over ``ln alpha`` in [ln 1.01, ln alpha_cap]
     and ``ln(B + 1)`` in [0, ln(10 * max count)], returning the grid maximizer
     of the total log-likelihood."""
-    _require_shifted(ds)
     values, mult = _compressed(ds)
     truncation, _ = _effective_truncation(ds, cfg)
     ln_alphas = np.linspace(math.log(1.01), math.log(cfg.alpha_cap), _GRID_POINTS)

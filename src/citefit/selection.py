@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import ModelParams, log_pmf_values
 from .errors import DomainError
-from .fitting import CitationDataset, _require_shifted
+from .fitting import CitationDataset
 from .numerics import std_normal_cdf
 
 DEFAULT_Z_THRESHOLD = 1.96
@@ -53,7 +53,6 @@ def total_log_likelihood(ds: CitationDataset, params: ModelParams) -> float:
     counts) when some count has underflowed to the log-of-zero sentinel under
     the model.
     """
-    _require_shifted(ds)
     values, mult = ds.distinct
     terms = log_pmf_values(params, values)
     zero = np.isneginf(terms)
@@ -110,7 +109,6 @@ def vuong_test(
     Each model is evaluated once per distinct count, and the totals and the
     variance weight each distinct count by its multiplicity.
     """
-    _require_shifted(ds)
     n = len(ds)
     values, mult = ds.distinct
     lp_h = log_pmf_values(hooked_params, values)

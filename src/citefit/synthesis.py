@@ -109,7 +109,7 @@ def _draw(inv: _Inversion, n: int, stream: np.random.Generator,
     if wide.size:
         idx[wide] = np.searchsorted(table, u.take(wide), side="left")
     counts = np.minimum(idx, len(table) - 1) + 1
-    return CitationDataset(label, counts, shifted=True)
+    return CitationDataset(label, counts)
 
 
 def sample(params: ModelParams, n: int, gen, label: str | None = None) -> CitationDataset:
@@ -119,7 +119,7 @@ def sample(params: ModelParams, n: int, gen, label: str | None = None) -> Citati
     [0, 1] (Chen & Asau's indexed search), with the same result as a binary
     search of the table.
 
-    Returns a dataset already marked shifted (support starts at 1).
+    Returns a dataset of shifted counts (support starts at 1).
     Identical seeds give identical datasets.  Each call builds the table
     afresh; :func:`recovery_experiment` builds it once and draws every seed
     against it through the same inversion step.
@@ -275,7 +275,7 @@ def sample_mixture(spec: MixtureSpec, n: int, gen,
         sizes.append(size)
         if size:
             counts[mask] = sample(params, size, stream).counts
-    return CitationDataset(label, counts, shifted=True), tuple(sizes)
+    return CitationDataset(label, counts), tuple(sizes)
 
 
 def mixture_experiment(

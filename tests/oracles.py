@@ -498,7 +498,7 @@ def _reference_parse_count(text, line_no):
 
 def reference_parse_counts(source, format="one-per-line", label=""):
     """``data_io.parse_counts`` with every row stripped, split and looked up
-    on its own."""
+    on its own, and each count read shifted by one in Python integers."""
     if isinstance(source, str):
         source = io.StringIO(source)
     lines = enumerate(source, start=1)
@@ -514,7 +514,7 @@ def reference_parse_counts(source, format="one-per-line", label=""):
             counts.append(_reference_parse_count(line, line_no))
         if not counts:
             raise ParseError("no counts found in input")
-        return [CitationDataset(label, counts, shifted=False)]
+        return [CitationDataset(label, [c + 1 for c in counts])]
     if format == "labeled":
         groups = {}
         rows = 0
@@ -532,6 +532,6 @@ def reference_parse_counts(source, format="one-per-line", label=""):
             groups.setdefault(name, []).append(value)
         if not groups:
             raise ParseError("no data rows found in input")
-        return [CitationDataset(name, counts, shifted=False)
+        return [CitationDataset(name, [c + 1 for c in counts])
                 for name, counts in groups.items()]
     raise ParseError(f"unknown input format {format!r}")

@@ -25,7 +25,7 @@ from citefit.cli import (
 )
 from citefit.data_io import STYLE_PARAMETERS, from_json, read_result, render_table
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
-from citefit.fitting import CitationDataset, FitConfig, shift_counts
+from citefit.fitting import CitationDataset, FitConfig
 from citefit.selection import total_log_likelihood
 from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
 
@@ -106,7 +106,7 @@ class TestFitCommand:
         doc = read_result(out / "zipf.json")
         assert doc.hooked.params.tail_correction is True
         assert doc.provenance["config"]["tail_correction"] is True
-        ds = shift_counts(CitationDataset("zipf", counts))
+        ds = CitationDataset("zipf", counts + 1)
         for fit in (doc.hooked, doc.lognormal):
             assert total_log_likelihood(ds, fit.params) == pytest.approx(
                 fit.log_likelihood, rel=1e-12)
@@ -266,6 +266,38 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(out), "--style", "segments"]) == EXIT_OK
         assert "Total >0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("first, second", [(4, 2), (2, 4)])
+    def test_different_segment_counts_are_a_parse_error(self, tmp_path, capsys,
+                                                        first, second):
+        # a table has one column per segment, so documents written with
+        # different --segments values cannot share one
+        for k in (first, second):
+            assert main(["fit", SMOKE, "--segments", str(k),
+                         "--out", str(tmp_path / f"k{k}")]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["report", str(tmp_path / f"k{first}"), str(tmp_path / f"k{second}"),
+                "--style", "segments"]
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: parse: the documents hold different segment "
+                                "counts, 2, 4; report each --segments value apart\n")
+
+    def test_parameters_style_takes_any_segment_counts(self, tmp_path, capsys):
+        # only the segments table needs one segment count
+        for k in (4, 2):
+            assert main(["fit", SMOKE, "--segments", str(k),
+                         "--out", str(tmp_path / f"k{k}")]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["report", str(tmp_path / "k4"), str(tmp_path / "k2"),
+                "--style", "parameters"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # a header, then the same two journals fitted alike in each directory
+        lines = captured.out.splitlines()
+        assert len(lines) == 5 and lines[1:3] == lines[3:5]
 
     def test_version_gate_surfaces_as_parse_error(self, labeled_input, tmp_path, capsys):
         out = tmp_path / "out"
@@ -550,8 +582,10 @@ class TestDefaults:
     def test_each_flag_sets_its_field(self, argv, want):
         assert config_from_args(build_parser().parse_args(argv)) == want
 
-    def test_analyze_dataset_accepts_raw_counts(self):
-        raw = CitationDataset("tiny", list(range(40)))
-        doc = analyze_dataset(raw, CliConfig(command="fit"))
+    def test_analyze_dataset_takes_shifted_counts(self):
+        ds = CitationDataset("tiny", list(range(1, 41)))
+        doc = analyze_dataset(ds, CliConfig(command="fit"))
         assert doc.n_articles == 40
         assert doc.lognormal is not None and doc.hooked is not None
+        # the counts are fitted as given: the last segment ends at the largest
+        assert doc.hooked_diagnostics.segments[-1].end == 40

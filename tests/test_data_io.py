@@ -61,21 +61,20 @@ def _parse_outcome(parse, source, format):
         datasets = parse(source, format, label="single")
     except Exception as exc:  # noqa: BLE001 - any error must be the same one
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
-    return "ok", [(d.label, d.counts.tolist(), d.shifted) for d in datasets]
+    return "ok", [(d.label, d.counts.tolist()) for d in datasets]
 
 
 class TestParseCounts:
     def test_one_per_line(self):
         [ds] = parse_counts("3\n0\n12\n")
-        assert ds.counts.tolist() == [3, 0, 12]
-        assert not ds.shifted
+        assert ds.counts.tolist() == [4, 1, 13]
 
     def test_labeled_grouping_preserves_order(self):
         datasets = parse_counts("journal,citations\nA,2\nB,0\nA,5\n",
                                 format="labeled")
         assert [d.label for d in datasets] == ["A", "B"]
-        assert datasets[0].counts.tolist() == [2, 5]
-        assert datasets[1].counts.tolist() == [0]
+        assert datasets[0].counts.tolist() == [3, 6]
+        assert datasets[1].counts.tolist() == [1]
 
     def test_negative_count_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -94,18 +93,18 @@ class TestParseCounts:
     def test_label_with_comma_kept_intact(self):
         [ds] = parse_counts("Title, With Comma,4\n", format="labeled")
         assert ds.label == "Title, With Comma"
-        assert ds.counts.tolist() == [4]
+        assert ds.counts.tolist() == [5]
 
     @pytest.mark.parametrize("format", ["labeled", "auto"])
     def test_header_after_blank_lines(self, format):
         datasets = parse_counts("\n \njournal,citations\nA,2\nA,3\n", format=format)
-        assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [2, 3])]
+        assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [3, 4])]
         with pytest.raises(ParseError, match="line 4: count is not an integer"):
             parse_counts("\njournal,citations\nA,2\nB,x\n", format=format)
 
     def test_no_header_first_row_is_data(self):
         datasets = parse_counts("A,2\nA,3\n", format="labeled")
-        assert datasets[0].counts.tolist() == [2, 3]
+        assert datasets[0].counts.tolist() == [3, 4]
 
     def test_unknown_format(self):
         with pytest.raises(ParseError):
@@ -115,7 +114,8 @@ class TestParseCounts:
     def test_counts_must_stay_in_int64_once_shifted(self, format):
         rows = ["journal,citations", "A,0"] if format == "labeled" else ["7", "0"]
         [ds] = parse_counts("\n".join(rows + [rows[-1][:-1] + str(2**63 - 2)]), format)
-        assert ds.counts.tolist()[-2:] == [0, 2**63 - 2]
+        # the largest raw count parses to the int64 maximum
+        assert ds.counts.tolist()[-2:] == [1, 2**63 - 1]
         for count in (2**63 - 1, 2**63, 10**20):
             text = "\n".join(rows + [rows[-1][:-1] + str(count)])
             with pytest.raises(ParseError, match="largest supported count") as err:
@@ -124,9 +124,9 @@ class TestParseCounts:
 
     def test_auto_format_follows_first_non_blank_line(self):
         [ds] = parse_counts("\n\n3\n\n0\n", format="auto", label="single")
-        assert ds.label == "single" and ds.counts.tolist() == [3, 0]
+        assert ds.label == "single" and ds.counts.tolist() == [4, 1]
         datasets = parse_counts("journal,citations\nA,2\n\nB,1\n", format="auto")
-        assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [2]), ("B", [1])]
+        assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [3]), ("B", [2])]
         with pytest.raises(ParseError, match="no counts"):
             parse_counts("\n \n", format="auto")
 

@@ -19,10 +19,6 @@ from citefit.synthesis import SeededGenerator, sample
 from oracles import dense_empirical_cdf, dense_plot_table, dense_segment_differences
 
 
-def _shifted(counts, label="test"):
-    return CitationDataset(label, counts, shifted=True)
-
-
 # a bulk of small shifted counts with a few stragglers of up to 2e5
 _counts = st.lists(st.one_of(st.integers(min_value=1, max_value=40),
                              st.integers(min_value=1, max_value=200_000)),
@@ -43,11 +39,11 @@ def _hooked_for(ds, tail_correction=False):
 
 class TestEmpiricalCdf:
     def test_direct_count(self):
-        values = empirical_cdf(_shifted([1, 1, 2]), [1, 2, 3])
+        values = empirical_cdf(CitationDataset("test", [1, 1, 2]), [1, 2, 3])
         assert values.tolist() == pytest.approx([2 / 3, 1.0, 1.0])
 
     def test_point_mass(self):
-        values = empirical_cdf(_shifted([5]), np.arange(1, 7))
+        values = empirical_cdf(CitationDataset("test", [5]), np.arange(1, 7))
         assert values.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_monotone_ending_at_one(self):
@@ -113,7 +109,7 @@ class TestSegmentDifferences:
     def test_saturated_model_gives_zero_everywhere(self):
         # every article and all of the model's mass sit at the first point,
         # so both CDFs are 1 throughout
-        ds = _shifted([1] * 9)
+        ds = CitationDataset("test", [1] * 9)
         segs = make_segments(53, 4)
         for params in (HookedPowerLawParams(10000.0, 1.0, 100),
                        DiscretisedLognormalParams(-20.0, 0.5)):
@@ -123,7 +119,7 @@ class TestSegmentDifferences:
 
     def test_sign_convention_model_above_empirical(self):
         # a model whose CDF exceeds the empirical everywhere reports negative
-        ds = _shifted([4, 5, 6, 8])
+        ds = CitationDataset("test", [4, 5, 6, 8])
         segs = make_segments(7, 2)
         diag = segment_differences(ds, DiscretisedLognormalParams(-20.0, 0.5), segs)
         assert all(d < 0 for d in diag.signed_max_diff)
@@ -147,7 +143,7 @@ class TestSegmentDifferences:
         assert medians[50000] < medians[5000]
 
     def test_empty_segments_report_zero(self):
-        ds = _shifted([1, 1, 2])
+        ds = CitationDataset("test", [1, 1, 2])
         segs = make_segments(1, 4)
         diag = segment_differences(ds, DiscretisedLognormalParams(0.0, 1.0), segs)
         assert diag.signed_max_diff[1] == 0.0
@@ -159,7 +155,7 @@ class TestSegmentDifferences:
     @settings(max_examples=150, deadline=None)
     def test_equals_dense_evaluation(self, data, counts, k, tail_correction):
         # the knots give, bit for bit, the per-integer algorithm's extremes
-        ds = _shifted(counts)
+        ds = CitationDataset("test", counts)
         segs = make_segments(int(ds.counts.max()) - 1, k)
         for params in (data.draw(_lognormals), data.draw(_hooked_for(ds, tail_correction))):
             diag = segment_differences(ds, params, segs)
@@ -176,7 +172,7 @@ class TestPlotSeries:
     @given(data=st.data(), counts=_counts, tail_correction=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_rows_equal_dense_rows(self, data, counts, tail_correction):
-        ds = _shifted(counts)
+        ds = CitationDataset("test", counts)
         models = [data.draw(_lognormals), data.draw(_hooked_for(ds, tail_correction))]
         series = plot_series(ds, [("lognormal", models[0]), ("hooked", models[1])])
         rows = np.column_stack([col for _, col in series.columns])
@@ -222,6 +218,6 @@ class TestPlotSeries:
             series.write(bad)
 
     def test_needs_at_least_one_model(self):
-        ds = _shifted([1, 2, 3])
+        ds = CitationDataset("test", [1, 2, 3])
         with pytest.raises(DomainError):
             plot_series(ds, [])

@@ -18,14 +18,9 @@ from citefit.distributions import (
     _hooked_remainder,
     _hooked_remainder_derivatives,
     cdf_values,
-    dln_cdf,
-    dln_log_pmf,
     dln_quantile,
-    hooked_cdf,
     hooked_log_norm,
-    hooked_log_pmf,
     hooked_log_tail_mass,
-    hooked_quantile,
     log_pmf_values,
 )
 from citefit.errors import DomainError, SupportRangeError
@@ -139,7 +134,7 @@ class TestHookedNorm:
 class TestHookedPmf:
     def test_head_value_closed_form(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
-        got = hooked_log_pmf(1, params)
+        got = log_pmf_values(params, [1])[0]
         assert got == pytest.approx(math.log(0.25) - LN_ZETA2_MINUS_1, abs=1e-12)
 
     def test_strictly_decreasing(self):
@@ -164,7 +159,7 @@ class TestHookedPmf:
 
     def test_extreme_exponent_concentrates_at_one(self):
         params = HookedPowerLawParams(10000.0, 0.0, 10000)
-        assert hooked_log_pmf(1, params) == pytest.approx(0.0, abs=1e-15)
+        assert log_pmf_values(params, [1])[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_sums_to_one_over_truncated_support(self):
         params = HookedPowerLawParams(2.0, 1.0, 2000)
@@ -174,9 +169,9 @@ class TestHookedPmf:
     def test_support_range_error_signals_truncation(self):
         params = HookedPowerLawParams(2.0, 1.0, 100)
         with pytest.raises(SupportRangeError):
-            hooked_log_pmf(101, params)
+            log_pmf_values(params, [101])
         with pytest.raises(DomainError):
-            hooked_log_pmf(0, params)
+            log_pmf_values(params, [0])
 
     def test_offset_shift_reparameterization(self):
         # (B + n) = ((B + 1) + (n - 1)): shifting the offset up by one and the
@@ -401,16 +396,16 @@ class TestHookedCdf:
     def test_full_support_reaches_one(self):
         for alpha, offset in ((1.5, 0.0), (5.0, 30.0), (10000.0, 0.0)):
             params = HookedPowerLawParams(alpha, offset, 10000)
-            assert hooked_cdf(10000, params) == pytest.approx(1.0, abs=1e-12)
+            assert cdf_values(params, [10000])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_term_prefix(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000)
-        assert hooked_cdf(1, params) == pytest.approx(
-            math.exp(hooked_log_pmf(1, params)), abs=1e-14)
+        assert cdf_values(params, [1])[0] == pytest.approx(
+            math.exp(log_pmf_values(params, [1])[0]), abs=1e-14)
 
     def test_two_term_value_closed_form(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
-        got = hooked_cdf(2, params)
+        got = cdf_values(params, [2])[0]
         # (1/4 + 1/9) / (zeta(2) - 1)
         assert got == pytest.approx(0.5599194238193221, abs=1e-12)
 
@@ -447,20 +442,12 @@ class TestHookedCdf:
                   if hasattr(value, "cache_info")]
         assert cached == []
 
-    def test_quantile_inverts_cdf(self):
-        params = HookedPowerLawParams(2.0, 1.0, 10000)
-        for q in (0.01, 0.5, 0.99, 1 - 1e-9):
-            n = hooked_quantile(params, q)
-            assert hooked_cdf(n, params) >= q
-            if n > 1:
-                assert hooked_cdf(n - 1, params) < q
-
 
 class TestDlnPmf:
     def test_unit_lognormal_head_matches_quadrature(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
         # frozen from dln_pmf_oracle(1, 0, 1)
-        assert math.exp(dln_log_pmf(1, params)) == pytest.approx(
+        assert math.exp(log_pmf_values(params, [1])[0]) == pytest.approx(
             0.5468028494504845, abs=1e-12)
 
     @pytest.mark.parametrize("mu,sigma,n", [
@@ -469,29 +456,29 @@ class TestDlnPmf:
     ])
     def test_matches_quadrature_oracle(self, mu, sigma, n):
         params = DiscretisedLognormalParams(mu, sigma)
-        assert math.exp(dln_log_pmf(n, params)) == pytest.approx(
+        assert math.exp(log_pmf_values(params, [n])[0]) == pytest.approx(
             dln_pmf_oracle(n, mu, sigma), rel=1e-9, abs=1e-300)
 
     @pytest.mark.parametrize("mu,sigma,n", [(-10.0, 1.6, 1), (-9.5, 1.7, 2)])
     def test_central_pair_right_of_centre_does_not_cancel(self, mu, sigma, n):
         # zlo just below the tail switch at 6, where Phi(zlo) is within 3e-9 of 1
-        got = dln_log_pmf(n, DiscretisedLognormalParams(mu, sigma))
+        got = log_pmf_values(DiscretisedLognormalParams(mu, sigma), [n])[0]
         assert got == pytest.approx(math.log(dln_pmf_oracle(n, mu, sigma)), abs=1e-12)
 
     def test_far_tail_relative_accuracy(self):
         # a mass of ~1.4e-82 must come back to near-full relative precision,
         # not merely within an absolute tolerance
         params = DiscretisedLognormalParams(-7.0, 0.2)
-        assert math.exp(dln_log_pmf(2, params)) == pytest.approx(
+        assert math.exp(log_pmf_values(params, [2])[0]) == pytest.approx(
             1.4122143636404926e-82, rel=1e-9)
 
     def test_tail_degeneracy_finite_or_sentinel(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
-        value = dln_log_pmf(10**6, params)
+        value = log_pmf_values(params, [10**6])[0]
         assert not math.isnan(value)
         assert value < -50 or value == LOG_ZERO
         # far deeper still: stays finite in the log domain, never invalid
-        deep = dln_log_pmf(10**6, DiscretisedLognormalParams(0.0, 0.1))
+        deep = log_pmf_values(DiscretisedLognormalParams(0.0, 0.1), [10**6])[0]
         assert not math.isnan(deep)
         assert deep < -9000
 
@@ -500,13 +487,13 @@ class TestDlnPmf:
         # the CDF difference vanishes; that must surface as the sentinel, not
         # as NaN or a positive mass
         params = DiscretisedLognormalParams(0.0, 1.0)
-        assert dln_log_pmf(10**16, params) == LOG_ZERO
+        assert log_pmf_values(params, [10**16])[0] == LOG_ZERO
 
     def test_normalizes_with_analytic_tail(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
         top = dln_quantile(params, 1 - 1e-12)
         total = np.exp(log_pmf_values(params, np.arange(1, top + 1))).sum()
-        assert total + (1.0 - dln_cdf(top, params)) == pytest.approx(1.0, abs=1e-9)
+        assert total + (1.0 - cdf_values(params, [top])[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_at_most_one_interior_mode(self):
         for mu in (-2.0, 0.0, 1.5, 3.0):
@@ -522,7 +509,7 @@ class TestDlnPmf:
 
     def test_support_starts_at_one(self):
         with pytest.raises(DomainError):
-            dln_log_pmf(0, DiscretisedLognormalParams(0.0, 1.0))
+            log_pmf_values(DiscretisedLognormalParams(0.0, 1.0), [0])
 
 
 def _dln_survival_oracle(n, mu, sigma):
@@ -573,20 +560,20 @@ class TestDlnQuantile:
 class TestDlnCdf:
     def test_base_case_equals_pmf(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
-        assert dln_cdf(1, params) == pytest.approx(
-            math.exp(dln_log_pmf(1, params)), abs=1e-14)
+        assert cdf_values(params, [1])[0] == pytest.approx(
+            math.exp(log_pmf_values(params, [1])[0]), abs=1e-14)
 
     def test_value_matches_quadrature(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
         # frozen from dln_cdf_oracle(2, 0, 1)
-        assert dln_cdf(2, params) == pytest.approx(0.7621917475267450, abs=1e-12)
-        assert dln_cdf(2, params) == pytest.approx(dln_cdf_oracle(2, 0.0, 1.0),
+        assert cdf_values(params, [2])[0] == pytest.approx(0.7621917475267450, abs=1e-12)
+        assert cdf_values(params, [2])[0] == pytest.approx(dln_cdf_oracle(2, 0.0, 1.0),
                                                    abs=1e-12)
 
     def test_reaches_one_at_far_quantile(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
         top = dln_quantile(params, 1 - 1e-12)
-        assert dln_cdf(top, params) == pytest.approx(1.0, abs=1e-12)
+        assert cdf_values(params, [top])[0] == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(min_value=2, max_value=2000),
            st.floats(min_value=-2.0, max_value=4.0),
@@ -594,8 +581,8 @@ class TestDlnCdf:
     @settings(max_examples=60, deadline=None)
     def test_telescoping(self, n, mu, sigma):
         params = DiscretisedLognormalParams(mu, sigma)
-        step = dln_cdf(n, params) - dln_cdf(n - 1, params)
-        assert step == pytest.approx(math.exp(dln_log_pmf(n, params)), abs=1e-12)
+        step = cdf_values(params, [n])[0] - cdf_values(params, [n - 1])[0]
+        assert step == pytest.approx(math.exp(log_pmf_values(params, [n])[0]), abs=1e-12)
 
     def test_monotone_bounded(self):
         params = DiscretisedLognormalParams(1.0, 1.3)

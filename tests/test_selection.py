@@ -28,28 +28,24 @@ from reference_table import REFERENCE_ROWS, Z_BEST_PAIRS
 LN_ZETA2_MINUS_1 = -0.4386071893521174
 
 
-def _shifted(counts, label="test"):
-    return CitationDataset(label, counts, shifted=True)
-
-
 class TestTotalLogLikelihood:
     def test_single_count_closed_form(self):
-        ds = _shifted([1])
+        ds = CitationDataset("test", [1])
         params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
         got = total_log_likelihood(ds, params)
         assert got == pytest.approx(math.log(0.25) - LN_ZETA2_MINUS_1, abs=1e-12)
 
     def test_additive_over_disjoint_datasets(self):
         params = DiscretisedLognormalParams(1.0, 1.0)
-        a, b = _shifted([1, 2, 3]), _shifted([5, 8])
-        combined = _shifted([1, 2, 3, 5, 8])
+        a, b = CitationDataset("test", [1, 2, 3]), CitationDataset("test", [5, 8])
+        combined = CitationDataset("test", [1, 2, 3, 5, 8])
         assert total_log_likelihood(combined, params) == pytest.approx(
             total_log_likelihood(a, params) + total_log_likelihood(b, params),
             rel=1e-14)
 
     def test_sentinel_count_flags_and_returns_neg_inf(self):
         params = DiscretisedLognormalParams(0.0, 1.0)
-        ds = _shifted([10**17, 2, 10**16, 10**17])
+        ds = CitationDataset("test", [10**17, 2, 10**16, 10**17])
         with pytest.warns(RuntimeWarning, match=re.escape(
                 "at counts [10000000000000000, 100000000000000000];")):
             assert total_log_likelihood(ds, params) == -math.inf
@@ -64,16 +60,11 @@ class TestTotalLogLikelihood:
         want = math.fsum(log_pmf_values(params, ds.counts))
         assert total_log_likelihood(ds, params) == pytest.approx(want, rel=1e-12)
 
-    def test_requires_shifted(self):
-        with pytest.raises(DomainError):
-            total_log_likelihood(CitationDataset("x", [0, 1]),
-                                 DiscretisedLognormalParams(0.0, 1.0))
-
 
 def test_tail_corrected_fit_scores_to_its_own_log_likelihood():
     # the fitted record carries the tail correction, so scoring it again, as
     # the comparison does, evaluates the law the fit maximized
-    ds = _shifted(SeededGenerator(11).stream().zipf(2.2, 3000))
+    ds = CitationDataset("test", SeededGenerator(11).stream().zipf(2.2, 3000))
     cfg = FitConfig(tail_correction=True)
     hk, ln = fit_hooked(ds, cfg), fit_lognormal(ds, cfg)
     assert hk.params.tail_correction is True
@@ -120,7 +111,7 @@ class TestClassifyWinner:
 
 class TestVuongTest:
     def test_identical_models_zero_variance(self):
-        ds = _shifted([1, 2, 3, 4])
+        ds = CitationDataset("test", [1, 2, 3, 4])
         params = HookedPowerLawParams(2.0, 1.0, 10000)
         result = vuong_test(ds, params, params)
         assert result.winner is Winner.UNDEFINED
@@ -130,7 +121,7 @@ class TestVuongTest:
     def test_one_distinct_count_zero_variance(self, count, size):
         # every article has the same log-likelihood ratio; a mean that
         # rounds away from it must not leave a variance of rounding dust
-        ds = _shifted([count] * size)
+        ds = CitationDataset("test", [count] * size)
         result = vuong_test(ds, HookedPowerLawParams(2.0, 1.0),
                             DiscretisedLognormalParams(1.0, 1.0))
         assert result.winner is Winner.UNDEFINED
@@ -167,7 +158,7 @@ class TestVuongTest:
     def test_duplicated_data_scales_z_by_sqrt2(self):
         # duplicating every observation doubles the LR and sqrt-scales z
         base = sample(DiscretisedLognormalParams(2.0, 1.0), 1000, SeededGenerator(4))
-        doubled = _shifted(np.concatenate([base.counts, base.counts]))
+        doubled = CitationDataset("test", np.concatenate([base.counts, base.counts]))
         hk = HookedPowerLawParams(5.0, 30.0, 10000)
         ln = DiscretisedLognormalParams(2.0, 1.0)
         z1 = vuong_test(base, hk, ln).vuong_z
@@ -190,7 +181,7 @@ class TestVuongTest:
         assert result.p_two_sided == math.erfc(abs(z) / math.sqrt(2.0))
 
     def test_one_article_is_undefined(self):
-        ds = _shifted([3])
+        ds = CitationDataset("test", [3])
         hk, ln = HookedPowerLawParams(2.0, 1.0), DiscretisedLognormalParams(0.0, 1.0)
         result = vuong_test(ds, hk, ln)
         assert result.winner is Winner.UNDEFINED and result.n_articles == 1

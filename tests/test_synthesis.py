@@ -49,7 +49,6 @@ class TestSample:
         ds = sample(DiscretisedLognormalParams(0.0, 1.0), 1, SeededGenerator(0))
         assert len(ds) == 1
         assert ds.counts[0] >= 1
-        assert ds.shifted
 
     def test_same_seed_same_dataset(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000)
