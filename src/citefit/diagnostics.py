@@ -39,9 +39,16 @@ class SegmentSpec:
 
 @dataclass(frozen=True)
 class SegmentDiagnostics:
+    """One model's signed maximum CDF difference on each segment."""
+
     model: Model
     segments: tuple[SegmentSpec, ...]
     signed_max_diff: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.signed_max_diff) != len(self.segments):
+            raise ValueError(f"{len(self.segments)} segments but "
+                             f"{len(self.signed_max_diff)} signed maximum differences")
 
 
 def empirical_cdf(ds: CitationDataset, xs: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Both fits run one projected search on closed-form gradients, in coordinates
 where the admissible set is a box: ``(mu / (1 + sigma**2), ln sigma)`` with
 ``sigma >= SIGMA_MIN`` for the lognormal, ``(ln alpha, ln(B + 1))`` with
 ``alpha <= alpha_cap`` and ``0 <= B <= 1e9`` for the hooked power law.  Both
-searches also have the exact Hessian and take Newton steps wherever it is
-negative definite over the coordinates not held at a bound (``B`` alone on
-the exponent cap), falling back to BFGS elsewhere.  Each point costs one
-parameter record and one evaluation of its log masses, which the
+searches also have the exact Hessian and take damped Newton steps on it over
+the coordinates not held at a bound (``B`` alone on the exponent cap), the
+Hessian shifted where it is not negative definite and the damping adapted to
+how well each step's quadratic model predicted its gain.  Each point costs
+one parameter record and one evaluation of its log masses, which the
 derivatives then reuse.  The hooked exponent is capped (default 10000)
 because its likelihood has a flat ridge as ``alpha`` and ``B`` grow
 together; a search that follows the ridge onto the cap ends there with
@@ -38,12 +39,13 @@ from .errors import DomainError
 
 _GRID_POINTS = 17
 # a search converges once the gain its next step predicts (the projected
-# gradient in the inverse-Hessian metric) is below _GAIN_TOL of |ll|, where
-# rounding in the log-likelihood hides any further gain
+# gradient in the metric of the step matrix) is below _GAIN_TOL of |ll|,
+# where rounding in the log-likelihood hides any further gain
 _GAIN_TOL = 1e-15
-_STEP_TOL = 1e-12  # a line search gives up on steps below this
-_ARMIJO = 1e-4
-# the search's iteration budget: a fit that spends it exits for ``budget``
+_ARMIJO = 1e-4  # the least share of its predicted gain a trial must make
+# the search's budget of log-likelihood evaluations, its start included; each
+# iteration that tries a point spends one, and a fit that spends them all
+# exits for ``budget``
 _MAX_ITERATIONS = 10000
 _MIN_WARN_SIZE = 30
 # the largest raw count: one above it the shift would leave int64
@@ -142,7 +144,7 @@ class FitTrace:
     ``evaluations`` counts the log-likelihood evaluations of the search from
     its start point on (the hooked fit's initial grid is not included).
     ``exit_reason`` is one of :data:`EXIT_REASONS`: converged inside the
-    box, out of iterations (``budget``), or converged with the hooked
+    box, out of evaluations (``budget``), or converged with the hooked
     exponent on its cap or the lognormal scale on its floor.  Both are
     ``None`` in documents written before they were recorded.
     """
@@ -162,13 +164,13 @@ class FitResult:
     log_likelihood: float
     converged: bool
     alpha_capped: bool
-    iterations: int
+    iterations: int  # evaluations - 1, kept while documents carry it
     n_articles: int
     trace: FitTrace
 
 
 # ---------------------------------------------------------------------------
-# bounded Newton and quasi-Newton search
+# bounded damped-Newton search
 # ---------------------------------------------------------------------------
 
 
@@ -177,138 +179,112 @@ class _Search(NamedTuple):
     ll: float
     grad: tuple
     ll_start: float   # at the start point, moved into the box
-    iterations: int
     evaluations: int  # of ``score``, the start point included
     converged: bool
 
 
-def _maximize_box(score, x, lower, upper, max_iter: int) -> _Search:
+def _maximize_box(score, x, lower, upper, max_evals: int) -> _Search:
     """Maximize a log-likelihood over the box ``lower <= x <= upper`` in two
-    coordinates by projected Newton or BFGS steps.
+    coordinates by projected damped-Newton steps, one evaluation per trial.
 
     ``score(x)`` returns the log-likelihood at ``x`` and ``derive``, which
     gives the gradient there and the Hessian ``(h00, h01, h11)`` or None; the
     search derives only at the start and at each trial it accepts.  A step
-    is a Newton step wherever minus the Hessian over the free coordinates is
-    finite and positive definite, and elsewhere a quasi-Newton step on the
-    damped-BFGS inverse Hessian that the search keeps from its gradients.
+    solves with minus the Hessian over the free coordinates, shifted as
+    :func:`_step_matrix` says.  Its ``damp`` adapts to the ratio of the gain
+    to the gain the step's quadratic model predicts (Levenberg-Marquardt, in
+    the form of Moré 1978): it rises tenfold, to at least 1e-4, below a
+    quarter, and halves, to 0 below 1e-4, above three quarters.  A trial is
+    taken when that ratio is at least ``_ARMIJO``; values are exact and
+    non-finite ones fail, so an error in the derivatives costs evaluations,
+    never the optimum.
 
-    A coordinate is held at a bound that its gradient pushes against or that
-    a step lands on, and released, once the search over the other converges,
-    if its gradient points back into the box; the BFGS inverse restarts
-    whenever the held set changes.  Each line search runs along the straight
-    step, cut at the first bound (landing on it exactly) and at a move of 1,
-    and backtracks on exact values (Armijo; non-finite ones fail), so an
-    error in the derivatives costs iterations, never the optimum; a step
-    that finds no gain is retried as steepest ascent.  The search converges
-    once the full step stays in the box and its predicted gain is
-    negligible, so a rising ridge is followed onto its bound, or once even
-    steepest ascent finds no gain; ``converged`` is false if ``max_iter``
-    ran out first or the log-likelihood is not finite.
+    A coordinate is held at a bound that its gradient pushes against, that a
+    step lands on, or that a step would cross at once, and released, once
+    the search over the other converges, if its gradient points back into
+    the box.  Each step is cut at the first bound (landing on it exactly)
+    and at a move of 1.  The search converges once the full step stays in
+    the box and its predicted gain is negligible, so a rising ridge is
+    followed onto its bound; ``converged`` is false if ``max_evals`` ran out
+    first or the log-likelihood is not finite.
     """
     x = [min(max(x[i], lower[i]), upper[i]) for i in (0, 1)]
     ll, derive = score(x)
-    g, curv = derive()
-    ll_start, evals, iterations = ll, 1, 0
-    held, hess = [False, False], None  # hess: (h00, h01, h11), None the identity
+    g, hess = derive()
+    ll_start, evals, damp = ll, 1, 0.0
+    # settled: the held set the search last converged on, until the next trial
+    held, settled = [False, False], None
 
     def against(i):  # at a bound, with the gradient pushing out of the box
         return (x[i] <= lower[i] and g[i] < 0.0) or (x[i] >= upper[i] and g[i] > 0.0)
 
-    while iterations < max_iter:
+    while evals < max_evals:
         if any(against(i) and not held[i] for i in (0, 1)):
-            held, hess = [held[i] or against(i) for i in (0, 1)], None
+            held = [held[i] or against(i) for i in (0, 1)]
         pg = [0.0 if held[i] else g[i] for i in (0, 1)]
-        metric = _newton_inverse(curv, held) or hess
-        h00, h01, h11 = metric or (1.0, 0.0, 1.0)
-        d = [0.0 if held[0] else h00 * pg[0] + h01 * pg[1],
-             0.0 if held[1] else h01 * pg[0] + h11 * pg[1]]
+        h00, h01, h11 = _step_matrix(hess, held, damp)
+        d = [h00 * pg[0] + h01 * pg[1], h01 * pg[0] + h11 * pg[1]]
         slope = pg[0] * d[0] + pg[1] * d[1]
-        if not slope > 0.0 and metric is not None:
-            hess = curv = None
-            continue
         # the step length at which each coordinate reaches its bound
         room = [((upper[i] if d[i] > 0.0 else lower[i]) - x[i]) / d[i] if d[i] else math.inf
                 for i in (0, 1)]
         edge = 0 if room[0] <= room[1] else 1
-        trial = None
-        if slope > 0.0 and not (room[edge] >= 1.0 and metric is not None
-                                and slope <= _GAIN_TOL * (1.0 + abs(ll))):
-            iterations += 1
-            reach = max(abs(d[0]), abs(d[1]))
-            step = min(1.0, room[edge], 1.0 / reach)
-            while trial is None and step * reach > _STEP_TOL:
-                trial = [x[0] + step * d[0], x[1] + step * d[1]]
-                if step == room[edge]:
-                    trial[edge] = upper[edge] if d[edge] > 0.0 else lower[edge]
-                ll_trial, derive = score(trial)
-                evals += 1
-                if not ll_trial >= ll + _ARMIJO * step * slope:
-                    trial = None
-                    # maximizer of the quadratic through ll, the slope and ll_trial
-                    curve = ll_trial - ll - step * slope
-                    cut = -0.5 * step * slope / curve if -math.inf < curve < 0.0 else 0.1
-                    step *= min(max(cut, 0.1), 0.5)
-            if trial is None and metric is not None:
-                hess = curv = None
-                continue
-        if trial is None:
+        if room[edge] == 0.0:
+            # the step leaves the box at once: hold that coordinate, which
+            # ends the search if that restores the set it converged on
+            held[edge] = True
+            if held == settled:
+                return _Search(x, ll, g, ll_start, evals, math.isfinite(ll))
+            continue
+        if not slope > 0.0 or (room[edge] >= 1.0 and slope <= _GAIN_TOL * (1.0 + abs(ll))):
             # converged over the free coordinates: release any held one whose
             # gradient points back into the box, or stop
             freed = [i for i in (0, 1) if held[i] and g[i] != 0.0 and not against(i)]
             if not freed:
-                return _Search(x, ll, g, ll_start, iterations, evals, math.isfinite(ll))
-            held, hess = [held[i] and i not in freed for i in (0, 1)], None
+                return _Search(x, ll, g, ll_start, evals, math.isfinite(ll))
+            settled, held = held, [held[i] and i not in freed for i in (0, 1)]
             continue
-        g_trial, curv = derive()
+        step = min(1.0, room[edge], 1.0 / max(abs(d[0]), abs(d[1])))
+        trial = [x[0] + step * d[0], x[1] + step * d[1]]
         if step == room[edge]:
-            held[edge], hess = True, None
-        else:  # the negated log-likelihood's gradient change is g - g_trial
-            hess = _bfgs_update(hess or (1.0, 0.0, 1.0), hess is None,
-                                [trial[0] - x[0], trial[1] - x[1]],
-                                [0.0 if held[i] else g[i] - g_trial[i] for i in (0, 1)])
-        x, ll, g = trial, ll_trial, g_trial
-    return _Search(x, ll, g, ll_start, iterations, evals, False)
+            trial[edge] = upper[edge] if d[edge] > 0.0 else lower[edge]
+        ll_trial, derive = score(trial)
+        evals, settled = evals + 1, None
+        # the gain the quadratic model along d predicts for this step
+        gain, predicted = ll_trial - ll, step * slope * (1.0 - 0.5 * step)
+        if not gain >= 0.25 * predicted:
+            damp = max(10.0 * damp, 1e-4)
+        elif gain > 0.75 * predicted:
+            damp = 0.5 * damp if damp >= 2e-4 else 0.0
+        if gain >= _ARMIJO * predicted:
+            g, hess = derive()
+            if step == room[edge]:
+                held[edge] = True
+            x, ll = trial, ll_trial
+    return _Search(x, ll, g, ll_start, evals, False)
 
 
-def _newton_inverse(hess, held):
-    """Inverse of minus ``hess`` over the free coordinates, as ``(h00, h01, h11)``
-    (a held coordinate's entries do not enter the step), or None unless that
-    matrix and its inverse are finite and it is positive definite."""
-    if hess is None or (held[0] and held[1]) or not all(map(math.isfinite, hess)):
-        return None
+def _step_matrix(hess, held, damp: float):
+    """The matrix a step applies to the gradient, as ``(h00, h01, h11)``: the
+    inverse of minus ``hess`` over the free coordinates (the identity where
+    ``hess`` is None or not finite), shifted by the least multiple of the
+    identity that lifts its least eigenvalue to 1e-8 of its largest in size,
+    plus ``damp`` times that largest.  A held coordinate takes the free one's
+    curvature and no coupling, so it moves neither the shift nor the step."""
+    if hess is None or not all(map(math.isfinite, hess)):
+        hess = (-1.0, 0.0, -1.0)
     a, b, c = -hess[0], -hess[1], -hess[2]
-    if held[0] or held[1]:  # one free coordinate: its own curvature alone
-        a, b, c = (1.0, 0.0, c) if held[0] else (a, 0.0, 1.0)
-    det = a * c - b * b
-    if not (a > 0.0 and det > 0.0):
-        return None
+    if held[0]:
+        a, b = c, 0.0
+    if held[1]:
+        b, c = 0.0, a
+    mid, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    top = abs(mid) + radius or 1.0  # the largest eigenvalue in size
+    shift = max(0.0, 1e-8 - (mid - radius) / top) + damp
+    a, b, c = a / top + shift, b / top, c / top + shift
+    det = (a * c - b * b) * top
     inv = (c / det, -b / det, a / det)
-    return inv if all(map(math.isfinite, inv)) else None
-
-
-def _bfgs_update(hess, first: bool, s, y):
-    """Damped BFGS update of a 2x2 inverse Hessian ``(h00, h01, h11)``:
-    where the curvature along ``s`` is below a fifth of the model's, ``y``
-    moves towards ``B s`` (Powell); a ``first`` update is Shanno-scaled."""
-    h00, h01, h11 = hess
-    det = h00 * h11 - h01 * h01
-    bs = [(h11 * s[0] - h01 * s[1]) / det, (h00 * s[1] - h01 * s[0]) / det]
-    sbs = s[0] * bs[0] + s[1] * bs[1]
-    sy = s[0] * y[0] + s[1] * y[1]
-    if sy < 0.2 * sbs:
-        theta = 0.8 * sbs / (sbs - sy)
-        y = [theta * y[0] + (1.0 - theta) * bs[0], theta * y[1] + (1.0 - theta) * bs[1]]
-        sy = 0.2 * sbs
-    if first:
-        h00 = h11 = sy / (y[0] * y[0] + y[1] * y[1])
-        h01 = 0.0
-    hy = [h00 * y[0] + h01 * y[1], h01 * y[0] + h11 * y[1]]
-    rho = 1.0 / sy
-    c = rho * rho * (y[0] * hy[0] + y[1] * hy[1]) + rho
-    return (h00 - 2.0 * rho * hy[0] * s[0] + c * s[0] * s[0],
-            h01 - rho * (hy[0] * s[1] + s[0] * hy[1]) + c * s[0] * s[1],
-            h11 - 2.0 * rho * hy[1] * s[1] + c * s[1] * s[1])
+    return inv if all(map(math.isfinite, inv)) else (1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +348,7 @@ def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
     )
     return FitResult(model=params.model, params=params, log_likelihood=search.ll,
                      converged=search.converged, alpha_capped=bound == "cap",
-                     iterations=search.iterations, n_articles=len(ds), trace=trace)
+                     iterations=search.evaluations - 1, n_articles=len(ds), trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,23 @@ class TestReportCommand:
         assert captured.err == ("error: parse: the documents hold different segment "
                                 "counts, 2, 4; report each --segments value apart\n")
 
+    def test_differences_short_of_the_segments_are_a_parse_error(self, tmp_path, capsys):
+        # each segment needs its difference: a document that lists fewer is
+        # refused when it is read, not when the table indexes past them
+        out = tmp_path / "docs"
+        assert main(["fit", SMOKE, "--out", str(out)]) == EXIT_OK
+        path = sorted(out.iterdir())[0]
+        data = json.loads(path.read_text())
+        del data["hooked_diagnostics"]["signed_max_diff"][2:]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out), "--style", "segments"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: parse: {str(path)!r}: malformed ResultDocument")
+        assert "4 segments but 2 signed maximum differences" in line
+
     def test_parameters_style_takes_any_segment_counts(self, tmp_path, capsys):
         # only the segments table needs one segment count
         for k in (4, 2):

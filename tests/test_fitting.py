@@ -26,7 +26,7 @@ from citefit.fitting import (
     FitConfig,
     _compressed,
     _maximize_box,
-    _newton_inverse,
+    _step_matrix,
     fit_hooked,
     fit_lognormal,
     init_hooked,
@@ -250,50 +250,39 @@ class TestFitLognormal:
         a, b = fit_lognormal(ds), fit_lognormal(ds)
         assert a == b
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_newton_search_matches_bfgs_with_fewer_evaluations(self, monkeypatch, seed):
-        ds = sample(DiscretisedLognormalParams(2.94, 1.03), 20000, SeededGenerator(seed))
-        newton = fit_lognormal(ds)
-
-        def without_curvature(score, *args):
-            def gradient_only(x):
-                ll, derive = score(x)
-                return ll, lambda: (derive()[0], None)
-
-            return _maximize_box(gradient_only, *args)
-
-        monkeypatch.setattr(citefit.fitting, "_maximize_box", without_curvature)
-        bfgs = fit_lognormal(ds)
-        assert newton.converged and bfgs.converged
-        assert abs(newton.log_likelihood - bfgs.log_likelihood) <= 1e-9
-        assert newton.trace.evaluations < bfgs.trace.evaluations
+    @pytest.mark.parametrize("seed, ll, evaluations", [
+        (1, -87706.72452123488, 2),
+        (2, -87855.97141323311, 2),
+        (3, -87698.92151444203, 2),
+    ])
+    def test_newton_search_holds_pinned_fits(self, seed, ll, evaluations):
+        # the Newton-plus-BFGS search this one replaced ended at the pinned
+        # log-likelihoods in the pinned evaluations; a gradient-only BFGS
+        # search took about 12
+        fit = fit_lognormal(sample(DiscretisedLognormalParams(2.94, 1.03), 20000,
+                                   SeededGenerator(seed)))
+        assert fit.converged
+        assert fit.log_likelihood >= ll - 1e-9
+        assert fit.trace.evaluations <= evaluations
 
 
 class TestFitHooked:
-    @pytest.mark.parametrize("truth, size, seed", [
-        (HookedPowerLawParams(4.0, 20.0), 3000, 6),
-        (HookedPowerLawParams(7.7, 175.4), 20000, 1),
-        (DiscretisedLognormalParams(2.93, 0.73), 5000, 5),   # ends on the cap
-        (DiscretisedLognormalParams(3.65, 0.81), 1806, 2),   # climbs the ridge to the cap
+    @pytest.mark.parametrize("truth, size, seed, ll, capped, evaluations", [
+        (HookedPowerLawParams(4.0, 20.0), 3000, 6, -9766.88470010263, False, 5),
+        (HookedPowerLawParams(7.7, 175.4), 20000, 1, -88276.60218208101, False, 6),
+        # ends on the cap
+        (DiscretisedLognormalParams(2.93, 0.73), 5000, 5, -20852.942231281482, True, 8),
+        # climbs the ridge to the cap
+        (DiscretisedLognormalParams(3.65, 0.81), 1806, 2, -8988.731305008076, True, 8),
     ])
-    def test_newton_search_matches_bfgs_with_fewer_evaluations(self, monkeypatch, truth,
-                                                               size, seed):
-        ds = sample(truth, size, SeededGenerator(seed))
-        newton = fit_hooked(ds)
-
-        def without_curvature(score, *args):
-            def gradient_only(x):
-                ll, derive = score(x)
-                return ll, lambda: (derive()[0], None)
-
-            return _maximize_box(gradient_only, *args)
-
-        monkeypatch.setattr(citefit.fitting, "_maximize_box", without_curvature)
-        bfgs = fit_hooked(ds)
-        assert newton.converged and bfgs.converged
-        assert newton.alpha_capped == bfgs.alpha_capped
-        assert newton.log_likelihood >= bfgs.log_likelihood - 1e-9
-        assert newton.trace.evaluations < bfgs.trace.evaluations
+    def test_newton_search_holds_pinned_fits(self, truth, size, seed, ll, capped,
+                                             evaluations):
+        # the Newton-plus-BFGS search this one replaced ended at the pinned
+        # points in the pinned evaluations
+        fit = fit_hooked(sample(truth, size, SeededGenerator(seed)))
+        assert fit.converged and fit.alpha_capped is capped
+        assert fit.log_likelihood >= ll - 1e-9
+        assert fit.trace.evaluations <= evaluations
 
     @pytest.mark.parametrize("tail", [False, True])
     def test_gradient_takes_the_scored_normalization(self, monkeypatch, tail):
@@ -740,6 +729,11 @@ def _scorer(loglik, gradient, hessian=None):
     return score
 
 
+def _matrix(h):
+    """The symmetric 2x2 matrix stored as ``(h00, h01, h11)``."""
+    return np.array([[h[0], h[1]], [h[1], h[2]]])
+
+
 def _quartic():
     """``-(x0**2 - 1)**2 - (x1 - 0.5)**2`` with its gradient and Hessian: the
     Hessian is indefinite for x0**2 < 1/3 and the maxima are at x0 = +-1."""
@@ -759,31 +753,23 @@ _BOX = ((-5.0, -5.0), (5.0, 5.0))
 
 
 class TestSearch:
-    def test_indefinite_start_falls_back_to_bfgs_and_converges(self):
-        loglik, gradient, hessian = _quartic()
-        asked = []
-
-        def curvature(x):
-            asked.append(_newton_inverse(hessian(x), [False, False]))
-            return hessian(x)
-
-        search = _maximize_box(_scorer(loglik, gradient, curvature), [0.1, 0.0], *_BOX, 100)
-        assert asked[0] is None and asked[-1] is not None  # BFGS first, Newton at the end
-        assert search.converged
-        assert abs(abs(search.x[0]) - 1.0) <= 1e-6 and abs(search.x[1] - 0.5) <= 1e-6
-        assert search.ll >= -1e-12
-
     @pytest.mark.parametrize("hessian", [
+        "exact",
+        None,                      # gradient only
         (math.nan, 0.0, -1.0),     # not finite
         (1.0, 0.0, 1.0),           # minus it is negative definite
         (-1.0, -2.0, -1.0),        # indefinite
         (-1.0, 0.0, 0.0),          # singular
     ])
-    def test_unusable_curvature_leaves_the_bfgs_search(self, hessian):
-        loglik, gradient, _ = _quartic()
-        plain = _maximize_box(_scorer(loglik, gradient), [0.1, 0.0], *_BOX, 100)
-        assert _maximize_box(_scorer(loglik, gradient, lambda x: hessian),
-                             [0.1, 0.0], *_BOX, 100) == plain
+    def test_converges_from_an_indefinite_start_on_any_curvature(self, hessian):
+        # the exact Hessian is indefinite at the start; wrong or missing
+        # curvature costs evaluations, never the maximum
+        loglik, gradient, exact = _quartic()
+        curvature = {"exact": exact, None: None}.get(hessian, lambda x: hessian)
+        search = _maximize_box(_scorer(loglik, gradient, curvature), [0.1, 0.0], *_BOX, 100)
+        assert search.converged and search.evaluations < 100
+        assert abs(abs(search.x[0]) - 1.0) <= 1e-6 and abs(search.x[1] - 0.5) <= 1e-6
+        assert search.ll >= -1e-12
 
     def test_newton_steps_on_a_quadratic(self):
         # the exact Hessian of a concave quadratic: one step to the maximum,
@@ -799,13 +785,81 @@ class TestSearch:
         assert search.converged and search.evaluations == 2
         assert search.x == pytest.approx([0.3, -0.2], abs=1e-12)
 
-    def test_newton_inverse_over_the_free_coordinates(self):
-        hess = (-2.0, -1.0, -4.0)
-        h00, h01, h11 = _newton_inverse(hess, [False, False])
-        assert (h00, h01, h11) == pytest.approx((4.0 / 7.0, -1.0 / 7.0, 2.0 / 7.0))
-        assert _newton_inverse(hess, [False, True])[0] == 0.5
-        assert _newton_inverse(hess, [True, False])[2] == 0.25
-        assert _newton_inverse(hess, [True, True]) is None
-        assert _newton_inverse((1.0, 0.0, -1.0), [True, False]) is not None
-        assert _newton_inverse((1.0, 0.0, -1.0), [False, True]) is None
-        assert _newton_inverse(None, [False, False]) is None
+    def test_step_leaving_the_box_at_once_holds_without_an_evaluation(self):
+        # at the upper bound of x0, the gradient points into the box but the
+        # Newton step, through the coupling, out of it: x0 is held at no
+        # cost and x1 alone steps to its maximum given x0 = 1
+        def loglik(x):
+            return -(x[0] - 1.5) ** 2 - (x[0] - 1.5) * (x[1] - 2.0) - (x[1] - 2.0) ** 2
+
+        def gradient(x):
+            return (-2.0 * (x[0] - 1.5) - (x[1] - 2.0), -(x[0] - 1.5) - 2.0 * (x[1] - 2.0))
+
+        scored = []
+
+        def score(x):
+            scored.append(list(x))
+            return loglik(x), lambda: (gradient(x), (-2.0, -1.0, -2.0))
+
+        start = [1.0, 3.2]
+        assert gradient(start)[0] < 0.0
+        search = _maximize_box(score, start, (-5.0, -5.0), (1.0, 5.0), 100)
+        assert search.converged and search.evaluations == 2 == len(scored)
+        assert all(x[0] == 1.0 for x in scored)
+        assert search.x == pytest.approx([1.0, 2.25], abs=1e-12)
+
+    def test_release_whose_step_leaves_the_box_at_once_ends_the_search(self, monkeypatch):
+        # converged over x1 with x0 held on its bound: x0's gradient points
+        # into the box, but the step over both, through the coupling, out of
+        # it.  Holding x0 again restores the held set the search converged
+        # on, so the search ends there instead of cycling at no cost
+        steps = []
+
+        def counted(hess, held, damp):
+            steps.append(list(held))
+            assert len(steps) < 100, "the search cycles without evaluating"
+            return _step_matrix(hess, held, damp)
+
+        monkeypatch.setattr(citefit.fitting, "_step_matrix", counted)
+        score = _scorer(lambda x: -1.0, lambda x: (-1e-20, -1e-12),
+                        lambda x: (-1.0, -0.99, -1.0))
+        search = _maximize_box(score, [0.0, 0.5], (-5.0, -5.0), (0.0, 5.0), 100)
+        assert search.converged and search.evaluations == 1
+        assert steps == [[False, False], [True, False], [False, False]]
+
+    @pytest.mark.parametrize("held, want", [
+        ([False, False], (4.0 / 7.0, -1.0 / 7.0, 2.0 / 7.0)),
+        ([False, True], (0.5, 0.0, 0.5)),      # x0 alone, on its own curvature
+        ([True, False], (0.25, 0.0, 0.25)),    # x1 alone
+        ([True, True], (0.25, 0.0, 0.25)),
+    ])
+    def test_step_matrix_is_the_newton_inverse_where_positive_definite(self, held, want):
+        # a held coordinate takes the free one's curvature and no coupling
+        assert _step_matrix((-2.0, -1.0, -4.0), held, 0.0) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("hess, held, eigenvalues", [
+        ((-2.0, 0.0, 1.0), [False, False], (2.0, -1.0)),     # indefinite
+        ((-2.0, -2.0, -2.0), [False, False], (4.0, 0.0)),    # singular
+        ((1.0, 0.0, 2.0), [False, False], (-1.0, -2.0)),     # negative definite
+        ((1.0, 0.0, -1.0), [False, True], (-1.0, -1.0)),     # x0 alone
+    ])
+    def test_step_matrix_lifts_the_least_eigenvalue(self, hess, held, eigenvalues):
+        # the inverse of minus the Hessian shifted until its least eigenvalue
+        # is 1e-8 of its largest in size
+        top = max(map(abs, eigenvalues))
+        shift = 1e-8 * top - min(eigenvalues)
+        got = np.linalg.eigvalsh(np.linalg.inv(_matrix(_step_matrix(hess, held, 0.0))))
+        assert got.tolist() == pytest.approx(sorted(e + shift for e in eigenvalues), rel=1e-6)
+
+    @pytest.mark.parametrize("hess", [(-2.0, -1.0, -4.0), (-2.0, 0.0, 1.0)])
+    def test_damp_adds_that_multiple_of_the_largest_eigenvalue(self, hess):
+        top = max(abs(np.linalg.eigvalsh(-_matrix(hess))))
+        undamped = np.linalg.inv(_matrix(_step_matrix(hess, [False, False], 0.0)))
+        for damp in (1e-4, 0.5, 30.0):
+            damped = np.linalg.inv(_matrix(_step_matrix(hess, [False, False], damp)))
+            assert damped == pytest.approx(undamped + damp * top * np.eye(2), rel=1e-12)
+
+    @pytest.mark.parametrize("hess", [None, (math.nan, 0.0, -1.0), (-1.0, math.inf, -1.0)])
+    def test_step_matrix_without_curvature_is_the_identity(self, hess):
+        assert _step_matrix(hess, [False, False], 0.0) == (1.0, 0.0, 1.0)
+        assert _step_matrix(hess, [False, False], 1.0) == pytest.approx((0.5, 0.0, 0.5))
