@@ -52,7 +52,6 @@ class CliConfig:
 
     command: str
     input_path: str | None = None
-    input_format: str = data_io.FORMAT_AUTO
     out_dir: str | None = None
     plot_dir: str | None = None
     model: str = "both"
@@ -92,7 +91,7 @@ def _load_datasets(cfg: CliConfig) -> tuple[list[CitationDataset], dict]:
     digest = hashlib.sha256()
     label = os.path.splitext(os.path.basename(cfg.input_path))[0]
     with data_io.open_text(cfg.input_path, digest) as fh:
-        datasets = data_io.parse_counts(fh, cfg.input_format, label=label)
+        datasets = data_io.parse_counts(fh, label=label)
     return datasets, _provenance(cfg, input_sha256=digest.hexdigest())
 
 
@@ -402,11 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     data_opts = argparse.ArgumentParser(add_help=False, argument_default=unset)
     data_opts.add_argument("input_path", metavar="input",
-                           help="counts file (one per line, or journal,citations rows)")
-    data_opts.add_argument("--format", dest="input_format",
-                           choices=[data_io.FORMAT_AUTO, data_io.FORMAT_ONE_PER_LINE,
-                                    data_io.FORMAT_LABELED],
-                           help="input layout (default: auto-detect by comma)")
+                           help="counts file: one per line, or journal,citations "
+                                "rows if its first non-blank line holds a comma")
 
     p_fit = sub.add_parser("fit", parents=[data_opts, fit_opts], argument_default=unset,
                            help="fit models and write result documents")

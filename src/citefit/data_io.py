@@ -1,8 +1,8 @@
 """Dataset ingestion, result persistence, and report table rendering.
 
 Input is plain UTF-8 text: either one count per line, or labeled two-column
-``journal,citations`` rows (an optional header is the first non-blank row,
-detected by a non-numeric second field).
+``journal,citations`` rows, as a comma in the first non-blank row says (an
+optional header is that row, detected by a non-numeric second field).
 Results persist as versioned JSON documents that round-trip exactly; tables
 render with fixed, locale-independent formatting that mirrors the reference
 layout (two decimals for the lognormal parameters, one for log-likelihoods,
@@ -12,7 +12,6 @@ capped exponents as ``10k``, whole-percent segment differences).
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import os
@@ -38,11 +37,6 @@ SCHEMA_VERSION = 2
 # ``evaluations`` and ``exit_reason``, which load as None.  A document read
 # in is held, and written back, as the current version.
 READABLE_VERSIONS = (1, 2)
-
-FORMAT_AUTO = "auto"
-FORMAT_ONE_PER_LINE = "one-per-line"
-FORMAT_LABELED = "labeled"
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -105,114 +99,97 @@ def open_text(path, digest=None) -> Iterator[TextIO]:
             raise
 
 
-# a maximal run of labeled rows that share one label (the text before the
-# last comma, without a NUL, which numpy's separator cannot hold) and hold
-# plain counts: at most 18 ASCII digits, so never past MAX_RAW_COUNT, between
-# spaces or tabs, before an optional carriage return
-_RUN = re.compile(r"([^\n\x00]*),[ \t]*[0-9]{1,18}[ \t]*\r?\n"
-                  r"(?:\1,[ \t]*[0-9]{1,18}[ \t]*\r?\n)*")
-# labeled input is read in pieces of about this many characters, each
-# completed to a line end
+# one plain count to a line: at most 18 ASCII digits, so never past
+# MAX_RAW_COUNT, after an optional plus sign, between spaces or tabs, before
+# an optional carriage return
+_COUNT = r"[ \t]*\+?[0-9]{1,18}[ \t]*\r?\n"
+# a maximal run of labeled rows that share one label prefix (the text up to
+# and with the last comma, without a NUL, which numpy's separator cannot
+# hold) and hold plain counts ...
+_RUN = re.compile(rf"([^\n\x00]*,){_COUNT}(?:\1{_COUNT})*")
+# ... and of plain counts, whose label prefix is empty
+_COUNT_RUN = re.compile(rf"()(?:{_COUNT})+")
+# input is read in pieces of about this many characters, each completed to a
+# line end
 _CHUNK = 8192
 
 
-def _line_chunks(source: TextIO, text: str) -> Iterator[str]:
-    """``text``, then the rest of ``source`` in pieces of about
-    :data:`_CHUNK` characters, each ending at a line end (or the end)."""
-    if text:
-        yield text
+def _line_chunks(source: TextIO) -> Iterator[str]:
+    """``source`` in pieces of about :data:`_CHUNK` characters, each ending
+    at a line end (or the end)."""
     while chunk := source.read(_CHUNK):
         if chunk[-1] != "\n":
             chunk += source.readline()
         yield chunk
 
 
-def parse_counts(source: TextIO | str, format: str = FORMAT_ONE_PER_LINE,
-                 label: str = "") -> list[CitationDataset]:
+def parse_counts(source: TextIO | str, *, label: str = "") -> list[CitationDataset]:
     """Parse citation counts from a text stream into datasets of shifted
     counts: each dataset holds the counts read plus one, so uncited articles
     sit at 1.  A count read may be 0 to :data:`MAX_RAW_COUNT`.
 
-    ``one-per-line`` yields a single dataset (named by ``label``);
-    ``labeled`` groups ``journal,citations`` rows by journal in first-seen
-    order, splitting on the last comma so labels may themselves contain
-    commas, and skips the first non-blank row as a header if its count field
-    is not an integer; ``auto`` reads ``labeled`` rows if the first non-blank
-    line holds a comma and one count per line otherwise.  The stream is read
-    once.  Labeled rows are taken a run at a time: a maximal run of rows with
-    one label and plain counts is matched at once, and its counts converted
-    in one call; any other line (blank, the header, a count with a sign,
-    padding or other digits, or an error) is read on its own.
+    The first non-blank line names the layout.  Without a comma the input
+    holds one count per line, read as a single dataset named by ``label``.
+    With one it holds ``journal,citations`` rows, grouped by journal in
+    first-seen order and split on the last comma so labels may themselves
+    contain commas; that first line is skipped as a header if its count field
+    is not an integer.  The stream is read once, a run at a time: a maximal
+    run of plain counts under one label is matched at once and its counts
+    converted in one call; any other line (blank, the first, a count with a
+    minus sign, other padding or other digits, or an error) is read on its own.
     Raises :class:`ParseError` with the line number on bad input.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    lines = enumerate(source, start=1)
-    first = (0, "")  # the line read to detect the format, and its number
-    if format == FORMAT_AUTO:
-        first = next(((n, line) for n, line in lines if line.strip()), first)
-        format = FORMAT_LABELED if "," in first[1] else FORMAT_ONE_PER_LINE
-        lines = itertools.chain([first], lines)
-    if format == FORMAT_ONE_PER_LINE:
-        top = MAX_RAW_COUNT
-        counts = []
-        for line_no, line in lines:
-            try:
-                value = int(line)
-            except ValueError:
+    groups: dict[str, list] = {}  # each label's counts, as arrays and lists
+    run = None  # the run pattern of the layout, once the first line sets it
+    name = parts = None  # the label of the previous row and its parts
+    line_no = 0  # lines read so far
+    for chunk in _line_chunks(source):
+        pos, end = 0, len(chunk)
+        while pos < end:  # a run of rows, or else one line
+            match = run and run.match(chunk, pos)
+            if match:
+                prefix = match.group(1)
+                # past the first prefix, numpy reads the counts between
+                # separators "\n<prefix>", whose newline stands for any run of
+                # whitespace, such as a count's padding and "\r"
+                counts = np.fromstring(chunk[pos + len(prefix):match.end()],
+                                       dtype=np.int64, sep="\n" + prefix)
+                row_name = prefix[:-1] if prefix else label
+                pos = match.end()
+                line_no += len(counts)
+            else:
+                stop = chunk.find("\n", pos) + 1 or end
+                line = chunk[pos:stop]
+                pos = stop
+                line_no += 1
                 if not line.strip():
                     continue
-                value = -1
-            if value < 0 or value > top:  # out of range, malformed, or padded past int()
-                value = _parse_count(line, line_no)
-            counts.append(value)
-        if not counts:
-            raise ParseError("no counts found in input")
-        return [CitationDataset(label, np.add(counts, 1))]
-
-    if format == FORMAT_LABELED:
-        groups: dict[str, list[int]] = {}
-        name = counts = None  # the label of the previous row and its list
-        header = True  # the next non-blank row may be a header
-        line_no = max(first[0] - 1, 0)  # lines before the chunk at hand
-        for chunk in _line_chunks(source, first[1]):
-            pos, end = 0, len(chunk)
-            while pos < end:  # a run of rows, or else one line
-                run = _RUN.match(chunk, pos)
-                if run is not None:
-                    row_name = run.group(1)
-                    # past the first label, numpy reads the counts between
-                    # separators "\n<label>,", whose newline stands for any
-                    # run of whitespace, such as a count's padding and "\r"
-                    values = np.fromstring(chunk[pos + len(row_name) + 1:run.end()],
-                                           dtype=np.int64, sep="\n" + row_name + ",").tolist()
-                    pos = run.end()
-                    line_no += len(values)
-                    header = False
-                else:
-                    stop = chunk.find("\n", pos) + 1 or end
-                    line = chunk[pos:stop]
-                    pos = stop
-                    line_no += 1
-                    row_name, comma, count_text = line.rpartition(",")
-                    if not comma:
-                        if not line.strip():
-                            continue
-                        raise ParseError("expected 'journal,citations'", line_no)
-                    if header:
-                        header = False
-                        if not count_text.strip().lstrip("+-").isdigit():
-                            continue  # header row
-                    values = [_parse_count(count_text, line_no)]
-                if row_name != name:
-                    name = row_name
-                    counts = groups.setdefault(name, [])
-                counts.extend(values)
-        if not groups:
-            raise ParseError("no data rows found in input")
-        return [CitationDataset(name, np.add(counts, 1)) for name, counts in groups.items()]
-
-    raise ParseError(f"unknown input format {format!r}")
+                row_name, comma, count_text = line.rpartition(",")
+                if run is None:
+                    run = _RUN if comma else _COUNT_RUN
+                    if comma and not count_text.strip().lstrip("+-").isdigit():
+                        continue  # header row
+                if run is _COUNT_RUN:
+                    row_name, count_text = label, line
+                elif not comma:
+                    raise ParseError("expected 'journal,citations'", line_no)
+                count = _parse_count(count_text, line_no)
+            if row_name != name:
+                name = row_name
+                parts = groups.setdefault(name, [])
+            if match:
+                parts.append(counts)
+            elif parts and isinstance(parts[-1], list):
+                parts[-1].append(count)  # single rows extend one list
+            else:
+                parts.append([count])
+    if not groups:
+        raise ParseError("no data rows found in input" if run is _RUN
+                         else "no counts found in input")
+    return [CitationDataset(name, np.add(np.concatenate(parts), 1))
+            for name, parts in groups.items()]
 
 
 # ---------------------------------------------------------------------------

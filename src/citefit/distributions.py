@@ -37,13 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, SupportRangeError
-from .numerics import LOG_ZERO, log_ndtr, std_normal_cdf, std_normal_log_cdf
+from .numerics import LOG_ZERO, log_ndtr, std_normal_log_cdf
 
 DEFAULT_TRUNCATION = 10000
 DEFAULT_ALPHA_CAP = 10000.0
@@ -61,7 +60,7 @@ class Model(str, Enum):
     HOOKED = "hooked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HookedPowerLawParams:
     """Exponent, head offset and normalization length of the hooked model,
     and whether that normalization adds the integral tail bound (for ``alpha > 1``).
@@ -85,7 +84,7 @@ class HookedPowerLawParams:
             raise DomainError(f"truncation must be >= 1, got {self.truncation!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscretisedLognormalParams:
     """Location and scale of the underlying normal of log counts.
 
@@ -560,10 +559,10 @@ def _dln_cdf_array(ns: np.ndarray, params: DiscretisedLognormalParams) -> np.nda
 def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
     """Smallest support point with cumulative mass >= q.
 
-    Inverts the closed form through the complementary normal quantile so
-    levels like 1 - 1e-12 keep full precision.  Where ``1 - Phi(z0)``, the
-    mass above one half, underflows, the point is found by bisection on the
-    log survival ratio instead.
+    Found by bisection on ``n``: the smallest ``n`` with ``ln Phi(-z(n + 1/2))
+    - ln Phi(-z0) <= ln(1 - q)``, each side finite in the log domain however
+    far the mass sits in either tail, so levels like 1 - 1e-12 keep full
+    precision.
 
     Raises
     ------
@@ -573,23 +572,6 @@ def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
     z0 = (_LN_HALF - params.mu) / params.sigma
-    sf_target = (1.0 - q) * std_normal_cdf(-z0)
-    if sf_target <= 0.0:
-        return _dln_quantile_log(params, q, z0)
-    if sf_target >= 1.0:  # q below float resolution: all mass lies above
-        return 1
-    z = -NormalDist().inv_cdf(sf_target)
-    try:
-        x = math.exp(params.mu + params.sigma * z)
-    except OverflowError:
-        raise DomainError(f"quantile level {q!r} of {params} is beyond float range") from None
-    return max(1, math.ceil(x - 0.5))
-
-
-def _dln_quantile_log(params: DiscretisedLognormalParams, q: float, z0: float) -> int:
-    """:func:`dln_quantile` by bisection on ``n``: the smallest ``n`` with
-    ``ln Phi(-z(n + 1/2)) - ln Phi(-z0) <= ln(1 - q)``, each side finite in
-    the log domain however far the mass sits in the upper tail."""
     log_level = math.log1p(-q) + std_normal_log_cdf(-z0)
 
     def reached(n: int) -> bool:

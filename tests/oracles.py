@@ -496,7 +496,7 @@ def _reference_parse_count(text, line_no):
     return value
 
 
-def reference_parse_counts(source, format="one-per-line", label=""):
+def reference_parse_counts(source, format="auto", label=""):
     """``data_io.parse_counts`` with every row stripped, split and looked up
     on its own, and each count read shifted by one in Python integers."""
     if isinstance(source, str):

@@ -167,7 +167,7 @@ def test_criterion_7_reference_table_reproduction():
     with criterion(7, "per-journal fits reproduce the published table",
                    budget_s=1800):
         with open(os.environ[DATA_ENV], "r", encoding="utf-8") as fh:
-            datasets = {ds.label: ds for ds in cf.parse_counts(fh, "labeled")}
+            datasets = {ds.label: ds for ds in cf.parse_counts(fh)}
         failures = []
         for (journal, n_articles, mu, sigma, ll_ln, alpha, offset, ll_hk,
              z, best) in REFERENCE_ROWS:

@@ -347,6 +347,11 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_layout_flag_is_gone(self, labeled_input, capsys):
+        # the first non-blank line names the layout; no flag overrides it
+        assert main(["compare", str(labeled_input), "--format", "labeled"]) == EXIT_USAGE
+        assert "--format" in capsys.readouterr().err
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("journal,citations\nA,-3\n")
@@ -519,7 +524,7 @@ class TestBoundary:
         path = tmp_path_factory.mktemp("rows") / "counts.csv"
         path.write_text("".join(f"{label},{count}\n" for label, count in rows),
                         encoding="utf-8")
-        argv = ["compare", str(path), "--format", "labeled"] + ["--tail-correct"] * tail
+        argv = ["compare", str(path)] + ["--tail-correct"] * tail
         assert main(argv) in _EXIT_CODES
 
     def test_arbitrary_bytes(self, tmp_path):
@@ -588,9 +593,8 @@ class TestDefaults:
                    z_threshold=2.5, segments=3, timestamp=True, truth_model="hooked",
                    mu=1.5, sigma=0.5, alpha=3.0, offset=4.0, n=2000, n_seeds=2, seed=7,
                    components=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), out_dir="o")),
-        (["fit", "in.csv", "--format", "labeled", "--model", "hooked", "--out", "o"],
-         CliConfig(command="fit", input_path="in.csv", input_format="labeled",
-                   model="hooked", out_dir="o")),
+        (["fit", "in.csv", "--model", "hooked", "--out", "o"],
+         CliConfig(command="fit", input_path="in.csv", model="hooked", out_dir="o")),
         (["diagnose", "in.csv", "--plot", "p"],
          CliConfig(command="diagnose", input_path="in.csv", plot_dir="p")),
         (["report", "a.json", "docs", "--style", "segments"],

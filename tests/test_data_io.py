@@ -54,11 +54,20 @@ _RUNS = st.lists(st.one_of(
     st.lists(st.one_of(_BLANK_ROWS, _HEADER_ROWS, _COUNT_ROWS), max_size=2)), max_size=8)
 
 
-def _parse_outcome(parse, source, format):
+# runs of plain counts, one to a line, between blank lines and signed,
+# padded or otherwise odd tokens
+_PLAIN_RUNS = st.lists(st.one_of(
+    st.lists(st.sampled_from(["0", "7", " 12\t", "007", "999999999999999999"]),
+             min_size=1, max_size=8),
+    st.lists(st.one_of(_BLANK_ROWS, _TOKENS, st.sampled_from(["+4", " -0 ", "\t3"])),
+             max_size=2)), max_size=8)
+
+
+def _parse_outcome(parse, source):
     """The datasets that ``parse`` returns, or the error, message and line it
     raises."""
     try:
-        datasets = parse(source, format, label="single")
+        datasets = parse(source, label="single")
     except Exception as exc:  # noqa: BLE001 - any error must be the same one
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
     return "ok", [(d.label, d.counts.tolist()) for d in datasets]
@@ -70,15 +79,20 @@ class TestParseCounts:
         assert ds.counts.tolist() == [4, 1, 13]
 
     def test_labeled_grouping_preserves_order(self):
-        datasets = parse_counts("journal,citations\nA,2\nB,0\nA,5\n",
-                                format="labeled")
+        datasets = parse_counts("journal,citations\nA,2\nB,0\nA,5\n")
         assert [d.label for d in datasets] == ["A", "B"]
         assert datasets[0].counts.tolist() == [3, 6]
         assert datasets[1].counts.tolist() == [1]
 
+    def test_label_is_keyword_only(self):
+        # a layout passed where the label once went fails, rather than
+        # naming the dataset
+        with pytest.raises(TypeError):
+            parse_counts("A,2\n", "labeled")
+
     def test_negative_count_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_counts("journal,citations\nA,-1\n", format="labeled")
+            parse_counts("journal,citations\nA,-1\n")
 
     def test_non_integer_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -88,61 +102,60 @@ class TestParseCounts:
         with pytest.raises(ParseError):
             parse_counts("")
         with pytest.raises(ParseError, match="no data rows"):
-            parse_counts("journal,citations\n", format="labeled")
+            parse_counts("journal,citations\n")
 
     def test_label_with_comma_kept_intact(self):
-        [ds] = parse_counts("Title, With Comma,4\n", format="labeled")
+        [ds] = parse_counts("Title, With Comma,4\n")
         assert ds.label == "Title, With Comma"
         assert ds.counts.tolist() == [5]
 
-    @pytest.mark.parametrize("format", ["labeled", "auto"])
-    def test_header_after_blank_lines(self, format):
-        datasets = parse_counts("\n \njournal,citations\nA,2\nA,3\n", format=format)
+    def test_header_after_blank_lines(self):
+        datasets = parse_counts("\n \njournal,citations\nA,2\nA,3\n")
         assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [3, 4])]
         with pytest.raises(ParseError, match="line 4: count is not an integer"):
-            parse_counts("\njournal,citations\nA,2\nB,x\n", format=format)
+            parse_counts("\njournal,citations\nA,2\nB,x\n")
 
     def test_no_header_first_row_is_data(self):
-        datasets = parse_counts("A,2\nA,3\n", format="labeled")
+        datasets = parse_counts("A,2\nA,3\n")
         assert datasets[0].counts.tolist() == [3, 4]
 
-    def test_unknown_format(self):
-        with pytest.raises(ParseError):
-            parse_counts("1\n", format="rows")
-
-    @pytest.mark.parametrize("format", ["labeled", "one-per-line"])
-    def test_counts_must_stay_in_int64_once_shifted(self, format):
-        rows = ["journal,citations", "A,0"] if format == "labeled" else ["7", "0"]
-        [ds] = parse_counts("\n".join(rows + [rows[-1][:-1] + str(2**63 - 2)]), format)
+    @pytest.mark.parametrize("layout", ["labeled", "one-per-line"])
+    def test_counts_must_stay_in_int64_once_shifted(self, layout):
+        rows = ["journal,citations", "A,0"] if layout == "labeled" else ["7", "0"]
+        [ds] = parse_counts("\n".join(rows + [rows[-1][:-1] + str(2**63 - 2)]))
         # the largest raw count parses to the int64 maximum
         assert ds.counts.tolist()[-2:] == [1, 2**63 - 1]
         for count in (2**63 - 1, 2**63, 10**20):
             text = "\n".join(rows + [rows[-1][:-1] + str(count)])
             with pytest.raises(ParseError, match="largest supported count") as err:
-                parse_counts(text, format)
+                parse_counts(text)
             assert err.value.line == 3
 
-    def test_auto_format_follows_first_non_blank_line(self):
-        [ds] = parse_counts("\n\n3\n\n0\n", format="auto", label="single")
+    def test_first_non_blank_line_names_the_layout(self):
+        [ds] = parse_counts("\n\n3\n\n0\n", label="single")
         assert ds.label == "single" and ds.counts.tolist() == [4, 1]
-        datasets = parse_counts("journal,citations\nA,2\n\nB,1\n", format="auto")
+        datasets = parse_counts("journal,citations\nA,2\n\nB,1\n")
         assert [(d.label, d.counts.tolist()) for d in datasets] == [("A", [3]), ("B", [2])]
+        with pytest.raises(ParseError, match="line 2: count is not an integer: 'A,2'"):
+            parse_counts("3\nA,2\n")
+        with pytest.raises(ParseError, match="line 2: expected 'journal,citations'"):
+            parse_counts("A,2\n3\n")
         with pytest.raises(ParseError, match="no counts"):
-            parse_counts("\n \n", format="auto")
+            parse_counts("\n \n")
 
-    @pytest.mark.parametrize("format", ["auto", "labeled", "one-per-line"])
-    def test_line_endings_parse_alike(self, tmp_path, format):
+    @pytest.mark.parametrize("layout", ["labeled", "one-per-line"])
+    def test_line_endings_parse_alike(self, tmp_path, layout):
         labeled = ["journal,citations", "A,2", "", "B, 7 ", "A,+0", "B,3"]
         single = ["", "4", " 9 ", "", "0"]
-        rows = single if format == "one-per-line" else labeled
+        rows = single if layout == "one-per-line" else labeled
         outcomes = []
         for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
             for tail in (["x"], []):  # with a bad last row, and without
                 path = tmp_path / f"{name}{len(tail)}.csv"
-                bad = ["C,x"] if tail and format != "one-per-line" else tail
+                bad = ["C,x"] if tail and layout != "one-per-line" else tail
                 path.write_bytes((ending.join(rows + bad) + ending).encode())
                 with data_io.open_text(path) as fh:
-                    outcomes.append((len(tail), _parse_outcome(parse_counts, fh, format)))
+                    outcomes.append((len(tail), _parse_outcome(parse_counts, fh)))
         assert outcomes[0::2] == [outcomes[0]] * 3
         assert outcomes[1::2] == [outcomes[1]] * 3
         assert outcomes[0][1][0] == "ParseError" and outcomes[1][1][0] == "ok"
@@ -153,22 +166,30 @@ class TestParseCounts:
     @settings(max_examples=400, deadline=None)
     def test_matches_per_row_reference(self, rows, end):
         text = "\n".join(rows) + end
-        for format in ("auto", "labeled", "one-per-line"):
-            assert (_parse_outcome(parse_counts, text, format)
-                    == _parse_outcome(reference_parse_counts, text, format))
+        assert (_parse_outcome(parse_counts, text)
+                == _parse_outcome(reference_parse_counts, text))
 
-    @given(_RUNS, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 12))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_reference_across_chunk_edges(self, groups, ending, closed, chunk):
-        # labeled input is read a few characters at a time, so runs, labels,
-        # CRLF endings and the header straddle the edges of the pieces
+    @staticmethod
+    def _matches_reference_in_pieces(groups, ending, closed, chunk):
+        # input is read a few characters at a time, so runs, labels, CRLF
+        # endings and the header straddle the edges of the pieces
         text = ending.join(row for group in groups for row in group) + (ending if closed else "")
         with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("error")  # a run numpy cannot read to its end warns
             patch.setattr(data_io, "_CHUNK", chunk)
-            for format in ("auto", "labeled"):
-                assert (_parse_outcome(parse_counts, text, format)
-                        == _parse_outcome(reference_parse_counts, text, format))
+            assert (_parse_outcome(parse_counts, text)
+                    == _parse_outcome(reference_parse_counts, text))
+
+    @given(_RUNS, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_across_chunk_edges(self, groups, ending, closed, chunk):
+        self._matches_reference_in_pieces(groups, ending, closed, chunk)
+
+    @given(_PLAIN_RUNS, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_one_per_line_matches_reference_across_chunk_edges(self, groups, ending, closed,
+                                                               chunk):
+        self._matches_reference_in_pieces(groups, ending, closed, chunk)
 
     @pytest.mark.parametrize("read_all", [False, True])
     def test_digest_covers_a_file_read_in_many_pieces(self, tmp_path, read_all):
@@ -180,9 +201,9 @@ class TestParseCounts:
         digest = hashlib.sha256()
         with data_io.open_text(path, digest) as fh:
             if read_all:  # one read to the end goes through readall, not readinto
-                datasets = parse_counts(fh.read(), "labeled")
+                datasets = parse_counts(fh.read())
             else:
-                datasets = parse_counts(fh, "labeled")
+                datasets = parse_counts(fh)
         assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
         assert sum(len(d) for d in datasets) == 5000 and len(datasets) == 8
 
