@@ -27,7 +27,7 @@ from .fitting import (
     init_hooked,
     init_lognormal,
 )
-from .numerics import LOG_ZERO, std_normal_cdf, std_normal_log_cdf
+from .numerics import LOG_ZERO, std_normal_log_cdf
 from .selection import (
     DEFAULT_Z_THRESHOLD,
     ComparisonResult,

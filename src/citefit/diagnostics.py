@@ -71,13 +71,9 @@ def make_segments(n_max: int, k: int = DEFAULT_SEGMENTS) -> list[SegmentSpec]:
         raise DomainError(f"segment count must be >= 1, got {k!r}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max!r}")
-    if n_max == 0:
+    if n_max == 0:  # every breakpoint is 1: [1, 1], then empty segments
         _warnings.warn("n_max = 0: single degenerate segment [1, 1]",
                        stacklevel=2)
-        segments = [SegmentSpec(1, 1, 1)]
-        segments += [SegmentSpec(j, 0, 0, empty=True) for j in range(2, k + 1)]
-        return segments
-
     top = 1 + n_max
     log_top = math.log(top)
     breakpoints = [math.exp(j * log_top / k) for j in range(k + 1)]

@@ -368,13 +368,13 @@ def _hooked_remainder_derivatives(alpha: float, offset: float, head: int, trunca
     return (g0, g1), (h00, h01, h11)
 
 
-def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPowerLawParams,
-                           log_norm: float):
+def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPowerLawParams):
     """Gradient ``(d_a, d_b)`` and Hessian ``(h_aa, h_ab, h_bb)`` in ``ln alpha``
     and ``ln(B + 1)`` of ``sum(mult * log_mass)`` over the points ``ns``, from
     one pass over one buffer that holds the normalization head and the
-    points.  ``log_norm`` is minus the log mass at 1 under ``params``: the log
-    of the normalization over its first term, as the search scored it.
+    points.  The head's exponents are those of the mass pass, so summing
+    them by :func:`_hooked_log_total` gives the normalization the log masses
+    were scored with.
 
     With ``t_k = ln(1 + k / (B + 1))``, ``q_k = k / (B + 1 + k)`` and
     ``r_k = 1 - q_k = exp(-t_k)``, each exponent ``-alpha t`` has gradient
@@ -405,7 +405,8 @@ def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPower
         np.divide(k, b1, out=t)
         np.log1p(t, out=t)
         w = t[:head] * -alpha
-        np.exp(w, out=w)
+        log_norm = _hooked_log_total(w, alpha, offset, truncation, rest,
+                                     params.tail_correction)
         s_t, s_q, s_rq = (rows[:, :head] @ w).tolist()
         # the second moments as vector products: a matrix product would have
         # the BLAS library set up its work buffers, a quarter of a megabyte

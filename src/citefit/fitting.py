@@ -9,7 +9,8 @@ the coordinates not held at a bound (``B`` alone on the exponent cap), the
 Hessian shifted where it is not negative definite and the damping adapted to
 how well each step's quadratic model predicted its gain.  Each point costs
 one parameter record and one evaluation of its log masses, which the
-derivatives then reuse.  The hooked exponent is capped (default 10000)
+lognormal derivatives then reuse; the hooked derivatives take one pass of
+their own.  The hooked exponent is capped (default 10000)
 because its likelihood has a flat ridge as ``alpha`` and ``B`` grow
 together; a search that follows the ridge onto the cap ends there with
 ``B`` optimized alone, and the result is flagged.
@@ -471,14 +472,10 @@ def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Probl
         alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
         return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation, cfg.tail_correction)
 
-    # the log mass at 1, beside the data, is minus the derivatives' normalization
-    points = np.append(values, 1.0)
-
     def score(x):
         params = params_at(x)
-        logp = log_pmf_values(params, points)
-        return (float(mult.dot(logp[:-1])),
-                lambda: _hooked_ll_derivatives(values, mult, params, -logp[-1]))
+        return (float(mult @ log_pmf_values(params, values)),
+                lambda: _hooked_ll_derivatives(values, mult, params))
 
     init = init_hooked(ds, cfg)
     return _Problem(

@@ -83,28 +83,14 @@ def log_ndtr(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF ``Phi(x) = erfc(-x / sqrt 2) / 2``, absolute error
-    below 1e-14.
-
-    Raises
-    ------
-    DomainError
-        If ``x`` is not finite.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_cdf requires finite x, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def std_normal_log_cdf(x: float) -> LogValue:
-    """``ln Phi(x)``, finite and accurate arbitrarily far into the left tail.
+    """``ln Phi(x)`` of the standard normal CDF ``Phi(x) = erfc(-x / sqrt 2) / 2``,
+    finite and accurate arbitrarily far into the left tail.
 
-    Companion evaluation contract to :func:`std_normal_cdf` for the log
-    domain, to the accuracy of :func:`log_ndtr`; e.g.
-    ``std_normal_log_cdf(-40.0)`` is about -804.6 where ``Phi(-40)`` itself
-    is far below the subnormal range.  :func:`math.erfc` serves wherever it
-    stays in the normal double range.
+    Accurate to that of :func:`log_ndtr`; e.g. ``std_normal_log_cdf(-40.0)``
+    is about -804.6 where ``Phi(-40)`` itself is far below the subnormal
+    range.  :func:`math.erfc` serves wherever it stays in the normal double
+    range.
     """
     if not math.isfinite(x):
         raise DomainError(f"std_normal_log_cdf requires finite x, got {x!r}")

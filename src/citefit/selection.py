@@ -17,8 +17,7 @@ import numpy as np
 
 from .distributions import ModelParams, log_pmf_values
 from .errors import DomainError
-from .fitting import CitationDataset
-from .numerics import std_normal_cdf
+from .fitting import CitationDataset, _compressed
 
 DEFAULT_Z_THRESHOLD = 1.96
 
@@ -45,26 +44,25 @@ class ComparisonResult:
 
 
 def total_log_likelihood(ds: CitationDataset, params: ModelParams) -> float:
-    """Sum of per-article log probabilities.
+    """Sum of per-article log probabilities, taken as the fits take it.
 
     The model is evaluated once per distinct count and each term weighted by
     its multiplicity, so the cost follows the number of distinct counts, not
-    of articles.  Returns ``-inf`` (with a warning naming the offending
+    of articles.  The total is ``-inf`` (with a warning naming the offending
     counts) when some count has underflowed to the log-of-zero sentinel under
     the model.
     """
-    values, mult = ds.distinct
+    values, mult = _compressed(ds)
     terms = log_pmf_values(params, values)
     zero = np.isneginf(terms)
     if zero.any():
         _warnings.warn(
             f"{ds.label}: zero model probability at counts "
-            f"{values[zero].tolist()}; total log-likelihood is -inf",
+            f"{ds.distinct[0][zero].tolist()}; total log-likelihood is -inf",
             RuntimeWarning,
             stacklevel=2,
         )
-        return float("-inf")
-    return float(math.fsum(mult * terms))
+    return float(mult @ terms)
 
 
 def classify_winner(z: float, significant_threshold: float = DEFAULT_Z_THRESHOLD) -> Winner:
@@ -98,9 +96,10 @@ def vuong_test(
     With ``m_i`` the per-article log-likelihood difference (hooked minus
     lognormal), ``z = sum(m) / (sqrt(n) * sd(m))`` using the sample standard
     deviation.  Both models carry two free parameters, so no degrees-of-
-    freedom correction is applied.  The numerator is taken as the difference
-    of the two total log-likelihoods, which makes ``sign(z)`` agree with the
-    reported totals exactly.
+    freedom correction is applied.  The numerator is the difference of the
+    two total log-likelihoods, summed as the fits sum them, so at fitted
+    parameters the reported totals are the fits' own and ``sign(z)`` follows
+    them exactly.
 
     If the models are pointwise indistinguishable on the data (zero variance),
     or there are fewer than 2 articles, the winner is ``UNDEFINED`` and no z
@@ -110,11 +109,11 @@ def vuong_test(
     variance weight each distinct count by its multiplicity.
     """
     n = len(ds)
-    values, mult = ds.distinct
+    values, mult = _compressed(ds)
     lp_h = log_pmf_values(hooked_params, values)
     lp_l = log_pmf_values(lognormal_params, values)
-    ll_h = math.fsum(mult * lp_h)
-    ll_l = math.fsum(mult * lp_l)
+    ll_h = float(mult @ lp_h)
+    ll_l = float(mult @ lp_l)
     m = lp_h - lp_l
     if n < 2 or not np.all(np.isfinite(m)):
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
@@ -128,5 +127,5 @@ def vuong_test(
         return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
                                 Winner.UNDEFINED, n)
     z = (ll_h - ll_l) / (math.sqrt(n) * s_m)
-    p = 2.0 * std_normal_cdf(-abs(z))
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return ComparisonResult(ll_l, ll_h, z, p, classify_winner(z, z_threshold), n)

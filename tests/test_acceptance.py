@@ -241,6 +241,15 @@ def _digest_tree(root):
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path, capsys):
+    """Repeated runs on one machine, with one numpy and BLAS build, write
+    byte-identical documents, plots and tables.
+
+    That is the contract this test holds.  Across CPUs and BLAS kernels
+    sums run in other orders: floats agree within 1e-9 relative, and flags,
+    winners and printed tables exactly, except for a fit that is not
+    identified, whose parameters, Vuong z and evaluation count can move
+    along its flat ridge (README, "Runs are deterministic").
+    """
     with criterion(9, "repeated CLI runs are byte-identical"):
         input_path = tmp_path / "counts.csv"
         rows = ["journal,citations"]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -610,3 +611,18 @@ class TestDefaults:
         assert doc.lognormal is not None and doc.hooked is not None
         # the counts are fitted as given: the last segment ends at the largest
         assert doc.hooked_diagnostics.segments[-1].end == 40
+
+    def test_comparison_totals_are_the_fits_own(self):
+        # the Vuong test sums each model's log masses as its fit does, so a
+        # document holds one total per model, down to the sign of a zero
+        datasets = [sample(DiscretisedLognormalParams(mu, sigma), 2000, SeededGenerator(seed))
+                    for seed, mu, sigma in ((40, 2.9, 1.0), (41, 1.2, 1.3), (42, 0.3, 0.8))]
+        datasets += [sample(HookedPowerLawParams(3.5, 12.0), 2000, SeededGenerator(43)),
+                     CitationDataset("uncited", [1] * 40)]
+        for ds in datasets:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the uncited journal's one segment
+                doc = analyze_dataset(ds, CliConfig(command="compare"))
+            for fit, total in ((doc.lognormal, doc.comparison.ll_lognormal),
+                               (doc.hooked, doc.comparison.ll_hooked)):
+                assert repr(total) == repr(fit.log_likelihood), ds.label

@@ -289,8 +289,7 @@ _DERIV_MULT = np.array([50.0, 30, 20, 12, 9, 5, 4, 2, 1, 1])
 
 
 def _hooked_derivatives(params, values=_DERIV_VALUES, mult=_DERIV_MULT):
-    log_norm = -log_pmf_values(params, np.ones(1))[0]
-    return _hooked_ll_derivatives(values, mult, params, log_norm)
+    return _hooked_ll_derivatives(values, mult, params)
 
 
 def _five_point(f, x, h):

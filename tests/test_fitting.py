@@ -285,24 +285,22 @@ class TestFitHooked:
         assert fit.trace.evaluations <= evaluations
 
     @pytest.mark.parametrize("tail", [False, True])
-    def test_gradient_takes_the_scored_normalization(self, monkeypatch, tail):
-        # every derivative call of the search comes with the normalization of
-        # the point just scored, read off the mass at 1 (the derivatives'
-        # values are pinned in test_distributions.TestHookedDerivatives)
+    def test_gradient_takes_the_scored_record(self, monkeypatch, tail):
+        # every derivative call of the search comes with the record of a
+        # scored point, tail flag included (the derivatives' values are
+        # pinned in test_distributions.TestHookedDerivatives)
         ds = sample(HookedPowerLawParams(4.0, 20.0), 3000, SeededGenerator(6))
         passed = []
 
-        def spy(ns, mult, params, log_norm):
-            passed.append((params, log_norm))
-            return _hooked_ll_derivatives(ns, mult, params, log_norm)
+        def spy(ns, mult, params):
+            passed.append(params)
+            return _hooked_ll_derivatives(ns, mult, params)
 
         plain = fit_hooked(ds, FitConfig(tail_correction=tail))
         monkeypatch.setattr(citefit.fitting, "_hooked_ll_derivatives", spy)
         assert fit_hooked(ds, FitConfig(tail_correction=tail)) == plain
         assert passed
-        for params, log_norm in passed:
-            assert params.tail_correction is tail
-            assert log_norm == -log_pmf_values(params, np.ones(1))[0]
+        assert all(params.tail_correction is tail for params in passed)
 
     def test_one_mass_evaluation_per_search_evaluation(self, monkeypatch):
         # the grid's 17 x 17 cells, then one per point the search scores
@@ -435,7 +433,7 @@ class TestScore:
             if fit is fit_lognormal:
                 assert args[3] is logp
             else:
-                assert params.tail_correction is tail and args[3] == -logp[-1]
+                assert params.tail_correction is tail
 
 
 class TestLocalOptimality:
@@ -502,10 +500,8 @@ def _dln_derivatives(values, mult, params):
 
 
 def _hooked_derivatives(values, mult, params):
-    """The hooked gradient and Hessian in ``(ln alpha, ln(B + 1))``, from the
-    normalization that scoring ``params`` gives."""
-    log_norm = -log_pmf_values(params, np.ones(1))[0]
-    return _hooked_ll_derivatives(values, mult, params, log_norm)
+    """The hooked gradient and Hessian in ``(ln alpha, ln(B + 1))``."""
+    return _hooked_ll_derivatives(values, mult, params)
 
 
 def _ll_gradient(values, mult, params):

@@ -167,18 +167,27 @@ class TestVuongTest:
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_equals_per_article_statistic(self, seed):
-        # the per-distinct-count evaluation repeats the same terms, so every
-        # field matches the per-article computation to the last bit
+        # the totals are the fits' own product over the distinct counts, and
+        # they and z match the per-article computation to a few ULP of the
+        # totals, whatever order the CPU's and BLAS's kernels sum in
         ds = sample(DiscretisedLognormalParams(2.5, 1.1), 3000, SeededGenerator(seed))
         hk = HookedPowerLawParams(4.0, 20.0, 10000)
         ln = DiscretisedLognormalParams(2.4, 1.0)
+        values, mult = (a.astype(np.float64) for a in ds.distinct)
+        result = vuong_test(ds, hk, ln)
+        assert result.ll_hooked == float(mult @ log_pmf_values(hk, values))
+        assert result.ll_lognormal == float(mult @ log_pmf_values(ln, values))
         lp_h = log_pmf_values(hk, ds.counts)
         lp_l = log_pmf_values(ln, ds.counts)
         ll_h, ll_l = math.fsum(lp_h), math.fsum(lp_l)
         z = (ll_h - ll_l) / (math.sqrt(len(ds)) * float(np.std(lp_h - lp_l, ddof=1)))
-        result = vuong_test(ds, hk, ln)
-        assert (result.ll_hooked, result.ll_lognormal, result.vuong_z) == (ll_h, ll_l, z)
-        assert result.p_two_sided == math.erfc(abs(z) / math.sqrt(2.0))
+        ulps = 4 * np.finfo(np.float64).eps
+        assert abs(result.ll_hooked - ll_h) <= ulps * abs(ll_h)
+        assert abs(result.ll_lognormal - ll_l) <= ulps * abs(ll_l)
+        # z's numerator is the totals' difference and carries their error
+        slack = ulps * (abs(ll_h) + abs(ll_l)) / abs(ll_h - ll_l) + ulps
+        assert abs(result.vuong_z - z) <= slack * abs(z)
+        assert result.p_two_sided == math.erfc(abs(result.vuong_z) / math.sqrt(2.0))
 
     def test_one_article_is_undefined(self):
         ds = CitationDataset("test", [3])
