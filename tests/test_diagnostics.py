@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citefit.diagnostics import (
+    SegmentSpec,
     empirical_cdf,
     make_segments,
     plot_series,
@@ -66,6 +67,14 @@ class TestMakeSegments:
             segs = make_segments(0, 4)
         assert (segs[0].start, segs[0].end, segs[0].empty) == (1, 1, False)
         assert all(s.empty for s in segs[1:])
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_zero_max_is_one_unit_segment_then_empties(self, k):
+        # the general loop builds the degenerate layout: every breakpoint is 1
+        with pytest.warns(UserWarning, match="n_max = 0"):
+            segs = make_segments(0, k)
+        assert segs == [SegmentSpec(1, 1, 1)] + [
+            SegmentSpec(j, 0, 0, empty=True) for j in range(2, k + 1)]
 
     def test_small_range_produces_empties(self):
         segs = make_segments(1, 4)

@@ -284,6 +284,15 @@ class TestFitHooked:
         assert fit.log_likelihood >= ll - 1e-9
         assert fit.trace.evaluations <= evaluations
 
+    def test_all_uncited_scores_positive_zero(self):
+        # every article at the support minimum: both laws put all their mass
+        # there, and the total is +0.0 like the lognormal's and the
+        # comparison's, not the -0.0 a one-term dot product keeps
+        ds = CitationDataset("test", [1] * 5)
+        hk, ln = fit_hooked(ds), fit_lognormal(ds)
+        assert math.copysign(1.0, hk.log_likelihood) == 1.0 and hk.log_likelihood == 0.0
+        assert math.copysign(1.0, ln.log_likelihood) == 1.0 and ln.log_likelihood == 0.0
+
     @pytest.mark.parametrize("tail", [False, True])
     def test_gradient_takes_the_scored_record(self, monkeypatch, tail):
         # every derivative call of the search comes with the record of a

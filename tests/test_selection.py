@@ -23,6 +23,7 @@ from citefit.selection import (
 )
 from citefit.synthesis import SeededGenerator, sample
 
+from oracles import normal_cdf_oracle
 from reference_table import REFERENCE_ROWS, Z_BEST_PAIRS
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174
@@ -188,6 +189,33 @@ class TestVuongTest:
         slack = ulps * (abs(ll_h) + abs(ll_l)) / abs(ll_h - ll_l) + ulps
         assert abs(result.vuong_z - z) <= slack * abs(z)
         assert result.p_two_sided == math.erfc(abs(result.vuong_z) / math.sqrt(2.0))
+
+    def test_p_value_against_quadrature_oracle(self):
+        # p is twice the normal mass beyond |z|
+        ds = sample(DiscretisedLognormalParams(2.0, 1.0), 2000, SeededGenerator(7))
+        truth = DiscretisedLognormalParams(2.0, 1.0)
+        for other in ((2.05, 1.0), (2.2, 1.1)):
+            result = vuong_test(ds, truth, DiscretisedLognormalParams(*other))
+            assert result.p_two_sided == pytest.approx(
+                2.0 * normal_cdf_oracle(-abs(result.vuong_z)), abs=1e-14)
+
+    def test_p_value_far_tail_stays_positive(self):
+        # z near 23: twice one minus the CDF would round to 0, the
+        # complementary error function keeps p's relative accuracy
+        ds = sample(DiscretisedLognormalParams(2.0, 1.0), 2000, SeededGenerator(7))
+        result = vuong_test(ds, DiscretisedLognormalParams(2.0, 1.0),
+                            DiscretisedLognormalParams(3.0, 1.0))
+        assert result.vuong_z > 20
+        want = 2.0 * normal_cdf_oracle(-result.vuong_z, dps=200)
+        assert 0.0 < result.p_two_sided == pytest.approx(want, rel=1e-12)
+
+    def test_swapping_models_negates_z_and_keeps_p(self):
+        ds = sample(DiscretisedLognormalParams(2.0, 1.0), 2000, SeededGenerator(7))
+        a, b = DiscretisedLognormalParams(2.0, 1.0), DiscretisedLognormalParams(2.5, 1.0)
+        ab, ba = vuong_test(ds, a, b), vuong_test(ds, b, a)
+        assert (ab.ll_hooked, ab.ll_lognormal) == (ba.ll_lognormal, ba.ll_hooked)
+        assert ba.vuong_z == -ab.vuong_z
+        assert ba.p_two_sided == ab.p_two_sided
 
     def test_one_article_is_undefined(self):
         ds = CitationDataset("test", [3])
