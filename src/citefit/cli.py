@@ -273,7 +273,7 @@ def _cmd_simulate(cfg: CliConfig) -> int:
         truth = _truth_params(cfg)
         seeds = list(range(cfg.seed, cfg.seed + cfg.n_seeds))
         report = synthesis.recovery_experiment(truth, cfg.n, seeds, cfg.fit)
-        print(f"recovery: model={report.model.value} truth={truth} "
+        print(f"recovery: model={report.truth.model.value} truth={truth} "
               f"n={report.n} seeds={seeds}")
         for row in report.rows:
             errs = " ".join(f"|d {k}|={v:.4f}" for k, v in row.errors.items())

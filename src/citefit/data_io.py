@@ -32,11 +32,10 @@ from .fitting import MAX_RAW_COUNT, CitationDataset, FitResult
 from .selection import ComparisonResult, Winner
 from .diagnostics import SegmentDiagnostics
 
-SCHEMA_VERSION = 2
-# versions this build reads; version 1 documents predate the fit trace's
-# ``evaluations`` and ``exit_reason``, which load as None.  A document read
-# in is held, and written back, as the current version.
-READABLE_VERSIONS = (1, 2)
+SCHEMA_VERSION = 3
+# versions this build reads; version 1 traces lack ``evaluations`` and
+# ``exit_reason``, which load as None, and keys that version 3 dropped are ignored
+READABLE_VERSIONS = (1, 2, 3)
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -87,15 +86,15 @@ def open_text(path, digest=None) -> Iterator[TextIO]:
         try:
             yield fh
         except UnicodeDecodeError:
-            # the stream decodes in chunks, so its error holds no file offset
+            # the stream's error holds no file offset; as no UTF-8 character
+            # holds byte 0x0A, the first line that fails to decode holds it
             with open(path, "rb") as raw_fh:
-                raw = raw_fh.read()
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}",
-                    raw.count(b"\n", 0, exc.start) + 1) from None
+                for line_no, line in enumerate(raw_fh, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(f"{os.fspath(path)!r} is not UTF-8 text: "
+                                         f"{exc.reason}", line_no) from None
             raise
 
 
@@ -220,11 +219,11 @@ _type_hints = lru_cache(maxsize=None)(get_type_hints)
 def to_json(value):
     """The JSON form of a persisted dataclass: its fields in declaration
     order, parameter objects led by a ``"kind"`` tag naming their class,
-    enums as their values and a NaN float as ``null``."""
+    enums as their values and a float that is not finite as ``null``."""
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float):
-        return None if math.isnan(value) else value
+        return value if math.isfinite(value) else None
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     if isinstance(value, dict):
@@ -238,12 +237,17 @@ def to_json(value):
 def _decode(hint, value):
     if hint == ModelParams:
         hint = _PARAMS_BY_KIND[value["kind"]]
-    if value is None:
-        return math.nan if hint is float else None
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):  # ``X | None``
         [member] = [a for a in args if a is not NoneType]
-        return _decode(member, value)
+        return None if value is None else _decode(member, value)
+    if isinstance(hint, EnumMeta):
+        return hint(value)
+    # its JSON type; a float takes an int or null (as NaN); a bool is no number
+    kind = (list if origin is tuple else dict if origin is dict or is_dataclass(hint)
+            else (int, float, NoneType) if hint is float else hint)
+    if not isinstance(value, kind) or (isinstance(value, bool) and hint is not bool):
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
     if origin is tuple:
         return tuple(_decode(args[0], v) for v in value)
     if origin is dict:
@@ -253,26 +257,27 @@ def _decode(hint, value):
         return hint(**{f.name: _decode(hints[f.name], value.get(f.name))
                        for f in fields(hint) if f.init and (
                            f.name in value or NoneType in get_args(hints[f.name]))})
-    return hint(value) if isinstance(hint, EnumMeta) else value
+    return math.nan if value is None else value
 
 
 def from_json(cls, data):
     """Rebuild a ``cls`` from its :func:`to_json` form.  A key missing from
     ``data`` loads as ``None`` where the field admits it (the telemetry a
-    version 1 trace lacks) and as the field's default otherwise."""
+    version 1 trace lacks) and as the field's default otherwise; other keys
+    are ignored, and each value must be of its field's type."""
     try:
         return _decode(cls, data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {cls.__name__}: {exc!r}") from exc
 
 
 def write_json(data, path) -> None:
-    """Persist ``data`` as indented JSON atomically: the file appears
-    complete or not at all."""
+    """Persist ``data`` as indented, strict JSON (no NaN or infinity)
+    atomically: the file appears complete or not at all."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(data, indent=2, ensure_ascii=False, allow_nan=False) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
@@ -354,10 +359,10 @@ def _parameters_table(results: Sequence[ResultDocument]) -> str:
             str(doc.n_articles),
             f"{ln.params.mu:.2f}" if ln else "-",
             f"{ln.params.sigma:.2f}" if ln else "-",
-            f"{ln.log_likelihood:.1f}" if ln else "-",
+            f"{ln.log_likelihood:.1f}" if ln and math.isfinite(ln.log_likelihood) else "-",
             _fmt_alpha(hk) if hk else "-",
             _fmt_offset(hk.params.offset) if hk else "-",
-            f"{hk.log_likelihood:.1f}" if hk else "-",
+            f"{hk.log_likelihood:.1f}" if hk and math.isfinite(hk.log_likelihood) else "-",
             *vuong_cells(doc.comparison),
         ])
     return _layout(rows)

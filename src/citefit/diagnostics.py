@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import Model, ModelParams, cdf_values
+from .distributions import ModelParams, cdf_values
 from .errors import DomainError, OutputError
 from .fitting import CitationDataset
 
@@ -28,10 +29,9 @@ DEFAULT_SEGMENTS = 4
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """One closed interval of shifted counts; ``empty`` marks intervals whose
-    rounded start exceeded their rounded end."""
+    """One closed interval of shifted counts, numbered by its place from 1;
+    ``empty`` marks one whose rounded start passed its rounded end."""
 
-    index: int
     start: int
     end: int
     empty: bool = False
@@ -41,7 +41,6 @@ class SegmentSpec:
 class SegmentDiagnostics:
     """One model's signed maximum CDF difference on each segment."""
 
-    model: Model
     segments: tuple[SegmentSpec, ...]
     signed_max_diff: tuple[float, ...]
 
@@ -90,9 +89,9 @@ def make_segments(n_max: int, k: int = DEFAULT_SEGMENTS) -> list[SegmentSpec]:
         end = top if j == k else math.floor(snap(breakpoints[j]))
         start = max(start, prev_end + 1)
         if start > end:
-            segments.append(SegmentSpec(j, 0, 0, empty=True))
+            segments.append(SegmentSpec(0, 0, empty=True))
         else:
-            segments.append(SegmentSpec(j, start, end))
+            segments.append(SegmentSpec(start, end))
             prev_end = end
     return segments
 
@@ -132,7 +131,7 @@ def segment_differences(
         lo, hi = np.searchsorted(xs, (seg.start, seg.end + 1))
         part = d[lo:hi]
         diffs.append(float(part[np.argmax(np.abs(part))]))
-    return SegmentDiagnostics(params.model, tuple(segments), tuple(diffs))
+    return SegmentDiagnostics(tuple(segments), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +230,10 @@ class PlotSeries:
         parts.append('</svg>')
         return "\n".join(parts) + "\n"
 
-    def write(self, svg_path, csv_path=None) -> None:
-        """Write the SVG chart and its tabular sidecar (default: same stem
-        with a .csv suffix).  Output is byte-identical across runs."""
-        import os
-
-        csv_path = csv_path if csv_path is not None else os.path.splitext(
-            str(svg_path))[0] + ".csv"
+    def write(self, svg_path) -> None:
+        """Write the SVG chart, and its table beside it under the same stem
+        with a .csv suffix.  Output is byte-identical across runs."""
+        csv_path = os.path.splitext(str(svg_path))[0] + ".csv"
         for path, text in ((svg_path, self.to_svg()), (csv_path, self.to_csv())):
             try:
                 with open(path, "w", encoding="utf-8", newline="") as fh:

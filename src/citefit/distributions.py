@@ -563,7 +563,8 @@ def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
     Found by bisection on ``n``: the smallest ``n`` with ``ln Phi(-z(n + 1/2))
     - ln Phi(-z0) <= ln(1 - q)``, each side finite in the log domain however
     far the mass sits in either tail, so levels like 1 - 1e-12 keep full
-    precision.
+    precision.  Above about 1e13, ``z(n + 1/2)`` cannot separate neighbouring
+    integers in double precision, so the point is resolved to a few units.
 
     Raises
     ------

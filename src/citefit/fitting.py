@@ -147,7 +147,7 @@ class FitTrace:
     ``exit_reason`` is one of :data:`EXIT_REASONS`: converged inside the
     box, out of evaluations (``budget``), or converged with the hooked
     exponent on its cap or the lognormal scale on its floor.  Both are
-    ``None`` in documents written before they were recorded.
+    ``None`` in version 1 documents, hence ``at_sigma_floor`` beside them.
     """
 
     init_log_likelihood: float
@@ -160,12 +160,14 @@ class FitTrace:
 
 @dataclass(frozen=True)
 class FitResult:
-    model: Model
+    """One fit's end point.  ``converged`` and ``alpha_capped`` repeat
+    ``trace.exit_reason``, which version 1 documents lack; ``alpha_capped``
+    and ``n_articles`` are read off a fit by ``benchmarks/tracing.py``."""
+
     params: ModelParams
     log_likelihood: float
     converged: bool
     alpha_capped: bool
-    iterations: int  # evaluations - 1, kept while documents carry it
     n_articles: int
     trace: FitTrace
 
@@ -347,9 +349,8 @@ def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
         truncation_raised=p.truncation_raised,
         warnings=warnings_ + p.warnings,
     )
-    return FitResult(model=params.model, params=params, log_likelihood=search.ll,
-                     converged=search.converged, alpha_capped=bound == "cap",
-                     iterations=search.evaluations - 1, n_articles=len(ds), trace=trace)
+    return FitResult(params=params, log_likelihood=search.ll, converged=search.converged,
+                     alpha_capped=bound == "cap", n_articles=len(ds), trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ class ComparisonResult:
     vuong_z: float
     p_two_sided: float
     winner: Winner
-    n_articles: int
 
 
 def total_log_likelihood(ds: CitationDataset, params: ModelParams) -> float:
@@ -116,16 +115,14 @@ def vuong_test(
     ll_l = float(mult @ lp_l)
     m = lp_h - lp_l
     if n < 2 or not np.all(np.isfinite(m)):
-        return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
-                                Winner.UNDEFINED, n)
+        return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"), Winner.UNDEFINED)
     # measured from the first difference, so equal differences (one distinct
     # count, or models that agree pointwise) give exactly zero variance
     dev = m - m[0]
     dev -= float(mult @ dev) / n
     s_m = math.sqrt(float(mult @ (dev * dev)) / (n - 1))
     if s_m == 0.0:
-        return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"),
-                                Winner.UNDEFINED, n)
+        return ComparisonResult(ll_l, ll_h, float("nan"), float("nan"), Winner.UNDEFINED)
     z = (ll_h - ll_l) / (math.sqrt(n) * s_m)
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return ComparisonResult(ll_l, ll_h, z, p, classify_winner(z, z_threshold), n)
+    return ComparisonResult(ll_l, ll_h, z, p, classify_winner(z, z_threshold))

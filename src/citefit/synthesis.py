@@ -147,8 +147,7 @@ class RecoveryRow:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    model: Model
-    truth: ModelParams
+    truth: ModelParams  # its ``model`` is the family sampled and fitted
     n: int
     rows: tuple[RecoveryRow, ...]
     median_errors: dict[str, float]
@@ -214,7 +213,7 @@ def recovery_experiment(
     keys = rows[0].errors.keys()
     med = {k: median(r.errors[k] for r in rows) for k in keys}
     worst = {k: max(r.errors[k] for r in rows) for k in keys}
-    return RecoveryReport(model, truth, n, tuple(rows), med, worst)
+    return RecoveryReport(truth, n, tuple(rows), med, worst)
 
 
 # ---------------------------------------------------------------------------

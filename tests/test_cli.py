@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,17 +115,40 @@ class TestFitCommand:
         assert doc.comparison.ll_hooked == pytest.approx(doc.hooked.log_likelihood, rel=1e-12)
 
     def test_zero_mass_count_is_stored_as_not_converged(self, tmp_path, capsys):
-        # the lognormal gives a count of 1e15 no mass at any parameters
+        # the lognormal gives a count of 1e15 no mass at any parameters; its
+        # infinite log-likelihood is stored as null and reads back as NaN
         path = tmp_path / "big.txt"
         path.write_text("3\n1000000000000000\n")
         out = tmp_path / "out"
         argv = ["fit", str(path), "--model", "lognormal", "--out", str(out)]
         assert main(argv) == EXIT_OK
         fit = read_result(out / "big.json").lognormal
-        assert fit.log_likelihood == -float("inf") and not fit.converged
+        assert math.isnan(fit.log_likelihood) and not fit.converged
         assert fit.trace.exit_reason is None
         assert "zero model probability at shifted counts [1000000000000001]" in (
             fit.trace.warnings[-1])
+
+    def test_documents_are_strict_json(self, tmp_path, capsys):
+        # no NaN or Infinity, which RFC 8259 does not allow, even where the
+        # log-likelihood is -inf
+        def refuse(name):
+            raise ValueError(f"non-finite constant {name}")
+
+        path = tmp_path / "big.txt"
+        path.write_text("3\n1000000000000000\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(path), "--model", "lognormal", "--out", str(out)]) == EXIT_OK
+        assert main(["fit", SMOKE, "--out", str(out)]) == EXIT_OK
+        text = (out / "big.json").read_text(encoding="utf-8")
+        fit = json.loads(text, parse_constant=refuse)["lognormal"]
+        assert fit["log_likelihood"] is None and fit["trace"]["init_log_likelihood"] is None
+        for name in os.listdir(out):
+            json.loads((out / name).read_text(encoding="utf-8"), parse_constant=refuse)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_OK
+        [row] = [line.split() for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("big")]
+        assert len(row) == 10 and row[4] == "-"  # the lognormal log-likelihood
 
     def test_input_is_read_in_one_pass(self, tmp_path):
         # CRLF rows, multi-byte labels and a file far larger than one read
@@ -239,7 +263,7 @@ class TestSimulateCommand:
         assert main(["simulate", "recovery", *flags, "--n", "1000", "--seeds", "2",
                      "--seed", "4", "--out", str(out)]) == EXIT_OK
         data = json.loads((out / "recovery_report.json").read_text(encoding="utf-8"))
-        assert list(data) == ["schema_version", "kind", "model", "truth", "n", "rows",
+        assert list(data) == ["schema_version", "kind", "truth", "n", "rows",
                               "median_errors", "worst_errors", "provenance"]
         assert data["kind"] == "recovery_report" and data["provenance"]["seed"] == 4
         assert from_json(RecoveryReport, data) == recovery_experiment(truth, 1000, [4, 5])
@@ -301,6 +325,31 @@ class TestReportCommand:
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: parse: {str(path)!r}: malformed ResultDocument")
         assert "4 segments but 2 signed maximum differences" in line
+
+    @pytest.mark.parametrize("path, value", [
+        (("lognormal", "log_likelihood"), "abc"),
+        (("label",), 5),
+        (("comparison", "vuong_z"), "x"),
+        (("hooked_diagnostics", "signed_max_diff"), ["a", "b", "c", "d"]),
+    ], ids=["ll", "label", "z", "differences"])
+    def test_mistyped_value_is_a_parse_error(self, tmp_path, capsys, path, value):
+        # values the tables would format or index: refused when read
+        out = tmp_path / "docs"
+        assert main(["fit", SMOKE, "--out", str(out)]) == EXIT_OK
+        doc_path = sorted(out.iterdir())[0]
+        data = node = json.loads(doc_path.read_text())
+        *parents, key = path
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        doc_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        for style in ("parameters", "segments"):
+            assert main(["report", str(out), "--style", style]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"error: parse: {str(doc_path)!r}: malformed ResultDocument")
 
     def test_parameters_style_takes_any_segment_counts(self, tmp_path, capsys):
         # only the segments table needs one segment count

@@ -1,6 +1,7 @@
 """Tests for parsing, document persistence and table rendering."""
 
 import hashlib
+import io
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from citefit.diagnostics import (
 )
 from citefit.distributions import DiscretisedLognormalParams, HookedPowerLawParams
 from citefit.errors import ParseError, SchemaVersionError
-from citefit.fitting import EXIT_REASONS, FitResult, FitTrace, Model, fit_hooked, fit_lognormal
+from citefit.fitting import EXIT_REASONS, FitResult, FitTrace, fit_hooked, fit_lognormal
 from citefit.selection import ComparisonResult, Winner, vuong_test
 from citefit.synthesis import RecoveryReport, SeededGenerator, recovery_experiment, sample
 
@@ -207,6 +208,30 @@ class TestParseCounts:
         assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
         assert sum(len(d) for d in datasets) == 5000 and len(datasets) == 8
 
+    @pytest.mark.parametrize("tail", [b"1\xff\n4\n", b"1\xe2\x82\n4\n", b"1\xe2\x82"],
+                             ids=["invalid-start", "cut-before-newline", "cut-at-end"])
+    def test_decode_error_is_located_in_sized_reads(self, tmp_path, monkeypatch, tail):
+        # the line and reason are those of decoding the whole file, found
+        # without reading it whole: a read without a size fails here
+        class SizedReads(io.BufferedReader):
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "a read without a size"
+                return super().read(size)
+
+        monkeypatch.setattr(data_io, "open", lambda path, mode="r": SizedReads(io.FileIO(path)),
+                            raising=False)
+        data = b"\n" * 30000 + b"3\n" + tail
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(ParseError) as located:
+            with data_io.open_text(path) as fh:
+                parse_counts(fh)
+        assert located.value.line == data.count(b"\n", 0, whole.value.start) + 1 == 30002
+        assert str(located.value) == (f"line 30002: {str(path)!r} is not UTF-8 text: "
+                                      f"{whole.value.reason}")
+
 
 def _document(seed=41, label="Journal X"):
     ds = sample(DiscretisedLognormalParams(1.8, 0.9), 900, SeededGenerator(seed),
@@ -239,6 +264,20 @@ def _text(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     write_result(doc, path)
     return path.read_text(encoding="utf-8")
+
+
+def _before_v3(data, version):
+    """The JSON form ``data`` of a document as versions 1 and 2 wrote it:
+    with the keys that version 3 dropped, because another key fixes each."""
+    data["schema_version"] = version
+    for model in ("lognormal", "hooked"):
+        fit = data[model]
+        data[model] = {"model": model, **fit, "iterations": fit["trace"]["evaluations"] - 1}
+        diag = data[f"{model}_diagnostics"]
+        diag["segments"] = [{"index": j, **seg} for j, seg in enumerate(diag["segments"], 1)]
+        data[f"{model}_diagnostics"] = {"model": model, **diag}
+    data["comparison"]["n_articles"] = data["n_articles"]
+    return data
 
 
 class TestDocumentRoundTrip:
@@ -292,19 +331,30 @@ class TestDocumentRoundTrip:
     def test_v2_round_trip_keeps_fit_telemetry(self, tmp_path):
         doc = _document()
         data = json.loads(_text(tmp_path, doc))
-        assert data["schema_version"] == data_io.SCHEMA_VERSION == 2
+        assert data["schema_version"] == data_io.SCHEMA_VERSION == 3
         for model in ("lognormal", "hooked"):
             trace = data[model]["trace"]
             assert isinstance(trace["evaluations"], int) and trace["evaluations"] > 0
             assert trace["exit_reason"] in EXIT_REASONS
             assert "restarts" not in trace
         assert _stored(tmp_path, data) == doc
+        # a version 2 document, with the keys version 3 dropped, reads the same
+        assert _stored(tmp_path, _before_v3(data, 2)) == doc
+
+    def test_v3_drops_the_keys_another_key_fixes(self, tmp_path):
+        data = json.loads(_text(tmp_path, _document()))
+        for model in ("lognormal", "hooked"):
+            assert list(data[model]) == ["params", "log_likelihood", "converged",
+                                         "alpha_capped", "n_articles", "trace"]
+            diag = data[f"{model}_diagnostics"]
+            assert list(diag) == ["segments", "signed_max_diff"]
+            assert all(list(seg) == ["start", "end", "empty"] for seg in diag["segments"])
+        assert "n_articles" not in data["comparison"]
 
     def test_v1_document_still_reads(self, tmp_path):
         # version 1 traces described the simplex search; its fields are
         # dropped and the telemetry it lacked loads as None
-        data = json.loads(_text(tmp_path, _document()))
-        data["schema_version"] = 1
+        data = _before_v3(json.loads(_text(tmp_path, _document())), 1)
         for model in ("lognormal", "hooked"):
             trace = data[model]["trace"]
             del trace["evaluations"], trace["exit_reason"]
@@ -313,10 +363,10 @@ class TestDocumentRoundTrip:
         assert doc.hooked.trace.evaluations is None
         assert doc.lognormal.trace.exit_reason is None
         assert doc.schema_version == data_io.SCHEMA_VERSION
-        # it is written back as a version 2 document and reads the same
+        # it is written back as a version 3 document and reads the same
         text = _text(tmp_path, doc, "again.json")
         assert read_result(tmp_path / "again.json") == doc
-        assert json.loads(text)["schema_version"] == 2
+        assert json.loads(text)["schema_version"] == 3
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_hooked_params_without_tail_flag_read_as_truncated(self, tmp_path, version):
@@ -338,7 +388,7 @@ class TestDocumentRoundTrip:
         doc = ResultDocument(
             label="tie", n_articles=4,
             comparison=ComparisonResult(-1.0, -1.0, float("nan"), float("nan"),
-                                        Winner.UNDEFINED, 4))
+                                        Winner.UNDEFINED))
         write_result(doc, tmp_path / "doc.json")
         again = read_result(tmp_path / "doc.json")
         assert math.isnan(again.comparison.vuong_z)
@@ -355,17 +405,16 @@ def _tiny_document():
     return ResultDocument(
         label="tiny", n_articles=3,
         comparison=ComparisonResult(-4.5, -4.0, float("nan"), float("nan"),
-                                    Winner.UNDEFINED, 3))
+                                    Winner.UNDEFINED))
 
 
 def _capped_fit():
-    return FitResult(Model.HOOKED, HookedPowerLawParams(2.5, 1.0, 100), -4.0,
-                     False, True, 7, 3, FitTrace(-4.25, 9, "cap", warnings=("w",)))
+    return FitResult(HookedPowerLawParams(2.5, 1.0, 100), -4.0, False, True, 3,
+                     FitTrace(-4.25, 9, "cap", warnings=("w",)))
 
 
 def _v1_document():
-    data = data_io.to_json(_document())
-    data["schema_version"] = 1
+    data = _before_v3(data_io.to_json(_document()), 1)
     for model in ("lognormal", "hooked"):
         del data[model]["trace"]["evaluations"], data[model]["trace"]["exit_reason"]
     return data_io.from_json(ResultDocument, data)
@@ -376,8 +425,8 @@ ROUND_TRIP_CASES = {
     "full": lambda: (ResultDocument, _document()),
     "all_optional_none": lambda: (ResultDocument, ResultDocument(label="bare", n_articles=1)),
     "undefined_winner_nan_z": lambda: (ResultDocument, _tiny_document()),
-    "named_diagnostics_model": lambda: (SegmentDiagnostics, SegmentDiagnostics(
-        Model.HOOKED, (SegmentSpec(1, 1, 3), SegmentSpec(2, 4, 9, empty=True)), (0.125, 0.0))),
+    "diagnostics_with_empty_segment": lambda: (SegmentDiagnostics, SegmentDiagnostics(
+        (SegmentSpec(1, 3), SegmentSpec(0, 0, empty=True)), (0.125, 0.0))),
     "version_1": lambda: (ResultDocument, _v1_document()),
     "tail_corrected_hooked": lambda: (FitResult, replace(
         _capped_fit(), params=HookedPowerLawParams(2.5, 1.0, 100, tail_correction=True))),
@@ -390,7 +439,7 @@ ROUND_TRIP_CASES = {
 # The layout of the documents, as the hand-written serializer that the codec
 # replaced wrote them: a change of key order, tags or null handling fails here.
 TINY_DOCUMENT_TEXT = """{
-  "schema_version": 2,
+  "schema_version": 3,
   "label": "tiny",
   "n_articles": 3,
   "lognormal": null,
@@ -400,8 +449,7 @@ TINY_DOCUMENT_TEXT = """{
     "ll_hooked": -4.0,
     "vuong_z": null,
     "p_two_sided": null,
-    "winner": "undefined",
-    "n_articles": 3
+    "winner": "undefined"
   },
   "lognormal_diagnostics": null,
   "hooked_diagnostics": null,
@@ -409,9 +457,9 @@ TINY_DOCUMENT_TEXT = """{
 }
 """
 CAPPED_FIT_JSON = (
-    '{"model": "hooked", "params": {"kind": "hooked", "alpha": 2.5, "offset": 1.0, '
+    '{"params": {"kind": "hooked", "alpha": 2.5, "offset": 1.0, '
     '"truncation": 100, "tail_correction": false}, "log_likelihood": -4.0, "converged": false, '
-    '"alpha_capped": true, "iterations": 7, "n_articles": 3, "trace": '
+    '"alpha_capped": true, "n_articles": 3, "trace": '
     '{"init_log_likelihood": -4.25, "evaluations": 9, "exit_reason": "cap", '
     '"at_sigma_floor": false, "truncation_raised": false, "warnings": ["w"]}}')
 
@@ -431,12 +479,6 @@ class TestCodec:
         assert json.dumps(data_io.to_json(_capped_fit())) == CAPPED_FIT_JSON
         assert data_io.from_json(FitResult, json.loads(CAPPED_FIT_JSON)) == _capped_fit()
 
-    def test_diagnostics_model_name_reads_back_as_model_when_known(self):
-        for model in Model:
-            diag = data_io.from_json(SegmentDiagnostics, {
-                "model": model.value, "segments": [], "signed_max_diff": []})
-            assert diag.model is model
-
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("label"),
         lambda d: d.update(lognormal=[1, 2]),
@@ -445,7 +487,24 @@ class TestCodec:
         lambda d: d["comparison"].update(winner="W"),
         lambda d: d["hooked"]["trace"].pop("init_log_likelihood"),
         lambda d: d["lognormal_diagnostics"].update(segments=3),
-        lambda d: d["hooked_diagnostics"].update(model="custom"),
+        # each value has its field's type
+        lambda d: d["lognormal"].update(log_likelihood="abc"),
+        lambda d: d.update(label=5),
+        lambda d: d["comparison"].update(vuong_z="x"),
+        lambda d: d["lognormal_diagnostics"].update(signed_max_diff=["a", "b", "c", "d"]),
+        lambda d: d["hooked"].update(alpha_capped="yes"),
+        lambda d: d["hooked"].update(alpha_capped=1),
+        lambda d: d["hooked"].update(n_articles=2.0),
+        lambda d: d["hooked"]["trace"].update(evaluations=True),
+        lambda d: d["lognormal"]["params"].update(mu=False),
+        lambda d: d["hooked"]["trace"].update(warnings="w"),
+        lambda d: d.update(provenance=[]),
+        # null only where the field admits None, or as a float's NaN
+        lambda d: d.update(n_articles=None),
+        lambda d: d.update(label=None),
+        lambda d: d["hooked"].update(params=None),
+        lambda d: d["comparison"].update(winner=None),
+        lambda d: d["hooked"]["trace"].update(warnings=None),
     ])
     def test_malformed_document_is_parse_error(self, tmp_path, mutate):
         data = data_io.to_json(_document())
@@ -477,8 +536,7 @@ class TestRenderParameters:
                                (Winner.L, "L"), (Winner.H, "H")):
             doc = ResultDocument(
                 label="row", n_articles=10,
-                comparison=ComparisonResult(-10.0, -11.0, -2.58, 0.0099,
-                                            winner, 10))
+                comparison=ComparisonResult(-10.0, -11.0, -2.58, 0.0099, winner))
             row = [line for line in render_table([doc]).splitlines()
                    if line.startswith("row")][0]
             assert row.endswith(symbol)
@@ -497,11 +555,10 @@ class TestRenderParameters:
         assert f"{doc.lognormal.log_likelihood:.1f}" in row
 
     def test_large_offset_renders_integer(self):
-        from citefit.fitting import FitResult, FitTrace, Model
+        from citefit.fitting import FitResult, FitTrace
 
-        fit = FitResult(Model.HOOKED, HookedPowerLawParams(10000.0, 250153.2, 10000),
-                        -5167.0, True, True, 100, 1240,
-                        FitTrace(-5200.0, 120, "cap"))
+        fit = FitResult(HookedPowerLawParams(10000.0, 250153.2, 10000),
+                        -5167.0, True, True, 1240, FitTrace(-5200.0, 120, "cap"))
         doc = ResultDocument(label="Capped", n_articles=1240, hooked=fit)
         table = render_table([doc])
         assert "250153" in table and "250153.2" not in table

@@ -73,8 +73,7 @@ class TestMakeSegments:
         # the general loop builds the degenerate layout: every breakpoint is 1
         with pytest.warns(UserWarning, match="n_max = 0"):
             segs = make_segments(0, k)
-        assert segs == [SegmentSpec(1, 1, 1)] + [
-            SegmentSpec(j, 0, 0, empty=True) for j in range(2, k + 1)]
+        assert segs == [SegmentSpec(1, 1)] + [SegmentSpec(0, 0, empty=True)] * (k - 1)
 
     def test_small_range_produces_empties(self):
         segs = make_segments(1, 4)
@@ -94,7 +93,6 @@ class TestMakeSegments:
     def test_disjoint_ordered_contained(self, n_max):
         segs = make_segments(n_max, 4)
         assert len(segs) == 4
-        assert [s.index for s in segs] == [1, 2, 3, 4]
         prev_end = 0
         for s in segs:
             if s.empty:
@@ -124,7 +122,6 @@ class TestSegmentDifferences:
                        DiscretisedLognormalParams(-20.0, 0.5)):
             diag = segment_differences(ds, params, segs)
             assert diag.signed_max_diff == (0.0, 0.0, 0.0, 0.0)
-            assert diag.model is params.model
 
     def test_sign_convention_model_above_empirical(self):
         # a model whose CDF exceeds the empirical everywhere reports negative

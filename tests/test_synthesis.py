@@ -206,7 +206,7 @@ class TestRecovery:
     def test_lognormal_recovery_medians(self):
         report = recovery_experiment(DiscretisedLognormalParams(2.94, 1.03),
                                      4000, seeds=range(5))
-        assert report.model is Model.LOGNORMAL
+        assert report.truth.model is Model.LOGNORMAL
         assert report.median_errors["mu"] < 0.05
         assert report.median_errors["sigma"] < 0.05
         assert all(r.converged for r in report.rows)
@@ -249,9 +249,9 @@ class TestRecovery:
         report = recovery_experiment(truth, 3000, seeds)
         for row, seed in zip(report.rows, seeds):
             ds = sample(truth, 3000, SeededGenerator(seed))
-            fit = fit_lognormal(ds) if report.model is Model.LOGNORMAL else fit_hooked(ds)
+            fit = fit_lognormal(ds) if truth.model is Model.LOGNORMAL else fit_hooked(ds)
             truth_eval = truth
-            if report.model is Model.HOOKED:
+            if truth.model is Model.HOOKED:
                 truth_eval = HookedPowerLawParams(truth.alpha, truth.offset,
                                                   fit.params.truncation)
             ll_truth = math.fsum(log_pmf_values(truth_eval, ds.counts))
