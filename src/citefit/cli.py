@@ -214,10 +214,10 @@ def _write_plots(docs, datasets, cfg: CliConfig) -> list[str]:
 def _status_line(doc: data_io.ResultDocument) -> str:
     bits = [f"{doc.label}: n={doc.n_articles}"]
     if doc.lognormal:
-        bits.append(f"lognormal LL={doc.lognormal.log_likelihood:.1f}")
+        bits.append(f"lognormal LL={data_io.ll_cell(doc.lognormal)}")
     if doc.hooked:
         capped = " (capped)" if doc.hooked.alpha_capped else ""
-        bits.append(f"hooked LL={doc.hooked.log_likelihood:.1f}{capped}")
+        bits.append(f"hooked LL={data_io.ll_cell(doc.hooked)}{capped}")
     if doc.comparison:
         z, best = data_io.vuong_cells(doc.comparison)
         bits.append(f"z={z} best={best}")
@@ -387,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                                f"(default: {FitConfig.truncation}; raised "
                                "automatically to cover larger counts)")
     fit_opts.add_argument("--tail-correct", dest="tail_correction", action="store_true",
-                          help="add the integral tail bound to the hooked "
-                               "normalization (default: off, truncated sum only)")
+                          help="normalize the hooked law over all n >= 1, the "
+                               "Hurwitz zeta function, for alpha > 1 (default: "
+                               "off, the sum to the truncation length)")
     fit_opts.add_argument("--z-threshold", type=float,
                           help="two-sided significance threshold for the Vuong "
                                f"z statistic (default: {CliConfig.z_threshold:g})")

@@ -331,6 +331,11 @@ def _fmt_offset(value: float) -> str:
     return f"{value:.0f}" if value >= 1e5 else f"{value:.1f}"
 
 
+def ll_cell(fit: FitResult | None) -> str:
+    """A fit's log-likelihood cell, ``-`` where there is none or it is not finite."""
+    return f"{fit.log_likelihood:.1f}" if fit and math.isfinite(fit.log_likelihood) else "-"
+
+
 def vuong_cells(c: ComparisonResult | None) -> tuple[str, str]:
     """The Vuong z and best-model cells of a row, ``-`` where undefined."""
     if c is None:
@@ -359,10 +364,10 @@ def _parameters_table(results: Sequence[ResultDocument]) -> str:
             str(doc.n_articles),
             f"{ln.params.mu:.2f}" if ln else "-",
             f"{ln.params.sigma:.2f}" if ln else "-",
-            f"{ln.log_likelihood:.1f}" if ln and math.isfinite(ln.log_likelihood) else "-",
+            ll_cell(ln),
             _fmt_alpha(hk) if hk else "-",
             _fmt_offset(hk.params.offset) if hk else "-",
-            f"{hk.log_likelihood:.1f}" if hk and math.isfinite(hk.log_likelihood) else "-",
+            ll_cell(hk),
             *vuong_cells(doc.comparison),
         ])
     return _layout(rows)

@@ -4,9 +4,9 @@ Hooked (offset) power law, the discrete Lomax analogue::
 
     h(n) = (B + n)**(-alpha) / sum_{k=1..N} (B + k)**(-alpha)
 
-with exponent ``alpha``, head offset ``B`` and a truncated normalization of
-length ``N`` (completed by an integral tail bound where the record sets its
-``tail_correction`` flag).  The
+with exponent ``alpha``, head offset ``B`` and a normalization of length ``N``,
+or to infinity, ``zeta(alpha, B + 1)``, where the record sets its
+``tail_correction`` flag and ``alpha > 1`` (the support still ends at N).  The
 normalization is an exact log-domain sum over at most the first 125 or so
 terms plus an Euler-Maclaurin remainder for the rest, so its cost does not
 grow with ``N`` and it agrees with the term-by-term sum to about 1e-15
@@ -20,8 +20,8 @@ by.  The normalization alone and the CDF table go through the same pass.
 The exact gradient and Hessian of a log-likelihood in ``(ln alpha,
 ln(B + 1))`` take one more pass of the same kind: with ``t = ln(1 + k /
 (B + 1))`` they are weighted moments of ``t`` and ``k / (B + 1 + k)`` under
-the head's terms ``exp(-alpha t)``, with the remainder and the tail bound
-differentiated in closed form.
+the head's terms ``exp(-alpha t)``, with the remainder differentiated in
+closed form.
 
 Discretised lognormal: the continuous lognormal density ``c(x)`` integrated
 over unit intervals and renormalized to the support above one half::
@@ -62,8 +62,8 @@ class Model(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class HookedPowerLawParams:
-    """Exponent, head offset and normalization length of the hooked model,
-    and whether that normalization adds the integral tail bound (for ``alpha > 1``).
+    """Exponent, head offset and support length of the hooked model, and
+    whether its normalization runs on to infinity (for ``alpha > 1``).
 
     ``alpha <= alpha_cap`` (default 10000) is enforced at fitting time, where
     the cap is configurable; construction only requires admissible values.
@@ -117,7 +117,10 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
 # where the Euler-Maclaurin remainder takes over ...
 _HEAD_MIN = 64
 # ... unless a term falls below exp(-_HEAD_DROP) / N of the first before that:
-# the at most N terms still to come then cannot reach the last bit of the sum
+# the at most N terms still to come then cannot reach the last bit of the sum.
+# Nor can the infinite tail of the untruncated sum: past the drop point K it
+# is at most f(K) (1 + (B + K) / (alpha - 1)), and the drop only comes before
+# max(64, 2 alpha - B), where that is under 89 e**-45 / N of the first term
 _HEAD_DROP = 45.0
 # exp stays in the normal double range (about 1e-304) at and above this
 _EXP_FLOOR = -700.0
@@ -126,39 +129,49 @@ _EXP_FLOOR = -700.0
 _MAX_TABLE = np.iinfo(np.intp).max // 16
 
 
-def _hooked_head(alpha: float, offset: float, truncation: int) -> tuple[int, bool]:
-    """Length ``K`` of the exact head of the normalization sum, and whether
-    the Euler-Maclaurin remainder over ``n = K+1..N`` follows it."""
+def _hooked_head(alpha: float, offset: float, truncation: int,
+                 untruncated: bool = False) -> tuple[int, float, float]:
+    """Length ``K`` of the exact head of the normalization sum; the last
+    ``n`` of the Euler-Maclaurin remainder over ``n = K+1..`` that follows it,
+    ``N``, infinity for the ``untruncated`` sum, or 0 where none follows; and
+    the log of the unit the sum is counted in, over its first term."""
     # once B + n >= 2 alpha and n > 64, each Euler-Maclaurin order is smaller
     # than the one before by (alpha + 2j)**2 / (2 pi (B + n))**2 < 1/50, so six
     # orders leave the remainder exact to double precision
+    end = math.inf if untruncated else truncation
     reach = 2.0 * alpha - offset  # compared as a float: it may be infinite
-    head = truncation if reach > truncation else math.ceil(reach)
-    if head < _HEAD_MIN:
-        head = _HEAD_MIN
-    if head > truncation:
-        head = truncation
+    head = min(max(end if reach >= end else math.ceil(reach), _HEAD_MIN), end)
     x = (_HEAD_DROP + math.log(truncation)) / alpha
     drop = (offset + 1.0) * math.expm1(x if x < 700.0 else 700.0) + 2.0
-    if head < drop:
-        return head, head < truncation
-    return int(drop), False
+    if head >= drop:
+        return int(drop), 0, 0.0
+    if end < math.inf:
+        return head, end if head < end else 0, 0.0
+    # the remainder to infinity, about (B + K) f(K) / (alpha - 1), or its
+    # derivatives (1e32 times more) could overflow; in units e**500 below it, not
+    unit = (math.log(offset + (head + 1)) - alpha * math.log1p(head / (offset + 1.0))
+            - math.log(alpha - 1.0) - 500.0)
+    return head, end, max(unit, 0.0)
 
 
-def _hooked_remainder(alpha: float, offset: float, head: int, truncation: int) -> float:
+def _hooked_remainder(alpha: float, offset: float, head: int, end: float,
+                      unit: float = 0.0) -> float:
     """Euler-Maclaurin value of the terms ``f(x) = ((B + x) / (B + 1))**-alpha``
-    for ``x = head+1..N``; :func:`_hooked_remainder_derivatives` differentiates
-    it analytically."""
+    for ``x = head+1..end`` (``end`` infinite for ``alpha > 1``) in units of
+    ``e**unit``; :func:`_hooked_remainder_derivatives` differentiates it."""
     b1 = float(offset) + 1.0
-    a, b = head + 1, truncation
+    a, b = head + 1, end
     xa, xb = offset + a, offset + b
-    fa = math.exp(-alpha * math.log1p((a - 1) / b1))
-    fb = math.exp(-alpha * math.log1p((b - 1) / b1))
-    # integral_a^b f = (B + a) f(a) (1 - ((B + b) / (B + a))**(1 - alpha)) / (alpha - 1),
-    # through expm1 so alpha -> 1 tends to the logarithm without cancelling
-    u = math.log1p((b - a) / xa)
-    s = (1.0 - alpha) * u
-    rem = xa * fa * u * (math.expm1(s) / s if s else 1.0) + 0.5 * (fa + fb)
+    fa = math.exp(-alpha * math.log1p((a - 1) / b1) - unit)
+    fb = math.exp(-alpha * math.log1p((b - 1) / b1) - unit)  # 0 at infinity, with db
+    if b == math.inf:
+        rem = xa * fa / (alpha - 1.0) + 0.5 * fa
+    else:
+        # integral_a^b f = (B + a) f(a) (1 - ((B + b) / (B + a))**(1 - alpha)) / (alpha - 1),
+        # through expm1 so alpha -> 1 tends to the logarithm without cancelling
+        u = math.log1p((b - a) / xa)
+        s = (1.0 - alpha) * u
+        rem = xa * fa * u * (math.expm1(s) / s if s else 1.0) + 0.5 * (fa + fb)
     # f^(m)(x) = (-1)**m (alpha)_m f(x) / (B + x)**m; da, db carry the magnitudes
     da, db = fa, fb
     rise = alpha
@@ -173,11 +186,12 @@ def _hooked_remainder(alpha: float, offset: float, head: int, truncation: int) -
     return rem
 
 
-def _hooked_log_total(terms: np.ndarray, alpha: float, offset: float, truncation: int,
-                      rest: bool, tail: bool) -> float:
+def _hooked_log_total(terms: np.ndarray, alpha: float, offset: float, end: float,
+                      unit: float) -> float:
     """Log of the normalization over its first term ``(B + 1)**-alpha``, from
     the head's exponents ``terms = -alpha ln(1 + k / (B + 1))``, k = 0..K-1,
-    which it overwrites with their exponentials.
+    which it overwrites with their exponentials in units of ``e**unit``, and
+    the remainder to ``end`` (none where it is 0).
 
     The terms fall with k, and the head ends at most one term past
     ``exp(-_HEAD_DROP) / N`` of the first, so only the last can drop below
@@ -185,21 +199,21 @@ def _hooked_log_total(terms: np.ndarray, alpha: float, offset: float, truncation
     (which would trip a caller's ``np.seterr(under="raise")``) and leaves the
     sum as it was: the term is first added to a partial sum that holds an
     earlier term, so it stays below half of that sum's last bit either way.
+    (In a unit above 1 any term may drop there, and the remainder, over
+    ``e**500``, then dwarfs them all.)
     The result stays between 0 and about ln N, where the normalization itself
     can reach 1.6e5 in size, so log masses formed from it keep their digits
     when a fit multiplies them by thousands of articles.
     """
+    if unit:
+        terms -= unit
     if terms[-1] < _EXP_FLOOR:
         np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
     total = float(np.add.reduce(terms))
-    if rest:
-        total += _hooked_remainder(alpha, offset, terms.size, truncation)
-    total = math.log(total)
-    if tail and alpha > 1:
-        with np.errstate(under="ignore"):  # the tail bound can be far below the sum
-            total = float(np.logaddexp(total, _hooked_log_rel_tail(alpha, offset, truncation)))
-    return total
+    if end:
+        total += _hooked_remainder(alpha, offset, terms.size, end, unit)
+    return unit + math.log(total)
 
 
 def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams) -> tuple[np.ndarray, float]:
@@ -225,29 +239,18 @@ def _hooked_log_masses(ns: np.ndarray, params: HookedPowerLawParams) -> tuple[np
 
 def _hooked_pass(ns, params):
     """:func:`_hooked_log_masses` under the caller's floating-point error state."""
-    alpha, offset, truncation = params.alpha, params.offset, params.truncation
-    head, rest = _hooked_head(alpha, offset, truncation)
+    alpha, offset = params.alpha, params.offset
+    head, end, unit = _hooked_head(alpha, offset, params.truncation,
+                                   params.tail_correction and alpha > 1)
     buf = np.arange(head + ns.size, dtype=np.float64)
     points = buf[head:]
     np.subtract(ns, 1.0, out=points)
     buf /= float(offset) + 1.0
     np.log1p(buf, out=buf)
     buf *= -alpha
-    log_norm = _hooked_log_total(buf[:head], alpha, offset, truncation, rest,
-                                 params.tail_correction)
+    log_norm = _hooked_log_total(buf[:head], alpha, offset, end, unit)
     points -= log_norm
     return points, log_norm
-
-
-def _hooked_log_tail(alpha: float, offset: float, truncation: int) -> float:
-    # integral bound on the dropped tail: (B + N + 0.5)**(1-alpha) / (alpha-1)
-    return (1.0 - alpha) * math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
-
-
-def _hooked_log_rel_tail(alpha: float, offset: float, truncation: int) -> float:
-    # the same bound over the first term (B + 1)**-alpha
-    return (math.log(offset + truncation + 0.5) - math.log(alpha - 1.0)
-            - alpha * math.log1p((truncation - 0.5) / (offset + 1.0)))
 
 
 def hooked_log_norm(params: HookedPowerLawParams) -> float:
@@ -262,24 +265,12 @@ def hooked_log_norm(params: HookedPowerLawParams) -> float:
     independent of ``N`` while the result stays the truncated sum, within
     about 1e-15 relative (absolute log error ~3e-11 at ``|alpha ln(B + 1)|``
     near 1.6e5, the rounding of the leading term itself).  Where the record
-    sets ``tail_correction`` and ``alpha > 1`` the integral bound on the
-    dropped tail is added, making the normalization effectively untruncated.
+    sets ``tail_correction`` and ``alpha > 1`` the remainder runs to infinity
+    instead, and the result is ``ln zeta(alpha, B + 1)`` to the same
+    precision, whatever ``N`` is.
     """
     b1 = float(params.offset) + 1.0  # a Python float overflows to inf without a warning
     return -params.alpha * math.log(b1) + _hooked_log_masses(np.empty(0), params)[1]
-
-
-def hooked_log_tail_mass(params: HookedPowerLawParams) -> float:
-    """Log of the integral bound on the tail beyond the truncation length.
-
-    Raises
-    ------
-    DomainError
-        If ``alpha <= 1`` (the tail integral diverges).
-    """
-    if params.alpha <= 1:
-        raise DomainError("tail bound requires alpha > 1")
-    return _hooked_log_tail(params.alpha, params.offset, params.truncation)
 
 
 def _exp_moments(s: float) -> tuple[float, float, float]:
@@ -306,7 +297,8 @@ def _exp_moments(s: float) -> tuple[float, float, float]:
     return es - s * e1, e1, e2
 
 
-def _hooked_remainder_derivatives(alpha: float, offset: float, head: int, truncation: int):
+def _hooked_remainder_derivatives(alpha: float, offset: float, head: int, end: float,
+                                  unit: float = 0.0):
     """Gradient ``(r0, r1)`` and Hessian ``(r00, r01, r11)`` in ``ln alpha``
     and ``ln(B + 1)`` of :func:`_hooked_remainder`, differentiated
     analytically term by term (no differences).
@@ -323,25 +315,40 @@ def _hooked_remainder_derivatives(alpha: float, offset: float, head: int, trunca
     Hessian ``(P2 - alpha t, alpha q, -(alpha + m) r q)``, where ``P1`` and
     ``P2`` sum ``alpha / (alpha + i)`` and ``alpha i / (alpha + i)**2`` over
     the factorial's factors.
+
+    To infinity (``alpha > 1``), with ``c = alpha - 1``, the moments become
+    ``int_0^inf tau**i e**(-c tau) dtau = i! / c**(i + 1)`` and every term
+    at the upper end vanishes, so ``b`` has no endpoint terms.
     """
     b1 = float(offset) + 1.0
-    a, b = head + 1, truncation
+    a, b = head + 1, end
     ends = []
-    for n in (a, b):
+    for n in (a, b) if b < math.inf else (a,):
         x = offset + n
         t = math.log1p((n - 1) / b1)
-        ends.append((x, t, (n - 1) / x, b1 / x, math.exp(-alpha * t)))
-    (xa, ta, qa, _, fa), (_, tb, qb, _, fb) = ends
-    u = math.log1p((b - a) / xa)
-    e0, e1, e2 = _exp_moments((1.0 - alpha) * u)
-    base = xa * fa * u
-    k1 = base * (ta * e0 + u * e1)  # (B + 1) int tau e**((1 - alpha) tau) dtau
-    k2 = base * (ta * ta * e0 + u * (2.0 * ta * e1 + u * e2))
+        ends.append((x, t, (n - 1) / x, b1 / x, math.exp(-alpha * t - unit)))
+    xa, ta, qa, _, fa = ends[0]
+    if b < math.inf:
+        _, tb, qb, _, fb = ends[1]
+        u = math.log1p((b - a) / xa)
+        e0, e1, e2 = _exp_moments((1.0 - alpha) * u)
+        base = xa * fa * u
+        k0 = base * e0  # (B + 1) int e**((1 - alpha) tau) dtau
+        k1 = base * (ta * e0 + u * e1)  # (B + 1) int tau e**((1 - alpha) tau) dtau
+        k2 = base * (ta * ta * e0 + u * (2.0 * ta * e1 + u * e2))
+        wb = (b - 1) * fb
+    else:
+        c = alpha - 1.0
+        k0 = xa * fa / c
+        k1 = k0 * (ta + 1.0 / c)
+        k2 = k0 * (ta * ta + 2.0 * (ta + 1.0 / c) / c)
+        wb = tb = qb = 0.0
+    wa = (a - 1) * fa
     g0 = -alpha * k1
-    g1 = base * e0 + (a - 1) * fa - (b - 1) * fb
+    g1 = k0 + wa - wb
     h00 = g0 + alpha * alpha * k2
-    h01 = g0 - alpha * ((a - 1) * fa * ta - (b - 1) * fb * tb)
-    h11 = g1 + alpha * ((a - 1) * fa * qa - (b - 1) * fb * qb)
+    h01 = g0 - alpha * (wa * ta - wb * tb)
+    h11 = g1 + alpha * (wa * qa - wb * qb)
     for (x, t, q, r, f), sign in zip(ends, (1.0, -1.0)):
         terms = [(0.5 * f, 0.0, 0.0, 0)]  # (weight, P1, P2, m)
         d, p1, p2 = sign * f, 0.0, 0.0
@@ -384,12 +391,13 @@ def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPower
     plus the covariance of the first: minus the w-weighted mean of ``t`` and
     its variance in ``alpha``, moments of ``q`` and ``r`` in ``B``.  The
     points' part is the same closed form at ``n - 1``.  The Euler-Maclaurin
-    remainder (:func:`_hooked_remainder_derivatives`) and the tail bound
-    enter the weighted sums in closed form.
+    remainder (:func:`_hooked_remainder_derivatives`) enters the weighted
+    sums in closed form.
     """
-    alpha, offset, truncation = params.alpha, params.offset, params.truncation
+    alpha, offset = params.alpha, params.offset
     b1 = float(offset) + 1.0
-    head, rest = _hooked_head(alpha, offset, truncation)
+    head, end, unit = _hooked_head(alpha, offset, params.truncation,
+                                   params.tail_correction and alpha > 1)
     ns = np.asarray(ns, dtype=np.float64)
     # rows t, q and r q over the head's k and the points' n - 1; tiny or huge
     # weights underflow to 0 or overflow to inf quietly, as in the masses
@@ -405,8 +413,7 @@ def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPower
         np.divide(k, b1, out=t)
         np.log1p(t, out=t)
         w = t[:head] * -alpha
-        log_norm = _hooked_log_total(w, alpha, offset, truncation, rest,
-                                     params.tail_correction)
+        log_norm = _hooked_log_total(w, alpha, offset, end, unit)
         s_t, s_q, s_rq = (rows[:, :head] @ w).tolist()
         # the second moments as vector products: a matrix product would have
         # the BLAS library set up its work buffers, a quarter of a megabyte
@@ -418,26 +425,11 @@ def _hooked_ll_derivatives(ns: np.ndarray, mult: np.ndarray, params: HookedPower
     a2 = alpha * alpha
     z0, z1 = -alpha * s_t, alpha * s_q
     z00, z01, z11 = z0 + a2 * s_tt, z1 - a2 * s_tq, a2 * s_qq - alpha * s_rq
-    if rest:
-        (r0, r1), (r00, r01, r11) = _hooked_remainder_derivatives(
-            alpha, offset, head, truncation)
+    if end:
+        (r0, r1), (r00, r01, r11) = _hooked_remainder_derivatives(alpha, offset, head, end, unit)
         z0, z1, z00, z01, z11 = z0 + r0, z1 + r1, z00 + r00, z01 + r01, z11 + r11
-    scale = math.exp(-log_norm)
+    scale = math.exp(unit - log_norm)
     l0, l1, l00, l01, l11 = z0 * scale, z1 * scale, z00 * scale, z01 * scale, z11 * scale
-    if params.tail_correction and alpha > 1:
-        share = math.exp(_hooked_log_rel_tail(alpha, offset, truncation) - log_norm)
-        if share > 0.0:  # else it adds nothing, and its factors could overflow
-            # the bound's logarithm, ln(B + N + 1/2) - ln(alpha - 1) - alpha t_N
-            t_n = math.log1p((truncation - 0.5) / b1)
-            r_n = b1 / (offset + truncation + 0.5)
-            q_n = (truncation - 0.5) / (offset + truncation + 0.5)
-            c0 = -alpha * (1.0 / (alpha - 1.0) + t_n)
-            c1 = r_n + alpha * q_n
-            l0 += share * c0
-            l1 += share * c1
-            l00 += share * (c0 + a2 / ((alpha - 1.0) * (alpha - 1.0)) + c0 * c0)
-            l01 += share * (alpha * q_n + c0 * c1)
-            l11 += share * ((1.0 - alpha) * r_n * q_n + c1 * c1)
     n = float(np.add.reduce(mult))
     return ((-alpha * p_t - n * l0, alpha * p_q - n * l1),
             (-alpha * p_t - n * (l00 - l0 * l0), alpha * p_q - n * (l01 - l0 * l1),

@@ -14,6 +14,7 @@ import os
 import time
 from contextlib import contextmanager
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,13 +24,12 @@ from citefit.distributions import (
     DiscretisedLognormalParams,
     HookedPowerLawParams,
     cdf_values,
-    hooked_log_tail_mass,
     log_pmf_values,
 )
 from citefit.selection import classify_winner, vuong_test
 from citefit.synthesis import SeededGenerator, sample
 
-from oracles import extended_sum_oracle, lognormal_interval_mass
+from oracles import extended_sum_oracle, hurwitz_zeta, lognormal_interval_mass
 from reference_table import REFERENCE_ROWS, Z_BEST_PAIRS
 
 ALPHA_GRID = (1.5, 5.0, 77.0, 100.0, 10000.0)
@@ -99,7 +99,10 @@ def test_criterion_3_normalization_with_tail_handling():
             for offset in OFFSET_GRID:
                 params = HookedPowerLawParams(alpha, offset, 10000, tail_correction=True)
                 body = float(np.exp(log_pmf_values(params, np.arange(1, 10001))).sum())
-                tail = math.exp(hooked_log_tail_mass(params) - cf.hooked_log_norm(params))
+                # the mass past N: zeta(alpha, B + N + 1) over the normalization
+                with mp.workdps(40):
+                    tail = float(hurwitz_zeta(alpha, offset + 10001)
+                                 / mp.exp(cf.hooked_log_norm(params)))
                 assert abs(body + tail - 1.0) <= 1e-6, (alpha, offset, body, tail)
         for mu in MU_GRID:
             for sigma in SIGMA_GRID:

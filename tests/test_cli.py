@@ -128,6 +128,14 @@ class TestFitCommand:
         assert "zero model probability at shifted counts [1000000000000001]" in (
             fit.trace.warnings[-1])
 
+    def test_status_line_prints_a_non_finite_log_likelihood_as_a_dash(self, tmp_path, capsys):
+        # as the tables print it and the document stores it (as null)
+        path = tmp_path / "big.txt"
+        path.write_text("3\n1000000000000000\n")
+        argv = ["fit", str(path), "--model", "lognormal", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("big: n=2  lognormal LL=-  -> ")
+
     def test_documents_are_strict_json(self, tmp_path, capsys):
         # no NaN or Infinity, which RFC 8259 does not allow, even where the
         # log-likelihood is -inf

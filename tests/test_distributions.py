@@ -20,15 +20,15 @@ from citefit.distributions import (
     cdf_values,
     dln_quantile,
     hooked_log_norm,
-    hooked_log_tail_mass,
     log_pmf_values,
 )
 from citefit.errors import DomainError, SupportRangeError
 from citefit.numerics import LOG_ZERO
 
 from oracles import (direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle,
-                     hooked_cdf_oracle, hooked_ll_derivatives_oracle, reference_hooked_cdf,
-                     reference_hooked_log_norm, reference_hooked_log_pmf)
+                     hooked_cdf_oracle, hooked_ll_derivatives_oracle, hurwitz_zeta,
+                     reference_hooked_cdf, reference_hooked_log_norm,
+                     reference_hooked_log_pmf)
 
 LN_ZETA2_MINUS_1 = -0.4386071893521174  # ln(zeta(2) - 1)
 
@@ -68,7 +68,50 @@ class TestHookedNorm:
     def test_tail_corrected_matches_zeta_closed_form(self):
         params = HookedPowerLawParams(2.0, 1.0, 10000, tail_correction=True)
         got = hooked_log_norm(params)
-        assert got == pytest.approx(LN_ZETA2_MINUS_1, abs=1e-12)
+        assert got == pytest.approx(LN_ZETA2_MINUS_1, abs=1e-14)
+
+    @pytest.mark.parametrize("truncation, alphas, offsets", [
+        (10_000, (1.001, 1.01, 1.05, 1.2, 1.35, 1.5, 2.0, 2.5, 7.7),
+         (0.0, 1.0, 5.0, 30.0, 175.4, 1e3, 1e6)),
+        (50, (1.001, 1.2, 2.0, 7.7, 30.0), (0.0, 5.0, 175.4, 1e6)),
+        (1_000_000, (1.001, 1.2, 2.0, 7.7), (0.0, 5.0, 175.4, 1e6)),
+    ])
+    def test_tail_corrected_is_hurwitz_zeta(self, truncation, alphas, offsets):
+        # the untruncated sum, whatever N is: within 1e-14, or one unit in the
+        # last place where ln zeta is large enough to have a coarser one
+        for alpha in alphas:
+            for offset in offsets:
+                got = hooked_log_norm(HookedPowerLawParams(alpha, offset, truncation, True))
+                with mp.workdps(40):
+                    want = float(mp.log(hurwitz_zeta(alpha, offset + 1.0)))
+                assert abs(got - want) <= max(1e-14, math.ulp(want)), (alpha, offset, got, want)
+
+    @pytest.mark.parametrize("alpha, offset", [(1.0000001, 1e300), (1.5, 5e306), (1.5, 1e308)])
+    def test_tail_corrected_far_out(self, alpha, offset):
+        # the sum over its first term passes 1e307, and is counted in units of
+        # e**500: the first log mass stays exact, minus ln(zeta(alpha, B + 1) (B + 1)**alpha)
+        params = HookedPowerLawParams(alpha, offset, 10_000, tail_correction=True)
+        with mp.workdps(40):
+            b1 = mp.mpf(offset) + 1
+            want = -float(mp.log(hurwitz_zeta(alpha, b1) * b1 ** alpha))
+        assert log_pmf_values(params, [1])[0] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha, offset, truncation", [
+        (1e4, 0.0, 10_000), (150.0, 0.0, 1), (70.0, 5.0, 1_000_000), (1e4, 9e3, 50),
+        (10.90510627337405, 0.016070528182616384, 1),  # the largest bound in a scan
+    ])
+    def test_dropped_infinite_tail_is_below_the_last_bit(self, alpha, offset, truncation):
+        # where the head stops at the drop point K, the untruncated sum's tail
+        # past it is below f(K) (1 + (B + K) / (alpha - 1)), and that lies
+        # below the last bit of the head, which holds the first term, 1
+        head, end, _ = _hooked_head(alpha, offset, truncation, untruncated=True)
+        assert end == 0
+        with mp.workdps(40):
+            a, b1 = mp.mpf(alpha), mp.mpf(offset) + 1
+            f_k = ((b1 - 1 + head) / b1) ** -a
+            bound = f_k * (1 + (b1 - 1 + head) / (a - 1))
+            tail = hurwitz_zeta(a, b1 + head) / b1 ** -a
+            assert tail <= bound < 0.5 * math.ulp(1.0)
 
     def test_agrees_with_extended_precision_oracle(self):
         for alpha, offset in ((1.5, 0.0), (5.0, 30.0), (77.0, 0.1), (100.0, 200.0)):
@@ -120,13 +163,9 @@ class TestHookedNorm:
         params = HookedPowerLawParams(10000.0, 1e9, 10000)
         assert math.isfinite(hooked_log_norm(params))
 
-    def test_tail_mass_requires_alpha_above_one(self):
-        with pytest.raises(DomainError):
-            hooked_log_tail_mass(HookedPowerLawParams(1.0, 0.0, 100))
-
     def test_tail_correction_inert_at_or_below_one(self):
-        # the tail integral diverges for alpha <= 1: correction requested but
-        # not applied, leaving the truncated normalization
+        # the sum to infinity diverges for alpha <= 1: correction requested
+        # but not applied, leaving the truncated normalization
         params = HookedPowerLawParams(0.9, 2.0, 5000)
         assert hooked_log_norm(replace(params, tail_correction=True)) == hooked_log_norm(params)
 
@@ -260,6 +299,7 @@ class TestHookedOnePass:
     @example(1e4, 1e300, 10_000, True, None)
     @example(1e-300, 1e308, 1_000_000, True, None)
     @example(2.0, 0.0, 1, True, None)
+    @example(1.5, 5e306, 10_000, True, None)    # the sum to infinity in units of e**500
     @example(1e4, 0.0, 10_000, False, None)     # the grid corner: head terms underflow
     @settings(max_examples=300, deadline=None)
     def test_matches_two_pass_forms(self, alpha, offset, truncation, tail, data):
@@ -305,13 +345,13 @@ def _five_point(f, x, h):
 
 class TestHookedDerivatives:
     """The hooked log-likelihood's exact gradient and Hessian in
-    ``(ln alpha, ln(B + 1))``: one head pass, the remainder differentiated
-    analytically and the tail bound in closed form."""
+    ``(ln alpha, ln(B + 1))``: one head pass, and the remainder, to N or to
+    infinity, differentiated analytically."""
 
     @pytest.mark.parametrize("tail", [False, True])
     @pytest.mark.parametrize("alpha, offset, truncation", [
         (1.05, 3.0, 1_000_000),         # far tail: the remainder carries most of the mass
-        (1.0000001, 2.0, 10_000),       # just above alpha = 1, where the tail bound diverges
+        (1.0000001, 2.0, 10_000),       # just above alpha = 1, where the sum to infinity diverges
         (0.9999999, 2.0, 10_000),       # just below: the integral's exponent is near 0
         (0.3, 0.0, 10_000),
         (10000.0, 5e5, 10_000),         # on the cap, out along the ridge
@@ -369,6 +409,7 @@ class TestHookedDerivatives:
            st.booleans())
     @example(1e4, 0.0, 10_000, False)     # the grid corner: head terms underflow
     @example(1e-310, 1e308, 1_000_000, True)
+    @example(1.5, 4.9935920412842106e306, 1, True)  # the remainder to infinity past 1e307
     @settings(max_examples=200, deadline=None)
     def test_finite_and_quiet_over_the_admissible_range(self, alpha, offset, truncation, tail):
         params = HookedPowerLawParams(alpha, offset, truncation, tail)
@@ -377,15 +418,16 @@ class TestHookedDerivatives:
             grad, hess = _hooked_derivatives(params, values, np.ones_like(values))
         assert all(map(math.isfinite, grad + hess)), (grad, hess)
 
-    def test_head_and_remainder_meet(self, monkeypatch):
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_head_and_remainder_meet(self, monkeypatch, tail):
         # where the remainder starts one term later, the derivatives agree
         import citefit.distributions as module
 
-        params = HookedPowerLawParams(2.5, 10.0)
+        params = HookedPowerLawParams(2.5, 10.0, tail_correction=tail)
         want = _hooked_derivatives(params)
-        head, rest = _hooked_head(2.5, 10.0, 10_000)
-        assert rest
-        monkeypatch.setattr(module, "_hooked_head", lambda *args: (head + 1, True))
+        head, end, unit = _hooked_head(2.5, 10.0, 10_000, tail)
+        assert end
+        monkeypatch.setattr(module, "_hooked_head", lambda *args: (head + 1, end, unit))
         got = _hooked_derivatives(params)
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             assert a == pytest.approx(b, rel=1e-13, abs=1e-12)

@@ -547,7 +547,7 @@ def _numeric_gradient(ds, params, h=1e-3):
     """Five-point differences of ``total_log_likelihood`` in the search
     coordinates.
 
-    The tail bound grows like 1 / (alpha - 1), so with it the step in
+    The sum to infinity grows like 1 / (alpha - 1), so with it the step in
     ``ln alpha`` shrinks to a hundredth of ``ln alpha``, the distance to that
     pole; a fixed step would leave a stencil error of order (h / ln alpha)**4."""
     x, make = _coords(params)
@@ -610,7 +610,7 @@ class TestGradients:
            tail=st.booleans())
     def test_hooked_matches_differences(self, alpha, offset, tail):
         if tail and alpha < 1.01:
-            alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
+            alpha += 1.0  # the sum to infinity switches on at alpha = 1; stay clear
         _assert_gradient_matches(_GRADIENT_DATA,
                                  HookedPowerLawParams(alpha, offset, tail_correction=tail))
 
@@ -619,7 +619,7 @@ class TestGradients:
            tail=st.booleans())
     def test_hooked_hessian_matches_differences(self, alpha, offset, tail):
         if tail and alpha < 1.01:
-            alpha += 1.0  # the tail bound switches on at alpha = 1; stay clear
+            alpha += 1.0  # the sum to infinity switches on at alpha = 1; stay clear
         _assert_hessian_matches(_GRADIENT_DATA,
                                 HookedPowerLawParams(alpha, offset, tail_correction=tail))
 
