@@ -32,10 +32,10 @@ from .fitting import MAX_RAW_COUNT, CitationDataset, FitResult
 from .selection import ComparisonResult, Winner
 from .diagnostics import SegmentDiagnostics
 
-SCHEMA_VERSION = 3
-# versions this build reads; version 1 traces lack ``evaluations`` and
-# ``exit_reason``, which load as None, and keys that version 3 dropped are ignored
-READABLE_VERSIONS = (1, 2, 3)
+SCHEMA_VERSION = 4
+# versions this build reads; keys that versions 3 and 4 dropped are ignored, and a
+# version 1 trace loads ``evaluations`` as None and ``exit_reason`` from its flags
+READABLE_VERSIONS = (1, 2, 3, 4)
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -287,6 +287,18 @@ def write_result(doc: ResultDocument, path) -> None:
     write_json(to_json(doc), path)
 
 
+def _v1_exit_reason(fit: dict) -> str | None:
+    """How a version 1 fit ended, from the three flags it stored instead."""
+    flags = fit.get("alpha_capped"), fit.get("converged"), fit["trace"].get("at_sigma_floor")
+    if not all(isinstance(flag, bool) for flag in flags):
+        raise ParseError(f"malformed version 1 fit: flags {flags!r} are not all booleans")
+    ll, (capped, converged, at_floor) = fit.get("log_likelihood"), flags
+    if not isinstance(ll, (int, float)) or not -math.inf < ll < math.inf:
+        return None
+    return ("cap" if capped else "budget" if not converged
+            else "sigma_floor" if at_floor else "converged")
+
+
 def read_result(path) -> ResultDocument:
     """The document stored at ``path`` by :func:`write_result`, from any of
     :data:`READABLE_VERSIONS`; anything else raises :class:`ParseError` or
@@ -305,6 +317,10 @@ def read_result(path) -> ResultDocument:
     if version not in READABLE_VERSIONS:
         raise SchemaVersionError(name, version, READABLE_VERSIONS)
     try:
+        if version == 1:
+            for fit in (data.get("lognormal"), data.get("hooked")):
+                if isinstance(fit, dict) and isinstance(fit.get("trace"), dict):
+                    fit["trace"]["exit_reason"] = _v1_exit_reason(fit)
         return from_json(ResultDocument, data)
     except ParseError as exc:
         raise ParseError(f"{name}: {exc}") from exc

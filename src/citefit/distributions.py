@@ -572,11 +572,17 @@ def dln_quantile(params: DiscretisedLognormalParams, q: float) -> int:
         z = (math.log(n + 0.5) - params.mu) / params.sigma
         return float(log_ndtr(-z)) <= log_level
 
-    lo, hi = 0, 1  # reached(hi) once the bracket closes; never reached(lo)
+    # the first of 2**0 .. 2**1020 reached in one vectorized test; the scalar
+    # test then moves the bracket to where a doubling from 1 would close it
+    hit = log_ndtr((params.mu - np.log(2.0 ** np.arange(1021) + 0.5)) / params.sigma) <= log_level
+    hi = 1 << int(hit.argmax() if hit.any() else 1020)
+    lo = hi >> 1  # reached(hi) once the bracket closes; never reached(lo)
     while not reached(hi):
         lo, hi = hi, 2 * hi
         if hi > 2**1020:
             raise DomainError(f"quantile level {q!r} of {params} is beyond float range")
+    while lo and reached(lo):
+        lo, hi = lo >> 1, lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reached(mid) else (mid, hi)

@@ -13,7 +13,7 @@ lognormal derivatives then reuse; the hooked derivatives take one pass of
 their own.  The hooked exponent is capped (default 10000)
 because its likelihood has a flat ridge as ``alpha`` and ``B`` grow
 together; a search that follows the ridge onto the cap ends there with
-``B`` optimized alone, and the result is flagged.
+``B`` optimized alone, and exits for ``cap``.
 """
 
 from __future__ import annotations
@@ -144,32 +144,35 @@ class FitTrace:
 
     ``evaluations`` counts the log-likelihood evaluations of the search from
     its start point on (the hooked fit's initial grid is not included).
-    ``exit_reason`` is one of :data:`EXIT_REASONS`: converged inside the
-    box, out of evaluations (``budget``), or converged with the hooked
-    exponent on its cap or the lognormal scale on its floor.  Both are
-    ``None`` in version 1 documents, hence ``at_sigma_floor`` beside them.
+    ``exit_reason``, the one record of how the fit ended, is None where the
+    log-likelihood is not finite, else one of :data:`EXIT_REASONS`: converged
+    inside the box, out of evaluations (``budget``), or converged with the
+    hooked exponent on its cap or the lognormal scale on its floor.
     """
 
     init_log_likelihood: float
     evaluations: int | None
     exit_reason: str | None
-    at_sigma_floor: bool = False
     truncation_raised: bool = False
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.exit_reason not in (None, *EXIT_REASONS):
+            raise ValueError(f"exit_reason {self.exit_reason!r} is not in {EXIT_REASONS}")
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """One fit's end point.  ``converged`` and ``alpha_capped`` repeat
-    ``trace.exit_reason``, which version 1 documents lack; ``alpha_capped``
-    and ``n_articles`` are read off a fit by ``benchmarks/tracing.py``."""
+    """One fit's end point; ``converged`` and ``alpha_capped`` read how it
+    ended, ``trace.exit_reason``.  ``alpha_capped`` and ``n_articles`` are
+    read off a fit by ``benchmarks/tracing.py``."""
 
     params: ModelParams
     log_likelihood: float
-    converged: bool
-    alpha_capped: bool
     n_articles: int
     trace: FitTrace
+    converged = property(lambda self: self.trace.exit_reason not in (None, "budget"))
+    alpha_capped = property(lambda self: self.trace.exit_reason == "cap")
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +300,16 @@ def _step_matrix(hess, held, damp: float):
 
 class _Problem(NamedTuple):
     """One family's search, set up for one dataset: the map from search
-    coordinates to parameters, the ``score`` of :func:`_maximize_box` (one
-    record and one ``log_pmf_values`` call per point), the start and the box,
-    the rule that names the bound a search ended on (``cap``, ``sigma_floor``
-    or None), and what the setup has to report (the raised truncation)."""
+    coordinates to parameters, the derivatives ``derive(x, params, log_mass)``
+    at a point given its record and log masses, the start, the box and the
+    rule that names the bound a search ended on (``cap``, ``sigma_floor`` or None)."""
 
     params_at: Callable
-    score: Callable
+    derive: Callable
     start: list
     lower: tuple
     upper: tuple
     bound: Callable[[_Search], str | None]
-    warnings: tuple[str, ...] = ()
-    truncation_raised: bool = False
 
 
 def _compressed(ds: CitationDataset):
@@ -321,36 +321,36 @@ def _fit(ds: CitationDataset, cfg: FitConfig, problem) -> FitResult:
     """Run the search that ``problem(ds, cfg, values, mult)`` sets up over the
     distinct counts and their multiplicities, and package its end point.
 
-    A search that converged with a parameter on its bound exits for that
-    bound; ``alpha_capped`` and ``at_sigma_floor`` name which.  A search whose
-    log-likelihood is not finite has no exit reason; its trace names the
-    counts the model gives no mass.
+    Each point the search scores costs one parameter record and one
+    ``log_pmf_values`` call.  A search that converged with a parameter on its
+    bound exits for that bound.  A search whose log-likelihood is not finite
+    has no exit reason; its trace names the counts the model gives no mass.
     """
-    warnings_ = ()
-    if len(ds) < _MIN_WARN_SIZE:
-        warnings_ = (f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})",)
+    warnings_ = ((f"dataset has only {len(ds)} articles (< {_MIN_WARN_SIZE})",)
+                 if len(ds) < _MIN_WARN_SIZE else ())
     values, mult = _compressed(ds)
     p = problem(ds, cfg, values, mult)
-    search = _maximize_box(p.score, p.start, p.lower, p.upper, _MAX_ITERATIONS)
+
+    def score(x):
+        params = p.params_at(x)
+        log_mass = log_pmf_values(params, values)
+        return float(mult @ log_mass), lambda: p.derive(x, params, log_mass)
+
+    search = _maximize_box(score, p.start, p.lower, p.upper, _MAX_ITERATIONS)
     params = p.params_at(search.x)
     if math.isfinite(search.ll):
-        bound = p.bound(search)
-        exit_reason = (bound or "converged") if search.converged else "budget"
+        exit_reason = (p.bound(search) or "converged") if search.converged else "budget"
     else:
-        bound = exit_reason = None
+        exit_reason = None
         zero = ds.distinct[0][np.isneginf(log_pmf_values(params, values))]
         warnings_ += (f"zero model probability at shifted counts {zero.tolist()}; "
                       "log-likelihood is -inf",)
-    trace = FitTrace(
-        init_log_likelihood=search.ll_start,
-        evaluations=search.evaluations,
-        exit_reason=exit_reason,
-        at_sigma_floor=bound == "sigma_floor",
-        truncation_raised=p.truncation_raised,
-        warnings=warnings_ + p.warnings,
-    )
-    return FitResult(params=params, log_likelihood=search.ll, converged=search.converged,
-                     alpha_capped=bound == "cap", n_articles=len(ds), trace=trace)
+    raised = isinstance(params, HookedPowerLawParams) and params.truncation != cfg.truncation
+    if raised:
+        warnings_ += (f"truncation raised to {params.truncation} to cover max count "
+                      f"{int(ds.counts.max())}",)
+    return FitResult(params, search.ll, len(ds), FitTrace(
+        search.ll_start, search.evaluations, exit_reason, raised, warnings_))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def fit_lognormal(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResul
     ``mu / sigma**2`` nearly fixed, towards a power law) is straight.
 
     Never raises for non-convergence: the best point found is returned with
-    ``converged=False`` when the iteration budget runs out.
+    exit reason ``budget`` when the iteration budget runs out.
     """
     return _fit(ds, cfg, _lognormal_problem)
 
@@ -391,27 +391,21 @@ def _lognormal_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Pr
         sigma = SIGMA_MIN if x[1] <= ln_sigma_floor else math.exp(x[1])
         return DiscretisedLognormalParams(x[0] * (1.0 + sigma * sigma), sigma)
 
-    def score(x):
-        params = params_at(x)
-        log_mass = log_pmf_values(params, values)
-
-        def derive():
-            (d_mu, d_s), (h_mu_mu, h_mu_s, h_s_s) = _dln_ll_derivatives(
-                values, mult, params, log_mass)
-            # from (mu, ln sigma): mu = x0 (1 + sigma**2) has first derivatives
-            # 1 + sigma**2 and b = 2 x0 sigma**2, and second derivatives
-            # 2 sigma**2 (mixed) and 2 b (in ln sigma)
-            s2 = params.sigma ** 2
-            a, b = 1.0 + s2, 2.0 * s2 * x[0]
-            return ((a * d_mu, d_s + b * d_mu),
-                    (a * a * h_mu_mu,
-                     a * (h_mu_s + b * h_mu_mu) + 2.0 * s2 * d_mu,
-                     h_s_s + b * (2.0 * h_mu_s + b * h_mu_mu) + 2.0 * b * d_mu))
-
-        return float(mult @ log_mass), derive
+    def derive(x, params, log_mass):
+        (d_mu, d_s), (h_mu_mu, h_mu_s, h_s_s) = _dln_ll_derivatives(
+            values, mult, params, log_mass)
+        # from (mu, ln sigma): mu = x0 (1 + sigma**2) has first derivatives
+        # 1 + sigma**2 and b = 2 x0 sigma**2, and second derivatives
+        # 2 sigma**2 (mixed) and 2 b (in ln sigma)
+        s2 = params.sigma ** 2
+        a, b = 1.0 + s2, 2.0 * s2 * x[0]
+        return ((a * d_mu, d_s + b * d_mu),
+                (a * a * h_mu_mu,
+                 a * (h_mu_s + b * h_mu_mu) + 2.0 * s2 * d_mu,
+                 h_s_s + b * (2.0 * h_mu_s + b * h_mu_mu) + 2.0 * b * d_mu))
 
     return _Problem(
-        params_at, score,
+        params_at, derive,
         [init.mu / (1.0 + init.sigma ** 2), math.log(init.sigma)],
         (-math.inf, ln_sigma_floor), (math.inf, math.inf),
         bound=lambda search: "sigma_floor" if search.x[1] <= ln_sigma_floor else None)
@@ -422,11 +416,9 @@ def _lognormal_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Pr
 # ---------------------------------------------------------------------------
 
 
-def _effective_truncation(ds: CitationDataset, cfg: FitConfig) -> tuple[int, bool]:
+def _effective_truncation(ds: CitationDataset, cfg: FitConfig) -> int:
     n_max = int(ds.counts.max())
-    if n_max > cfg.truncation:
-        return max(DEFAULT_TRUNCATION, 2 * n_max), True
-    return cfg.truncation, False
+    return max(DEFAULT_TRUNCATION, 2 * n_max) if n_max > cfg.truncation else cfg.truncation
 
 
 def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowerLawParams:
@@ -434,7 +426,7 @@ def init_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> HookedPowe
     and ``ln(B + 1)`` in [0, ln(10 * max count)], returning the grid maximizer
     of the total log-likelihood."""
     values, mult = _compressed(ds)
-    truncation, _ = _effective_truncation(ds, cfg)
+    truncation = _effective_truncation(ds, cfg)
     ln_alphas = np.linspace(math.log(1.01), math.log(cfg.alpha_cap), _GRID_POINTS)
     ln_b1s = np.linspace(0.0, math.log(10.0 * float(ds.counts.max())), _GRID_POINTS)
     offsets = [math.exp(lb) - 1.0 for lb in ln_b1s.tolist()]
@@ -458,33 +450,25 @@ def fit_hooked(ds: CitationDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 
     The exponent is bounded by the cap: the likelihood keeps improving along
     an ``alpha, B -> inf`` ridge for data with sub-power-law tails, so the
-    boundary optimum is the defined result.  ``alpha_capped`` is set exactly
-    when the search ends with ``alpha`` on the cap and the likelihood still
-    rising towards it; ``B`` is then optimized with ``alpha`` held there.
+    boundary optimum is the defined result.  The fit exits for ``cap`` when
+    the search converges with ``alpha`` on the cap and the likelihood still
+    rising towards it, ``B`` optimized with ``alpha`` held there.
     """
     return _fit(ds, cfg, _hooked_problem)
 
 
 def _hooked_problem(ds: CitationDataset, cfg: FitConfig, values, mult) -> _Problem:
-    truncation, raised = _effective_truncation(ds, cfg)
+    truncation = _effective_truncation(ds, cfg)
     ln_cap = math.log(cfg.alpha_cap)
 
     def params_at(x) -> HookedPowerLawParams:
         alpha = cfg.alpha_cap if x[0] >= ln_cap else math.exp(x[0])
         return HookedPowerLawParams(alpha, math.exp(x[1]) - 1.0, truncation, cfg.tail_correction)
 
-    def score(x):
-        params = params_at(x)
-        return (float(mult @ log_pmf_values(params, values)),
-                lambda: _hooked_ll_derivatives(values, mult, params))
-
     init = init_hooked(ds, cfg)
     return _Problem(
-        params_at, score,
+        params_at, lambda x, params, _: _hooked_ll_derivatives(values, mult, params),
         [math.log(init.alpha), math.log(init.offset + 1.0)],
         (-math.inf, 0.0), (ln_cap, math.log(1e9 + 1.0)),
         bound=lambda search: ("cap" if search.x[0] >= ln_cap and search.grad[0] >= 0.0
-                              else None),
-        warnings=(f"truncation raised to {truncation} to cover max count "
-                  f"{int(ds.counts.max())}",) if raised else (),
-        truncation_raised=raised)
+                              else None))

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import re
+import tempfile
 import warnings
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citefit import data_io
+from citefit.cli import EXIT_OK, main
 from citefit.data_io import (
     ResultDocument,
     parse_counts,
@@ -266,17 +269,34 @@ def _text(tmp_path, doc, name="doc.json"):
     return path.read_text(encoding="utf-8")
 
 
-def _before_v3(data, version):
-    """The JSON form ``data`` of a document as versions 1 and 2 wrote it:
-    with the keys that version 3 dropped, because another key fixes each."""
+def _as_version(data, version):
+    """The JSON form ``data`` of a document as version 1, 2 or 3 wrote it.
+    Each fit holds the flags that version 4 dropped, because its
+    ``exit_reason`` fixes them.  Before version 3 the document also holds the
+    keys that version 3 dropped, because another key fixes each, and writes
+    a float that is not finite as such.  Version 1 traces hold no
+    ``evaluations`` or ``exit_reason``."""
     data["schema_version"] = version
     for model in ("lognormal", "hooked"):
-        fit = data[model]
-        data[model] = {"model": model, **fit, "iterations": fit["trace"]["evaluations"] - 1}
-        diag = data[f"{model}_diagnostics"]
-        diag["segments"] = [{"index": j, **seg} for j, seg in enumerate(diag["segments"], 1)]
-        data[f"{model}_diagnostics"] = {"model": model, **diag}
-    data["comparison"]["n_articles"] = data["n_articles"]
+        fit, diag = data[model], data[f"{model}_diagnostics"]
+        if fit is None:
+            continue
+        trace = fit["trace"]
+        reason = trace["exit_reason"]
+        fit.update(converged=reason not in (None, "budget"), alpha_capped=reason == "cap")
+        trace["at_sigma_floor"] = reason == "sigma_floor"
+        if version < 3:
+            for owner, key in ((fit, "log_likelihood"), (trace, "init_log_likelihood")):
+                owner[key] = -math.inf if owner[key] is None else owner[key]
+            data[model] = {"model": model, **fit, "iterations": trace["evaluations"] - 1}
+            if diag is not None:
+                diag["segments"] = [{"index": j, **seg}
+                                    for j, seg in enumerate(diag["segments"], 1)]
+                data[f"{model}_diagnostics"] = {"model": model, **diag}
+        if version == 1:
+            del trace["evaluations"], trace["exit_reason"]
+    if version < 3 and data["comparison"] is not None:
+        data["comparison"]["n_articles"] = data["n_articles"]
     return data
 
 
@@ -331,21 +351,25 @@ class TestDocumentRoundTrip:
     def test_v2_round_trip_keeps_fit_telemetry(self, tmp_path):
         doc = _document()
         data = json.loads(_text(tmp_path, doc))
-        assert data["schema_version"] == data_io.SCHEMA_VERSION == 3
+        assert data["schema_version"] == data_io.SCHEMA_VERSION == 4
         for model in ("lognormal", "hooked"):
             trace = data[model]["trace"]
             assert isinstance(trace["evaluations"], int) and trace["evaluations"] > 0
             assert trace["exit_reason"] in EXIT_REASONS
             assert "restarts" not in trace
         assert _stored(tmp_path, data) == doc
-        # a version 2 document, with the keys version 3 dropped, reads the same
-        assert _stored(tmp_path, _before_v3(data, 2)) == doc
+        # version 2 and 3 documents, with the keys versions 3 and 4 dropped,
+        # read the same
+        for version in (2, 3):
+            assert _stored(tmp_path, _as_version(json.loads(json.dumps(data)), version)) == doc
 
-    def test_v3_drops_the_keys_another_key_fixes(self, tmp_path):
+    def test_v4_drops_the_keys_another_key_fixes(self, tmp_path):
         data = json.loads(_text(tmp_path, _document()))
         for model in ("lognormal", "hooked"):
-            assert list(data[model]) == ["params", "log_likelihood", "converged",
-                                         "alpha_capped", "n_articles", "trace"]
+            assert list(data[model]) == ["params", "log_likelihood", "n_articles", "trace"]
+            assert list(data[model]["trace"]) == ["init_log_likelihood", "evaluations",
+                                                  "exit_reason", "truncation_raised",
+                                                  "warnings"]
             diag = data[f"{model}_diagnostics"]
             assert list(diag) == ["segments", "signed_max_diff"]
             assert all(list(seg) == ["start", "end", "empty"] for seg in diag["segments"])
@@ -353,20 +377,47 @@ class TestDocumentRoundTrip:
 
     def test_v1_document_still_reads(self, tmp_path):
         # version 1 traces described the simplex search; its fields are
-        # dropped and the telemetry it lacked loads as None
-        data = _before_v3(json.loads(_text(tmp_path, _document())), 1)
+        # dropped, the evaluations it lacked load as None and its exit reason
+        # comes from its fit's flags
+        original = _document()
+        data = _as_version(json.loads(_text(tmp_path, original)), 1)
         for model in ("lognormal", "hooked"):
-            trace = data[model]["trace"]
-            del trace["evaluations"], trace["exit_reason"]
-            trace.update(final_ll_spread=1e-12, final_simplex_diameter=5e-7, restarts=1)
+            data[model]["trace"].update(final_ll_spread=1e-12, final_simplex_diameter=5e-7,
+                                        restarts=1)
         doc = _stored(tmp_path, data)
         assert doc.hooked.trace.evaluations is None
-        assert doc.lognormal.trace.exit_reason is None
+        assert doc.lognormal.trace.exit_reason == original.lognormal.trace.exit_reason
+        assert doc.hooked.trace.exit_reason == original.hooked.trace.exit_reason
         assert doc.schema_version == data_io.SCHEMA_VERSION
-        # it is written back as a version 3 document and reads the same
+        # it is written back as a version 4 document and reads the same
         text = _text(tmp_path, doc, "again.json")
         assert read_result(tmp_path / "again.json") == doc
-        assert json.loads(text)["schema_version"] == 3
+        assert json.loads(text)["schema_version"] == 4
+
+    @pytest.mark.parametrize("flags, reason", [
+        ((True, True, False), "cap"),
+        ((False, True, False), "cap"),
+        ((False, False, True), "budget"),
+        ((True, False, True), "sigma_floor"),
+        ((True, False, False), "converged"),
+    ])
+    def test_v1_flags_name_the_exit_reason(self, tmp_path, flags, reason):
+        data = _as_version(data_io.to_json(_document()), 1)
+        converged, capped, at_floor = flags
+        data["hooked"].update(converged=converged, alpha_capped=capped)
+        data["hooked"]["trace"]["at_sigma_floor"] = at_floor
+        fit = _stored(tmp_path, data).hooked
+        assert fit.trace.exit_reason == reason
+        assert (fit.converged, fit.alpha_capped) == (reason != "budget", reason == "cap")
+
+    @pytest.mark.parametrize("ll", [None, -math.inf, math.nan])
+    def test_v1_fit_without_a_finite_log_likelihood_has_no_exit_reason(self, tmp_path, ll):
+        data = _as_version(data_io.to_json(_document()), 1)
+        data["lognormal"]["log_likelihood"] = ll
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        fit = read_result(path).lognormal
+        assert fit.trace.exit_reason is None and not fit.converged
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_hooked_params_without_tail_flag_read_as_truncated(self, tmp_path, version):
@@ -377,8 +428,7 @@ class TestDocumentRoundTrip:
         params = data["hooked"]["params"]
         assert list(params) == ["kind", "alpha", "offset", "truncation", "tail_correction"]
         assert params.pop("tail_correction") is False
-        data["schema_version"] = version
-        back = _stored(tmp_path, data)
+        back = _stored(tmp_path, _as_version(data, version))
         assert back.hooked.params.tail_correction is False
         assert back.hooked.params == doc.hooked.params
 
@@ -401,6 +451,37 @@ class TestDocumentRoundTrip:
         assert read_result(tmp_path / "doc.json").label == label
 
 
+@pytest.mark.parametrize("style", ["parameters", "segments"])
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_report_prints_the_same_bytes_for_each_version(tmp_path, capsys, version, style):
+    # a capped hooked fit (the 10k cell), a lognormal fit on its sigma floor
+    # and one whose log-likelihood is not finite, stored as version 4 and as
+    # ``version`` stores the same fits
+    ds = sample(DiscretisedLognormalParams(2.93, 0.73), 2000, SeededGenerator(3))
+    rows = [f"Thin Tail,{c - 1}\n" for c in ds.counts.tolist()] + ["Floor,0\n"] * 50
+    (tmp_path / "counts.csv").write_text("".join(rows))
+    (tmp_path / "big.txt").write_text("3\n1000000000000000\n")
+    new, old = tmp_path / "v4", tmp_path / f"v{version}"
+    assert main(["fit", str(tmp_path / "counts.csv"), "--out", str(new)]) == EXIT_OK
+    assert main(["fit", str(tmp_path / "big.txt"), "--model", "lognormal",
+                 "--out", str(new)]) == EXIT_OK
+    old.mkdir()
+    reasons = set()
+    for path in new.iterdir():
+        data = json.loads(path.read_text(encoding="utf-8"))
+        reasons.update(data[m]["trace"]["exit_reason"] for m in ("lognormal", "hooked")
+                       if data[m])
+        (old / path.name).write_text(json.dumps(_as_version(data, version)), encoding="utf-8")
+    assert {"cap", "sigma_floor", None} <= reasons
+    capsys.readouterr()
+    outputs = []
+    for folder in (new, old):
+        assert main(["report", str(folder), "--style", style]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert style == "segments" or "10k" in outputs[0].out
+
+
 def _tiny_document():
     return ResultDocument(
         label="tiny", n_articles=3,
@@ -409,15 +490,13 @@ def _tiny_document():
 
 
 def _capped_fit():
-    return FitResult(HookedPowerLawParams(2.5, 1.0, 100), -4.0, False, True, 3,
+    return FitResult(HookedPowerLawParams(2.5, 1.0, 100), -4.0, 3,
                      FitTrace(-4.25, 9, "cap", warnings=("w",)))
 
 
 def _v1_document():
-    data = _before_v3(data_io.to_json(_document()), 1)
-    for model in ("lognormal", "hooked"):
-        del data[model]["trace"]["evaluations"], data[model]["trace"]["exit_reason"]
-    return data_io.from_json(ResultDocument, data)
+    with tempfile.TemporaryDirectory() as folder:
+        return _stored(pathlib.Path(folder), _as_version(data_io.to_json(_document()), 1))
 
 
 # every type the codec persists, in the shapes that need its explicit rules
@@ -439,7 +518,7 @@ ROUND_TRIP_CASES = {
 # The layout of the documents, as the hand-written serializer that the codec
 # replaced wrote them: a change of key order, tags or null handling fails here.
 TINY_DOCUMENT_TEXT = """{
-  "schema_version": 3,
+  "schema_version": 4,
   "label": "tiny",
   "n_articles": 3,
   "lognormal": null,
@@ -458,10 +537,9 @@ TINY_DOCUMENT_TEXT = """{
 """
 CAPPED_FIT_JSON = (
     '{"params": {"kind": "hooked", "alpha": 2.5, "offset": 1.0, '
-    '"truncation": 100, "tail_correction": false}, "log_likelihood": -4.0, "converged": false, '
-    '"alpha_capped": true, "n_articles": 3, "trace": '
-    '{"init_log_likelihood": -4.25, "evaluations": 9, "exit_reason": "cap", '
-    '"at_sigma_floor": false, "truncation_raised": false, "warnings": ["w"]}}')
+    '"truncation": 100, "tail_correction": false}, "log_likelihood": -4.0, "n_articles": 3, '
+    '"trace": {"init_log_likelihood": -4.25, "evaluations": 9, "exit_reason": "cap", '
+    '"truncation_raised": false, "warnings": ["w"]}}')
 
 
 class TestCodec:
@@ -492,8 +570,12 @@ class TestCodec:
         lambda d: d.update(label=5),
         lambda d: d["comparison"].update(vuong_z="x"),
         lambda d: d["lognormal_diagnostics"].update(signed_max_diff=["a", "b", "c", "d"]),
-        lambda d: d["hooked"].update(alpha_capped="yes"),
-        lambda d: d["hooked"].update(alpha_capped=1),
+        lambda d: d["hooked"]["trace"].update(exit_reason=True),
+        lambda d: d["hooked"]["trace"].update(exit_reason=1),
+        # an exit reason is one of EXIT_REASONS, and version 1 flags are booleans
+        lambda d: d["hooked"]["trace"].update(exit_reason="bogus"),
+        lambda d: _as_version(d, 1)["hooked"].update(alpha_capped="yes"),
+        lambda d: _as_version(d, 1)["lognormal"]["trace"].update(at_sigma_floor=1),
         lambda d: d["hooked"].update(n_articles=2.0),
         lambda d: d["hooked"]["trace"].update(evaluations=True),
         lambda d: d["lognormal"]["params"].update(mu=False),
@@ -558,7 +640,7 @@ class TestRenderParameters:
         from citefit.fitting import FitResult, FitTrace
 
         fit = FitResult(HookedPowerLawParams(10000.0, 250153.2, 10000),
-                        -5167.0, True, True, 1240, FitTrace(-5200.0, 120, "cap"))
+                        -5167.0, 1240, FitTrace(-5200.0, 120, "cap"))
         doc = ResultDocument(label="Capped", n_articles=1240, hooked=fit)
         table = render_table([doc])
         assert "250153" in table and "250153.2" not in table

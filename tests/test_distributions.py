@@ -23,7 +23,7 @@ from citefit.distributions import (
     log_pmf_values,
 )
 from citefit.errors import DomainError, SupportRangeError
-from citefit.numerics import LOG_ZERO
+from citefit.numerics import LOG_ZERO, log_ndtr, std_normal_log_cdf
 
 from oracles import (direct_log_norm, dln_cdf_oracle, dln_pmf_oracle, extended_sum_oracle,
                      hooked_cdf_oracle, hooked_ll_derivatives_oracle, hurwitz_zeta,
@@ -562,7 +562,42 @@ def _dln_survival_oracle(n, mu, sigma):
         return upper(mp.mpf(n) + mp.mpf("0.5")) / upper(mp.mpf("0.5"))
 
 
+def _doubling_quantile(params, q):
+    """:func:`dln_quantile` as it found its bracket before, one scalar test
+    per doubling from 1, then the same bisection."""
+    z0 = (math.log(0.5) - params.mu) / params.sigma
+    log_level = math.log1p(-q) + std_normal_log_cdf(-z0)
+
+    def reached(n):
+        return float(log_ndtr(-(math.log(n + 0.5) - params.mu) / params.sigma)) <= log_level
+
+    lo, hi = 0, 1
+    while not reached(hi):
+        lo, hi = hi, 2 * hi
+        if hi > 2**1020:
+            raise DomainError("beyond float range")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
+
+
 class TestDlnQuantile:
+    @pytest.mark.parametrize("mu", [-4000.0, -100.0, -8.0, 0.0, 2.94, 30.0, 100.0, 800.0])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.4, 1.03, 10.0, 100.0])
+    def test_matches_the_doubling_bracket(self, mu, sigma):
+        # one vectorized test finds the bracket; the quantile is the one the
+        # scalar doubling found, also where both run past float range
+        params = DiscretisedLognormalParams(mu, sigma)
+        for q in (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12):
+            try:
+                expected = _doubling_quantile(params, q)
+            except DomainError:
+                with pytest.raises(DomainError, match="beyond float range"):
+                    dln_quantile(params, q)
+            else:
+                assert dln_quantile(params, q) == expected
+
     @pytest.mark.parametrize("mu, sigma, q", [
         (0.0, 1.0, 1 - 1e-12),
         (2.94, 1.03, 1 - 1e-12),

@@ -191,7 +191,7 @@ class TestFitLognormal:
         fit = fit_lognormal(CitationDataset("test", [1] * 500))
         assert fit.converged
         assert fit.params.sigma == 1e-3
-        assert fit.trace.at_sigma_floor
+        assert fit.trace.exit_reason == "sigma_floor"
 
     def test_improves_on_initialization(self):
         for seed in (2, 3, 4):
@@ -220,7 +220,6 @@ class TestFitLognormal:
         fit = fit_lognormal(CitationDataset("test", [4, 10**15 + 1]))
         assert fit.log_likelihood == -math.inf and not fit.converged
         assert fit.trace.exit_reason is None
-        assert not fit.trace.at_sigma_floor
         assert fit.trace.warnings[-1] == (
             "zero model probability at shifted counts [1000000000000001]; "
             "log-likelihood is -inf")
